@@ -3,8 +3,8 @@
 A graph is (k, l)-stable when deleting any k vertices lowers its independence
 number by at most l.  This package provides the machinery to study that notion
 exactly at small scale: an immutable bitmask graph type with graph6 I/O,
-an exact maximum-independent-set solver, stability predicates and drop
-profiles, the extremal graph families that realise the known tight cases,
+an exact maximum-independent-set solver, stability predicates and worst-case
+drops, the extremal graph families that realise the known tight cases,
 isomorph-free exhaustive enumeration, exact small-n Erdos-Rogers values,
 and a verification harness that reruns every desk-scale claim.
 """
@@ -31,7 +31,6 @@ from indstab.mis import (
     saturating_matching,
 )
 from indstab.stability import (
-    StabilityProfile,
     alpha_drop,
     check_stable_vertex_bound,
     is_stable,

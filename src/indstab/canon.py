@@ -147,6 +147,9 @@ def _search(n: int, adj: tuple[int, ...]):
                     cand = [u for u in cand if u not in orbit]
 
     search(_refine(n, adj, [list(range(n))]), [])
+    # the closure refers to itself through its cell; unbinding it here lets
+    # reference counting free it instead of the cyclic collector
+    del search
 
     parent = list(range(n))
 

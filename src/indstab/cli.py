@@ -245,7 +245,16 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        if getattr(args, "jobs", 1) < 1:
+            raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+        status = args.fn(args)
+        sys.stdout.flush()  # meet a closed pipe here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # the reader stopped early (e.g. `| head`): end quietly, and point
+        # stdout at /dev/null so the interpreter's final flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -48,7 +48,8 @@ class Predicate:
         """A bound B such that every matching graph has alpha <= B, or None.
 
         Used as a hereditary generation prune; must be sound by definition of
-        the predicate alone.
+        the predicate alone.  Raises ValueError when the predicate's
+        parameters are invalid for n-vertex graphs.
         """
         return None
 
@@ -100,7 +101,11 @@ class Stable(Predicate):
     cost = 3
 
     def matches(self, g: Graph) -> bool:
-        return g.n > self.k and is_stable(g, self.k, self.l)
+        return is_stable(g, self.k, self.l)
+
+    def alpha_cap(self, n: int) -> int | None:
+        stability_bound(n, self.k, self.l)  # validates n > k > l >= 0
+        return None
 
 
 @dataclass(frozen=True)
@@ -110,13 +115,11 @@ class TightStable(Predicate):
     cost = 3
 
     def matches(self, g: Graph) -> bool:
-        return g.n > self.k and is_tight_stable(g, self.k, self.l)
+        return is_tight_stable(g, self.k, self.l)
 
     def alpha_cap(self, n: int) -> int | None:
         # tight graphs attain the stability bound exactly
-        if n > self.k:
-            return stability_bound(n, self.k, self.l)
-        return None
+        return stability_bound(n, self.k, self.l)
 
 
 @dataclass(frozen=True)
@@ -375,5 +378,4 @@ def search_tight_stable(
     n: int, k: int, l: int, *, jobs: int = 1, allow_long: bool = False
 ) -> list[CanonicalCode]:
     """Canonical codes of all tight (k, l)-stable classes on n vertices, sorted."""
-    stability_bound(n, k, l)  # validates n > k > l >= 0
     return search_with(n, TightStable(k, l), jobs=jobs, allow_long=allow_long)

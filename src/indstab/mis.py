@@ -3,9 +3,13 @@
 The solver is branch and bound on bitmasks: branch on a maximum-degree vertex
 of the residual subgraph (include it or exclude it), bound with a greedy
 clique cover, and break every tie toward the lowest vertex label so witnesses
-are reproducible.  Low-level helpers operate directly on adjacency rows and a
-vertex mask, which lets the stability scans query induced subgraphs without
-rebuilding Graph values.
+are reproducible.  One search body serves every query: it improves an
+incumbent and returns once the incumbent reaches a cut-off, so the maximum
+runs from a greedy incumbent with no cut-off and the threshold query ("an
+independent set of at least t vertices") from t - 1 with cut-off t.
+Low-level helpers operate directly on adjacency rows and a vertex mask, which
+lets the stability scans query induced subgraphs without rebuilding Graph
+values.
 """
 
 from __future__ import annotations
@@ -66,70 +70,74 @@ def _max_degree_vertex(adj: tuple[int, ...], mask: int) -> tuple[int, int]:
     return best_v, best_d
 
 
+def _grow(
+    adj: tuple[int, ...], sub: int, chosen: int, size: int,
+    best: int, best_set: int, stop: int,
+) -> tuple[int, int]:
+    """The largest independent set `chosen` plus part of `sub`, if it beats `best`.
+
+    `chosen` (of `size` vertices) is independent and has no neighbor in
+    `sub`.  Returns the incumbent (`best`, `best_set`) unless a strictly
+    larger set is found, and returns as soon as the incumbent reaches `stop`.
+    Include is tried before exclude, so the first optimum reached wins.
+    """
+    v, d = _max_degree_vertex(adj, sub)
+    if d <= 0:
+        total = size + sub.bit_count()
+        if total > best:
+            return total, chosen | sub
+        return best, best_set
+    if size + _cover_bound(adj, sub) <= best:
+        return best, best_set
+    best, best_set = _grow(
+        adj, sub & ~(adj[v] | (1 << v)), chosen | (1 << v), size + 1,
+        best, best_set, stop,
+    )
+    if best >= stop:
+        return best, best_set
+    return _grow(adj, sub & ~(1 << v), chosen, size, best, best_set, stop)
+
+
+def _greedy(adj: tuple[int, ...], mask: int, stop: int) -> tuple[int, int]:
+    """Greedy independent set in `mask`, lowest label first, cut off at `stop`."""
+    size = 0
+    chosen = 0
+    m = mask
+    while m and size < stop:
+        v = (m & -m).bit_length() - 1
+        chosen |= 1 << v
+        size += 1
+        m &= ~(adj[v] | (1 << v))
+    return size, chosen
+
+
 def alpha_mask(adj: tuple[int, ...], mask: int) -> int:
     """Exact independence number of the induced subgraph on `mask`."""
-    # greedy incumbent, lowest label first
-    best = 0
-    m = mask
-    while m:
-        v = (m & -m).bit_length() - 1
-        best += 1
-        m &= ~(adj[v] | (1 << v))
+    best, best_set = _greedy(adj, mask, mask.bit_count())
+    return _grow(adj, mask, 0, 0, best, best_set, mask.bit_count())[0]
 
-    def bb(sub: int, size: int) -> None:
-        nonlocal best
-        v, d = _max_degree_vertex(adj, sub)
-        if d <= 0:
-            total = size + sub.bit_count()
-            if total > best:
-                best = total
-            return
-        if size + _cover_bound(adj, sub) <= best:
-            return
-        bb(sub & ~(adj[v] | (1 << v)), size + 1)
-        bb(sub & ~(1 << v), size)
 
-    if mask:
-        bb(mask, 0)
-    return best
+def independent_set_at_least(
+    adj: tuple[int, ...], mask: int, target: int
+) -> int | None:
+    """An independent set of at least `target` vertices inside `mask`, or None.
+
+    The set is returned as a bitmask.  The search exits as soon as any
+    independent set reaches the target, which makes stability scans cheap on
+    graphs that are in fact stable.
+    """
+    if target <= 0:
+        return 0
+    size, chosen = _greedy(adj, mask, target)
+    if size >= target:
+        return chosen
+    size, chosen = _grow(adj, mask, 0, 0, target - 1, 0, target)
+    return chosen if size >= target else None
 
 
 def alpha_at_least(adj: tuple[int, ...], mask: int, target: int) -> bool:
-    """Whether the subgraph on `mask` has an independent set of size >= target.
-
-    Exits as soon as any independent set reaches the target, which makes
-    stability scans cheap on graphs that are in fact stable.
-    """
-    if target <= 0:
-        return True
-    m = mask
-    size = 0
-    while m:
-        v = (m & -m).bit_length() - 1
-        size += 1
-        if size >= target:
-            return True
-        m &= ~(adj[v] | (1 << v))
-
-    found = False
-
-    def bb(sub: int, size: int) -> None:
-        nonlocal found
-        if found:
-            return
-        v, d = _max_degree_vertex(adj, sub)
-        if d <= 0:
-            if size + sub.bit_count() >= target:
-                found = True
-            return
-        if size + _cover_bound(adj, sub) < target:
-            return
-        bb(sub & ~(adj[v] | (1 << v)), size + 1)
-        if not found:
-            bb(sub & ~(1 << v), size)
-
-    bb(mask, 0)
-    return found
+    """Whether the subgraph on `mask` has an independent set of size >= target."""
+    return independent_set_at_least(adj, mask, target) is not None
 
 
 def alpha(g: Graph) -> int:
@@ -144,26 +152,26 @@ def max_independent_set(g: Graph) -> MisResult:
     (include before exclude, lowest label on every tie), so repeated runs and
     relabeling-free reruns return the same set.
     """
-    adj = g.adj
-    best_size = 0
-    best_set = 0
+    mask = g.vertex_mask
+    return MisResult(*_grow(g.adj, mask, 0, 0, 0, 0, mask.bit_count()))
 
-    def bb(sub: int, chosen: int, size: int) -> None:
-        nonlocal best_size, best_set
-        v, d = _max_degree_vertex(adj, sub)
-        if d <= 0:
-            total = size + sub.bit_count()
-            if total > best_size:
-                best_size = total
-                best_set = chosen | sub
-            return
-        if size + _cover_bound(adj, sub) <= best_size:
-            return
-        bb(sub & ~(adj[v] | (1 << v)), chosen | (1 << v), size + 1)
-        bb(sub & ~(1 << v), chosen, size)
 
-    bb(g.vertex_mask, 0, 0)
-    return MisResult(best_size, best_set)
+def _walk(
+    adj: tuple[int, ...], sub: int, chosen: int, size: int, target: int,
+    out: list[int],
+) -> None:
+    """Append to `out` every independent set of `target` vertices: `chosen`
+    plus part of `sub`."""
+    if size + _cover_bound(adj, sub) < target:
+        return
+    if size == target:
+        out.append(chosen)
+        return
+    if not sub:
+        return
+    v = (sub & -sub).bit_length() - 1
+    _walk(adj, sub & ~(adj[v] | (1 << v)), chosen | (1 << v), size + 1, target, out)
+    _walk(adj, sub & ~(1 << v), chosen, size, target, out)
 
 
 def all_max_independent_sets(g: Graph) -> list[int]:
@@ -173,23 +181,8 @@ def all_max_independent_sets(g: Graph) -> list[int]:
     """
     if g.n > 32:
         raise ValueError(f"all_max_independent_sets is limited to n <= 32, got {g.n}")
-    adj = g.adj
-    target = alpha(g)
     out: list[int] = []
-
-    def walk(sub: int, chosen: int, size: int) -> None:
-        if size + _cover_bound(adj, sub) < target:
-            return
-        if size == target:
-            out.append(chosen)
-            return
-        if not sub:
-            return
-        v = (sub & -sub).bit_length() - 1
-        walk(sub & ~(adj[v] | (1 << v)), chosen | (1 << v), size + 1)
-        walk(sub & ~(1 << v), chosen, size)
-
-    walk(g.vertex_mask, 0, 0)
+    _walk(g.adj, g.vertex_mask, 0, 0, alpha(g), out)
     out.sort()
     return out
 
@@ -205,6 +198,23 @@ def is_independent(g: Graph, vertices: int) -> bool:
     return True
 
 
+def _augment(
+    adj: tuple[int, ...], y: int, match_of: dict[int, int], v: int, seen: set[int]
+) -> bool:
+    """Extend `match_of` by an augmenting path from the `y` vertex `v`."""
+    m = adj[v] & ~y
+    while m:
+        u = (m & -m).bit_length() - 1
+        m &= m - 1
+        if u in seen:
+            continue
+        seen.add(u)
+        if u not in match_of or _augment(adj, y, match_of, match_of[u], seen):
+            match_of[u] = v
+            return True
+    return False
+
+
 def saturating_matching(g: Graph, y: int) -> Matching | None:
     """A matching covering the independent set `y` with edges into the rest.
 
@@ -216,22 +226,8 @@ def saturating_matching(g: Graph, y: int) -> Matching | None:
         raise ValueError("the queried set is not independent")
     ys = vset_members(y)
     match_of: dict[int, int] = {}  # right vertex -> y vertex
-
-    def augment(v: int, seen: set[int]) -> bool:
-        m = g.adj[v] & ~y
-        while m:
-            u = (m & -m).bit_length() - 1
-            m &= m - 1
-            if u in seen:
-                continue
-            seen.add(u)
-            if u not in match_of or augment(match_of[u], seen):
-                match_of[u] = v
-                return True
-        return False
-
     for v in ys:
-        if not augment(v, set()):
+        if not _augment(g.adj, y, match_of, v, set()):
             return None
     pairs = sorted((yv, u) if yv < u else (u, yv) for u, yv in match_of.items())
     return Matching(tuple(pairs))

@@ -4,19 +4,30 @@ A graph is (k, l)-stable when removing any k vertices lowers the independence
 number by at most l; the parameter domain is n > k > l >= 0 and anything else
 is rejected rather than extrapolated.  A (k, l)-stable graph on n vertices
 satisfies alpha <= floor((n-k+1)/2) + l, and graphs attaining equality are
-called tight.  Removal scans run in colexicographic order with two exact
-prunes: a partial removal that already exceeds the allowed drop settles
-instability immediately (supersets only lower alpha), and a branch whose
-optimistic completion cannot beat the incumbent minimum is skipped.
+called tight.
+
+Removal scans are implicit hitting-set searches (Moreno-Centeno & Karp, Oper.
+Res. 61(2), 2013).  An independent set of the needed size that misses a
+removal set S certifies S, so each scan keeps a pool of the witnesses found
+so far: a pooled witness disjoint from S answers the check, the solver runs
+only when none is, and every witness it returns joins the pool.  A removal
+set that misses the witness certifying its prefix is certified too, so the
+scan extends a prefix only by vertices of that witness.
+
+Every scan searches for the worst drop.  A prefix that no witness of
+alpha - drop vertices avoids raises the drop found by one (supersets of the
+prefix only lower alpha further), and the scan stops once the drop reaches its
+cut-off: l + 1 for is_stable, min(k, alpha) for alpha_drop.  A prefix whose
+optimistic completion (each further removal lowers alpha by at most 1) cannot
+beat the drop found is skipped; that question is asked only when its target
+is at most alpha, since above alpha it could only fail, at the cost of a full
+refutation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from indstab.canon import canonical
 from indstab.graphs import Graph
-from indstab.mis import alpha_at_least, alpha_mask
+from indstab.mis import alpha_mask, independent_set_at_least
 
 
 def stability_bound(n: int, k: int, l: int) -> int:
@@ -31,37 +42,74 @@ def _check_k(g: Graph, k: int) -> None:
         raise ValueError(f"k must be in [1, n), got k={k} with n={g.n}")
 
 
+class _RemovalScan:
+    """One worst-drop scan over the k-vertex removals of a graph, with its
+    witness pool."""
+
+    def __init__(self, g: Graph, k: int, a: int, stop: int):
+        self.adj = g.adj
+        self.full = g.vertex_mask
+        self.k = k
+        self.a = a
+        self.stop = stop
+        self.best = 0  # largest drop certified so far
+        self.pool: list[int] = []
+
+    def witness(self, removed: int, size: int) -> int | None:
+        """An independent set of >= size vertices avoiding `removed`, or None."""
+        for w in self.pool:
+            if not w & removed and w.bit_count() >= size:
+                return w
+        w = independent_set_at_least(self.adj, self.full & ~removed, size)
+        if w is not None:
+            self.pool.append(w)
+        return w
+
+    def scan(self, removed: int, banned: int, depth: int) -> bool:
+        """Scan the k-sets extending `removed` by vertices outside `banned`.
+
+        Returns True once the drop reaches `stop`.
+        """
+        left = self.k - depth
+        # optimistic completion, asked only when its target is at most alpha
+        if left and self.best >= left:
+            if self.witness(removed, self.a - self.best + left) is not None:
+                return False
+        w = self.witness(removed, self.a - self.best)
+        while w is None:
+            # no independent set of a - best vertices avoids `removed`
+            self.best += 1
+            if self.best >= self.stop:
+                return True
+            w = self.witness(removed, self.a - self.best)
+        if not left:
+            return False
+        free = self.full & ~(removed | banned)
+        cand = w & free
+        # a k-set missing w is certified by w; the rest contain a vertex of w
+        while cand and free.bit_count() >= left:
+            bit = cand & -cand
+            if self.scan(removed | bit, banned, depth + 1):
+                return True
+            banned |= bit
+            free &= ~bit
+            cand &= ~bit
+        return False
+
+
+def _worst_drop(g: Graph, k: int, a: int, stop: int) -> int:
+    """The worst drop of alpha = `a` over k-vertex removals, or a value >= stop
+    as soon as one is found."""
+    s = _RemovalScan(g, k, a, stop)
+    s.scan(0, 0, 0)
+    return s.best
+
+
 def alpha_drop(g: Graph, k: int) -> int:
     """Worst-case drop of the independence number over all k-vertex removals."""
     _check_k(g, k)
-    adj = g.adj
-    full = g.vertex_mask
-    a = alpha_mask(adj, full)
-    max_drop = min(k, a)
-    best = 0  # largest drop seen
-
-    def scan(start: int, removed: int, depth: int) -> bool:
-        """Returns True once the maximum possible drop is certified."""
-        nonlocal best
-        if depth == k:
-            rest = full & ~removed
-            if alpha_at_least(adj, rest, a - best):
-                return False
-            sub_alpha = alpha_mask(adj, rest)
-            best = a - sub_alpha
-            return best == max_drop
-        for v in range(start, g.n - (k - depth - 1)):
-            # optimistic completion: each further removal drops alpha by <= 1
-            if depth + 1 < k:
-                rest = full & ~(removed | (1 << v))
-                if alpha_at_least(adj, rest, a - best + (k - depth - 1)):
-                    continue
-            if scan(v + 1, removed | (1 << v), depth + 1):
-                return True
-        return False
-
-    scan(0, 0, 0)
-    return best
+    a = alpha_mask(g.adj, g.vertex_mask)
+    return _worst_drop(g, k, a, min(k, a))
 
 
 def is_stable(g: Graph, k: int, l: int) -> bool:
@@ -69,33 +117,15 @@ def is_stable(g: Graph, k: int, l: int) -> bool:
     _check_k(g, k)
     if not 0 <= l < k:
         raise ValueError(f"l must satisfy 0 <= l < k, got l={l} with k={k}")
-    adj = g.adj
-    full = g.vertex_mask
-    a = alpha_mask(adj, full)
-    need = a - l
-    if need <= 0:
-        return True
-
-    def scan(start: int, removed: int, depth: int) -> bool:
-        """True iff every completion keeps alpha >= need."""
-        if not alpha_at_least(adj, full & ~removed, need):
-            return False
-        if depth == k:
-            return True
-        for v in range(start, g.n - (k - depth - 1)):
-            if not scan(v + 1, removed | (1 << v), depth + 1):
-                return False
-        return True
-
-    return scan(0, 0, 0)
+    return _worst_drop(g, k, alpha_mask(g.adj, g.vertex_mask), l + 1) <= l
 
 
 def is_tight_stable(g: Graph, k: int, l: int) -> bool:
     """(k, l)-stable and attaining the stability bound exactly."""
-    if alpha_mask(g.adj, g.vertex_mask) != stability_bound(g.n, k, l):
-        # evaluate the bound first so parameter violations are still rejected
+    a = alpha_mask(g.adj, g.vertex_mask)
+    if a != stability_bound(g.n, k, l):
         return False
-    return is_stable(g, k, l)
+    return _worst_drop(g, k, a, l + 1) <= l
 
 
 def stable_vertex_count(g: Graph) -> int:
@@ -105,9 +135,13 @@ def stable_vertex_count(g: Graph) -> int:
     adj = g.adj
     full = g.vertex_mask
     a = alpha_mask(adj, full)
-    return sum(
-        1 for v in range(g.n) if alpha_at_least(adj, full & ~(1 << v), a)
-    )
+    certified = 0  # vertices missed by a maximum independent set found so far
+    for v in range(g.n):
+        if not (certified >> v) & 1:
+            w = independent_set_at_least(adj, full & ~(1 << v), a)
+            if w is not None:
+                certified |= full & ~w
+    return certified.bit_count()
 
 
 def check_stable_vertex_bound(g: Graph) -> bool:
@@ -117,47 +151,3 @@ def check_stable_vertex_bound(g: Graph) -> bool:
     m = stable_vertex_count(g)
     a = alpha_mask(g.adj, g.vertex_mask)
     return a <= (2 * g.n - m) // 2
-
-
-@dataclass
-class StabilityProfile:
-    """Per-k worst-case drops of a graph, computed lazily and cached.
-
-    drops[k] is the worst drop over all k-vertex removals; it is nondecreasing
-    in k and bounded by min(k, alpha).
-    """
-
-    graph: Graph
-    alpha: int
-    stable_vertex_count: int
-    _drops: dict[int, int] = field(default_factory=dict)
-
-    def drop(self, k: int) -> int:
-        if k not in self._drops:
-            self._drops[k] = alpha_drop(self.graph, k)
-        return self._drops[k]
-
-    def drops(self, k_max: int | None = None) -> list[int]:
-        """[drop(1), ..., drop(k_max)], default k_max = n - 1."""
-        if k_max is None:
-            k_max = self.graph.n - 1
-        return [self.drop(k) for k in range(1, k_max + 1)]
-
-
-_profile_cache: dict[bytes, StabilityProfile] = {}
-
-
-def profile(g: Graph) -> StabilityProfile:
-    """Stability profile of a graph, cached across calls by canonical code.
-
-    Cached profiles are keyed up to isomorphism, so callers must treat drop
-    values as label-independent facts (which they are).
-    """
-    key = canonical(g).code
-    prof = _profile_cache.get(key)
-    if prof is None:
-        prof = StabilityProfile(
-            g, alpha_mask(g.adj, g.vertex_mask), stable_vertex_count(g)
-        )
-        _profile_cache[key] = prof
-    return prof

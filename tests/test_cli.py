@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import indstab
 from indstab.cli import main
 from indstab.graph6 import g6_decode, g6_encode
 from indstab.families import cycle, kn_tight, stable3_circulant
@@ -134,6 +138,40 @@ def test_enumerate_filter(capsys):
     assert code == 0
     lines = out.split()
     assert len(lines) == 1
+
+
+def test_enumerate_into_closed_pipe_exits_quietly():
+    # the reader is gone before the first line, as after `| head -1`
+    src = os.path.dirname(os.path.dirname(indstab.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "indstab.cli", "enumerate", "--n", "7", "--jobs", "1"],
+            stdout=write_end, stderr=subprocess.PIPE, timeout=120,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0 and proc.stderr == b""
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_usage_error(capsys, jobs):
+    for argv in (
+        ("enumerate", "--n", "4"),
+        ("erdos-rogers", "--n", "5", "--s", "3", "--t", "2"),
+        ("verify", "--suite", "hall", "--max-n", "3"),
+    ):
+        code, out, err = run(capsys, *argv, "--jobs", jobs)
+        assert code == 2 and out == ""
+        assert err == f"error: --jobs must be at least 1, got {jobs}\n"
+
+
+def test_enumerate_filter_rejects_invalid_parameters(capsys):
+    code, out, err = run(capsys, "enumerate", "--n", "4", "--filter", "tight-stable:5,0")
+    assert code == 2 and out == "" and "n > k > l >= 0" in err
 
 
 def test_enumerate_guard(capsys):

@@ -111,6 +111,13 @@ def test_search_results_sorted():
     assert found == sorted(found)
 
 
+def test_search_with_rejects_invalid_stability_parameters():
+    # k must be below n: a 4-vertex graph has no 5-vertex removals
+    for predicate in (TightStable(5, 0), Stable(5, 0), Stable(2, 2) & AlphaEquals(2)):
+        with pytest.raises(ValueError):
+            search_with(4, predicate)
+
+
 def test_search_with_edge_range():
     found = search_with(4, EdgeCountRange(6, 6))
     k4 = build(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])

@@ -7,6 +7,7 @@ from indstab.graphs import build, complement, remove_vertices, vset, vset_member
 from indstab.mis import (
     all_max_independent_sets,
     alpha,
+    independent_set_at_least,
     is_independent,
     max_independent_set,
     saturating_matching,
@@ -62,6 +63,21 @@ def test_alpha_matches_brute_force_small():
     for _ in range(300):
         g = random_graph(rng.randint(1, 10), rng.random(), rng)
         assert alpha(g) == alpha_brute(g)
+
+
+def test_independent_set_at_least_returns_a_witness_inside_the_mask():
+    rng = random.Random(61)
+    for _ in range(200):
+        g = random_graph(rng.randint(2, 10), rng.random(), rng)
+        mask = rng.randrange(1, g.vertex_mask)
+        a = alpha_brute(remove_vertices(g, g.vertex_mask & ~mask))
+        for target in range(a + 2):
+            w = independent_set_at_least(g.adj, mask, target)
+            if target > a:
+                assert w is None
+            else:
+                assert w is not None and not w & ~mask
+                assert is_independent(g, w) and w.bit_count() >= target
 
 
 def test_alpha_monotone_under_removal():

@@ -3,7 +3,16 @@ from itertools import combinations
 
 import pytest
 
-from indstab.families import cycle, figure2, kn_tight, lift, path, wheel
+from indstab.families import (
+    cycle,
+    figure2,
+    kn_tight,
+    lift,
+    path,
+    stable3_circulant,
+    stable4_circulant,
+    wheel,
+)
 from indstab.graphs import build, remove_vertices, vset
 from indstab.mis import alpha
 from indstab.stability import (
@@ -11,7 +20,6 @@ from indstab.stability import (
     check_stable_vertex_bound,
     is_stable,
     is_tight_stable,
-    profile,
     stability_bound,
     stable_vertex_count,
 )
@@ -189,10 +197,23 @@ def test_lift_preserves_tightness():
         assert is_tight_stable(lift(g, 1), k + 1, l + 1)
 
 
-def test_profile_caches_and_reports():
-    g = cycle(7)
-    p = profile(g)
-    assert p.alpha == 3
-    assert p.stable_vertex_count == 7
-    assert p.drops(3) == [0, 0, 1]
-    assert profile(cycle(7)) is p  # cached by canonical code
+def test_scans_match_plain_scan_full_catalog(catalog):
+    # every class with n <= 7, every k < n and l < k, against the plain scan
+    for n in range(2, 8):
+        for _, g in catalog(n):
+            a = alpha(g)
+            plain_stable = sum(
+                1 for v in range(n) if alpha(remove_vertices(g, 1 << v)) == a
+            )
+            assert stable_vertex_count(g) == plain_stable
+            for k in range(1, n):
+                worst = alpha_drop_plain(g, k)
+                assert alpha_drop(g, k) == worst
+                for l in range(k):
+                    assert is_stable(g, k, l) == (worst <= l)
+
+
+def test_paper_circulants_beyond_verify_range():
+    # n = 60 and n = 41: out of reach of a scan that calls the solver per prefix
+    assert is_stable(stable3_circulant(5), 3, 0)
+    assert is_stable(stable4_circulant(4), 4, 0)
