@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Graph arguments accept a graph6 string or @file with one graph6 line per
-graph.  Exit codes: 0 success, 1 verification failure, 2 usage error.
+graph.  Exit codes: 0 success, 1 verification failure, 2 usage error or
+interrupt.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 from indstab import families
 from indstab.enumeration import And, enumerate_graphs, parse_predicate
 from indstab.erdos_rogers import er_f, er_table
-from indstab.graph6 import g6_decode, g6_encode
+from indstab.graph6 import g6_decode, g6_encode, read_graph6
 from indstab.graphs import Graph, vset_members
 from indstab.mis import alpha, max_independent_set
 from indstab.stability import alpha_drop, is_stable, is_tight_stable
@@ -22,22 +23,17 @@ from indstab.verify import SUITE_ORDER, VerifyConfig, run_all
 
 def _graphs_from_arg(arg: str) -> list[Graph]:
     if arg.startswith("@"):
-        out = []
-        with open(arg[1:], encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    out.append(g6_decode(line))
-        if not out:
+        graphs = read_graph6(arg[1:])
+        if not graphs:
             raise ValueError(f"no graphs in {arg[1:]}")
-        return out
+        return graphs
     return [g6_decode(arg)]
 
 
 def _add_jobs(p: argparse.ArgumentParser) -> None:
     p.add_argument(
-        "--jobs", type=int, default=os.cpu_count() or 1,
-        help="worker count (default: hardware parallelism)",
+        "--jobs", type=int, default=len(os.sched_getaffinity(0)),
+        help="worker count (default: the CPUs this process may run on)",
     )
 
 
@@ -257,6 +253,10 @@ def main(argv=None) -> int:
         return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except KeyboardInterrupt:
+        # a running pool was terminated on the way out
+        print("error: interrupted", file=sys.stderr)
         return 2
 
 

@@ -17,8 +17,11 @@ induced subgraph never exceeds the whole graph's.
 from __future__ import annotations
 
 import multiprocessing
+import signal
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from functools import partial
+from typing import Any, Callable, Iterable, Iterator
 
 from indstab.canon import CanonicalCode, _pack, _search
 from indstab.graphs import Graph
@@ -255,21 +258,21 @@ def _expand(n: int, adj: tuple[int, ...], gens: list[list[int]], max_alpha):
 
 
 def _expand_chunk(args):
-    """Worker task: expand packed parents, optionally filtering the children."""
-    n, blobs, max_alpha, predicate, emit_graphs = args
-    results = []
+    """Worker task: the children of packed parents, as packed entries (none
+    at the top level n), and the non-None results of emit on them."""
+    size, blobs, max_alpha, emit, n = args
+    entries = []
+    items = []
     for blob in blobs:
-        adj, gens = _unpack_entry(n, blob)
-        for cadj, cgens, code_int in _expand(n, adj, gens, max_alpha):
-            if predicate is not None:
-                g = Graph._wrap(n + 1, cadj)
-                if not predicate.matches(g):
-                    continue
-            if emit_graphs:
-                results.append((bytes(_pack_entry(n + 1, cadj, ())), code_int))
-            else:
-                results.append(_pack_entry(n + 1, cadj, cgens))
-    return results
+        adj, gens = _unpack_entry(size, blob)
+        for cadj, cgens, code_int in _expand(size, adj, gens, max_alpha):
+            if size + 1 < n:
+                entries.append(_pack_entry(size + 1, cadj, cgens))
+            code = CanonicalCode(_pack(code_int, size + 1), size + 1)
+            item = emit(Graph._wrap(size + 1, cadj), code)
+            if item is not None:
+                items.append(item)
+    return entries, items
 
 
 def _chunked(items: list, size: int) -> Iterator[list]:
@@ -289,25 +292,49 @@ def _check_guard(n: int, allow_long: bool) -> None:
         )
 
 
-def _build_levels(n: int, jobs: int, max_alpha) -> list[bytes]:
-    """Packed entries of the level n catalog (parents for streaming)."""
+def enumerate_levels(
+    n: int,
+    emit: Callable[[Graph, CanonicalCode], Any],
+    *,
+    jobs: int = 1,
+    allow_long: bool = False,
+    max_alpha: int | None = None,
+) -> Iterator[tuple[int, Any]]:
+    """Stream (g.n, emit(g, code)) for every class g on 1..n vertices.
+
+    Each level is built once, from the one below; jobs > 1 runs one worker pool
+    for the whole call, and `emit` runs in the worker that produced the class.
+    None results are dropped.  The order is fixed for a fixed jobs count.
+    `max_alpha` caps alpha at every size, which is sound for hereditary targets.
+    """
+    _check_guard(n, allow_long)
+    item = emit(Graph._wrap(1, (0,)), CanonicalCode(_pack(0, 1), 1))
+    if item is not None:
+        yield 1, item
     level = [_pack_entry(1, (0,), ())]
-    for size in range(1, n):
-        task_iter = (
-            (size, chunk, max_alpha, None, False)
-            for chunk in _chunked(level, _CHUNK)
-        )
-        if jobs > 1 and len(level) > _CHUNK:
-            with multiprocessing.Pool(jobs) as pool:
-                nxt: list[bytes] = []
-                for part in pool.imap(_expand_chunk, task_iter):
-                    nxt.extend(part)
-        else:
-            nxt = []
-            for task in task_iter:
-                nxt.extend(_expand_chunk(task))
-        level = nxt
-    return level
+    # Ctrl-C reaches the whole process group: the workers ignore it, the
+    # parent handles it, and leaving the block terminates the workers
+    ignore_sigint = (signal.SIGINT, signal.SIG_IGN)
+    with (
+        multiprocessing.Pool(jobs, initializer=signal.signal, initargs=ignore_sigint)
+        if jobs > 1 else nullcontext()
+    ) as pool:
+        run = pool.imap if pool else map
+        for size in range(1, n):
+            tasks = ((size, chunk, max_alpha, emit, n) for chunk in _chunked(level, _CHUNK))
+            level = []
+            for entries, items in run(_expand_chunk, tasks):
+                level += entries
+                for item in items:
+                    yield size + 1, item
+
+
+def _matching(n: int, predicate: Predicate | None, g: Graph, code: CanonicalCode):
+    """The emit of enumerate_graphs: level-n classes that satisfy the predicate,
+    as (code bytes, adjacency), which cross processes cheaply."""
+    if g.n == n and (predicate is None or predicate.matches(g)):
+        return code.code, g.adj
+    return None
 
 
 def enumerate_graphs(
@@ -320,34 +347,14 @@ def enumerate_graphs(
 ) -> Iterator[tuple[CanonicalCode, Graph]]:
     """Stream every isomorphism class on n vertices exactly once.
 
-    With a fixed jobs count the stream order is deterministic; the set of
-    classes is independent of jobs.  `max_alpha` restricts generation to
-    graphs of independence number at most the cap at every intermediate size,
-    which only makes sense (and is only sound) for hereditary targets.
-    `predicate` filters the final level inside the workers.
+    The top level of enumerate_levels, in its order and with its `max_alpha`;
+    `predicate` filters the classes inside the workers.
     """
-    _check_guard(n, allow_long)
-    if n == 1:
-        g = Graph._wrap(1, (0,))
-        if predicate is None or predicate.matches(g):
-            yield CanonicalCode(_pack(0, 1), 1), g
-        return
-    parents = _build_levels(n - 1, jobs, max_alpha)
-    task_iter = (
-        (n - 1, chunk, max_alpha, predicate, True)
-        for chunk in _chunked(parents, _CHUNK)
-    )
-    if jobs > 1 and len(parents) > _CHUNK:
-        with multiprocessing.Pool(jobs) as pool:
-            for part in pool.imap(_expand_chunk, task_iter):
-                for blob, code_int in part:
-                    adj, _ = _unpack_entry(n, blob)
-                    yield CanonicalCode(_pack(code_int, n), n), Graph._wrap(n, adj)
-    else:
-        for task in task_iter:
-            for blob, code_int in _expand_chunk(task):
-                adj, _ = _unpack_entry(n, blob)
-                yield CanonicalCode(_pack(code_int, n), n), Graph._wrap(n, adj)
+    emit = partial(_matching, n, predicate)
+    for _, (code, adj) in enumerate_levels(
+        n, emit, jobs=jobs, allow_long=allow_long, max_alpha=max_alpha
+    ):
+        yield CanonicalCode(code, n), Graph._wrap(n, adj)
 
 
 def count_graphs(n: int, *, jobs: int = 1, allow_long: bool = False) -> int:

@@ -12,7 +12,8 @@ the value equals n - t exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
+from typing import Iterable, Sequence
 
 from indstab.enumeration import enumerate_graphs
 from indstab.graphs import Graph, vset
@@ -48,31 +49,22 @@ def er_predicted(n: int, s: int, t: int) -> int | None:
     return None
 
 
-def _alpha_all_masks(adj: tuple[int, ...], n: int) -> list[int]:
-    """Independence number of every induced subgraph, indexed by vertex mask."""
-    table = [0] * (1 << n)
+def _mbelow_all_s(adj: tuple[int, ...], n: int) -> list[int]:
+    """[max_subset_alpha_below for s = 1..n], from one sweep over all subsets."""
+    table = [0] * (1 << n)  # independence number of each induced subgraph, by mask
+    best_by_alpha = [0] * (n + 1)  # alpha value -> largest subset size with it
     for mask in range(1, 1 << n):
         v = (mask & -mask).bit_length() - 1
-        without = table[mask & (mask - 1)]
+        a = table[mask & (mask - 1)]
         with_v = 1 + table[mask & ~(adj[v] | (1 << v))]
-        table[mask] = with_v if with_v > without else without
-    return table
-
-
-def _mbelow_all_s(adj: tuple[int, ...], n: int) -> list[int]:
-    """[max_subset_alpha_below for s = 1..n], from one subset sweep."""
-    table = _alpha_all_masks(adj, n)
-    best_by_alpha = [0] * (n + 1)  # alpha value -> largest qualifying |S|
-    for mask, a in enumerate(table):
+        if with_v > a:
+            a = with_v
+        table[mask] = a
         size = mask.bit_count()
         if size > best_by_alpha[a]:
             best_by_alpha[a] = size
-    out = []
-    running = 0
-    for limit in range(n):  # limit = s - 1
-        running = max(running, best_by_alpha[limit])
-        out.append(running)
-    return out
+    # s - 1 = limit: the largest subset with alpha <= limit
+    return list(accumulate(best_by_alpha[:n], max))
 
 
 def er_f(n: int, s: int, t: int, *, jobs: int = 1) -> int:
@@ -81,17 +73,12 @@ def er_f(n: int, s: int, t: int, *, jobs: int = 1) -> int:
         raise ValueError(f"parameters must be positive, got {(n, s, t)}")
     if n > ER_MAX_N:
         raise ValueError(f"exact values are enumeration-backed, n <= {ER_MAX_N} only")
-    cap = s + t - 1
-    best = None
-    for _, g in enumerate_graphs(n, jobs=jobs):
-        if alpha_mask(g.adj, g.vertex_mask) > cap:
-            continue
-        value = max_subset_alpha_below(g, s)
-        if best is None or value < best:
-            best = value
-    # the class with alpha <= s+t-1 is never empty: the complete graph qualifies
-    assert best is not None
-    return best
+    # the complete graph always qualifies; for s > n every subset does
+    return min(
+        _mbelow_all_s(g.adj, n)[s - 1] if s <= n else n
+        for _, g in enumerate_graphs(n, jobs=jobs)
+        if alpha_mask(g.adj, g.vertex_mask) <= s + t - 1
+    )
 
 
 @dataclass(frozen=True)
@@ -107,29 +94,34 @@ def er_table(n: int, *, jobs: int = 1) -> list[ErRow]:
     """The full (s, t) grid at fixed n, one catalog pass for all cells.
 
     For every graph the per-s subset maxima come from a single sweep over all
-    2^n induced subgraphs; the grid minimum then only depends on the graph's
-    independence number, so cells are prefix minima over alpha buckets.
-    """
+    2^n induced subgraphs."""
     if not 1 <= n <= ER_MAX_N:
         raise ValueError(f"table needs 1 <= n <= {ER_MAX_N}, got {n}")
-    # min_value[a][s-1] = min over graphs with alpha == a of mbelow(G, s)
-    min_value = [[None] * n for _ in range(n + 1)]
-    for _, g in enumerate_graphs(n, jobs=jobs):
-        a = alpha_mask(g.adj, g.vertex_mask)
-        row = min_value[a]
-        for idx, value in enumerate(_mbelow_all_s(g.adj, g.n)):
-            if row[idx] is None or value < row[idx]:
-                row[idx] = value
+    return er_grid(
+        n,
+        (
+            (alpha_mask(g.adj, g.vertex_mask), _mbelow_all_s(g.adj, n))
+            for _, g in enumerate_graphs(n, jobs=jobs)
+        ),
+    )
+
+
+def er_grid(n: int, classes: Iterable[tuple[int, Sequence[int]]]) -> list[ErRow]:
+    """The (s, t) grid at n from (alpha, _mbelow_all_s) of every n-vertex class.
+
+    A cell is the minimum over the classes with alpha <= s + t - 1, so it is
+    a prefix minimum over alpha buckets; repeated pairs change nothing.
+    """
+    # low[a - 1][s - 1] = min of mbelow(G, s) over classes with alpha == a;
+    # an empty bucket keeps n, which no cell minimum exceeds, and bucket 1
+    # always holds the complete graph
+    low = [[n] * n for _ in range(n)]
+    for a, mbelow in classes:
+        low[a - 1] = [min(x, y) for x, y in zip(low[a - 1], mbelow)]
     rows = []
     for s in range(1, n + 1):
         for t in range(1, n + 1):
-            cap = min(s + t - 1, n)  # alpha never exceeds n
-            # incorporate alpha buckets up to the cap incrementally
-            computed = None
-            for a in range(1, cap + 1):
-                v = min_value[a][s - 1]
-                if v is not None and (computed is None or v < computed):
-                    computed = v
+            computed = min(low[a][s - 1] for a in range(min(s + t - 1, n)))
             predicted = er_predicted(n, s, t)
             match = None if predicted is None else computed == predicted
             rows.append(ErRow(s, t, predicted, computed, match))

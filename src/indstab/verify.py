@@ -7,6 +7,11 @@ pass/fail except where a documented family claim is computationally false for
 some parameters: those entries carry status "discrepancy-noted" so the
 harness neither hides the claim nor asserts a falsehood.
 
+The exhaustive suites share one catalog pass, catalog_facts: each level is
+built once, and the worker that produces a class computes the Facts that the
+selected suites read of it, up to an n set by the suites and max_n alone.
+Each suite is then a reduction over those facts.
+
 Reports are deterministic for a fixed (config, tool version): suites run in a
 fixed order, every scan is exhaustive, and JSON output omits wall-clock
 durations unless explicitly requested, so two runs produce byte-identical
@@ -16,19 +21,19 @@ documents regardless of worker count.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import time
 from dataclasses import asdict, dataclass
+from functools import partial
+from typing import NamedTuple
 
 from indstab import families
-from indstab.canon import canonical
-from indstab.enumeration import enumerate_graphs, search_tight_stable
-from indstab.erdos_rogers import er_table
+from indstab.canon import CanonicalCode, canonical
+from indstab.enumeration import enumerate_levels, search_tight_stable
+from indstab.erdos_rogers import _mbelow_all_s, er_grid
 from indstab.graphs import Graph
 from indstab.mis import all_max_independent_sets, alpha, saturating_matching
 from indstab.stability import (
     alpha_drop,
-    check_stable_vertex_bound,
     is_stable,
     is_tight_stable,
     stability_bound,
@@ -86,8 +91,8 @@ class VerifyConfig:
         for s in self.suites:
             if s not in SUITE_ORDER:
                 raise ValueError(f"unknown suite {s!r}; known: {', '.join(SUITE_ORDER)}")
-        if self.max_n > 8:
-            raise ValueError("exhaustive suites are guarded at max_n <= 8")
+        if not 1 <= self.max_n <= 8:
+            raise ValueError(f"max_n must be in 1..8, got {self.max_n}")
 
 
 @dataclass
@@ -158,99 +163,135 @@ def _check(suite, name, params, expected, actual, good, t0) -> CheckResult:
 
 
 # ---------------------------------------------------------------------------
-# worker helpers (module level so they survive pickling)
+# the shared catalog pass
 
 
-def _drop_vector(payload):
-    n, adj = payload
-    g = Graph._wrap(n, adj)
+class Facts(NamedTuple):
+    """What the exhaustive suites read of one class; None where no selected
+    suite reads the field at the class's vertex count."""
+
+    alpha: int
+    drops: tuple[int, ...] | None  # alpha_drop for k = 1..n-1, or for k = 1 alone
+    stable_vertices: int | None
+    mbelow: tuple[int, ...] | None  # max_subset_alpha_below for s = 1..n
+    # (1, 0)-stable: maximum independent sets with and without a saturating matching
+    hall: tuple[int, int] | None
+    # tight (k, l) pairs, and those whose lift is not tight (k + 1, l + 1)
+    lifts: tuple[int, int] | None
+    # tight (1, 0): edge count; whether the class is mn_matching(n), kn_tight(n)
+    edges: int | None
+    named: tuple[bool, bool] | None
+
+
+LIFT_MAX_N = 7  # the lift check covers n = 2..7
+STABLE_VERTEX_MAX_N = 8  # the stable-vertex-count bound covers n = 2..8
+
+
+def _class_facts(suites, max_n: int, g: Graph, code: CanonicalCode) -> Facts | None:
+    """The Facts of one class, computed in the worker that produced it."""
+    n = g.n
+    if n < 2:
+        return None
+    wants = set(suites) if n <= max_n else set()
+    lift = "constructions" in suites and n <= LIFT_MAX_N
     a = alpha(g)
-    return a, [alpha_drop(g, k) for k in range(1, n)]
+    drops = stable = mbelow = hall = lifts = edges = named = None
+    if lift or "stability_bound" in wants:
+        drops = tuple(alpha_drop(g, k) for k in range(1, n))
+    elif "hall" in wants or "edge_bounds" in wants:
+        drops = (alpha_drop(g, 1),)
+    if "constructions" in suites:
+        stable = stable_vertex_count(g)
+    if lift:
+        pairs = [
+            (k, l) for k in range(1, n) for l in range(k)
+            if drops[k - 1] <= l and a == stability_bound(n, k, l)
+        ]
+        lifted = families.lift(g, 1)
+        lifts = (len(pairs), sum(not is_tight_stable(lifted, k + 1, l + 1) for k, l in pairs))
+    if "erdos_rogers" in wants:
+        mbelow = tuple(_mbelow_all_s(g.adj, n))
+    if "hall" in wants and drops[0] == 0:
+        sets = all_max_independent_sets(g)
+        missing = sum(saturating_matching(g, y) is None for y in sets)
+        hall = (len(sets) - missing, missing)
+    if "edge_bounds" in wants and drops[0] == 0 and a == stability_bound(n, 1, 0):
+        edges = g.edge_count()
+        named = tuple(code == canonical(f(n)) for f in (families.mn_matching, families.kn_tight))
+    return Facts(a, drops, stable, mbelow, hall, lifts, edges, named)
 
 
-def _pool_map(fn, items, jobs):
-    if jobs > 1 and len(items) > 8:
-        with multiprocessing.Pool(jobs) as pool:
-            return pool.map(fn, items, chunksize=max(1, len(items) // (jobs * 8)))
-    return [fn(x) for x in items]
+def catalog_facts(config: VerifyConfig) -> dict[int, list[Facts]]:
+    """n -> the Facts of every class on n vertices, for the selected suites.
+
+    One pass builds each catalog level once.  Equal facts share one record, so
+    a level costs little more than a pointer per class.
+    """
+    if set(config.suites) <= {"uniqueness"}:
+        return {}
+    top = STABLE_VERTEX_MAX_N if "constructions" in config.suites else config.max_n
+    emit = partial(_class_facts, config.suites, config.max_n)
+    facts: dict[int, list[Facts]] = {n: [] for n in range(2, top + 1)}
+    shared: dict[Facts, Facts] = {}
+    for n, f in enumerate_levels(top, emit, jobs=config.jobs):
+        facts[n].append(shared.setdefault(f, f))
+    return facts
 
 
 # ---------------------------------------------------------------------------
 # suites
 
 
-def _check_max_n(max_n: int) -> None:
-    if not 1 <= max_n <= 8:
-        raise ValueError(f"exhaustive suites are guarded at max_n <= 8, got {max_n}")
-
-
-def suite_stability_bound(max_n: int = 8, jobs: int = 1) -> list[CheckResult]:
+def suite_stability_bound(facts: dict[int, list[Facts]], max_n: int) -> list[CheckResult]:
     """Every (k, l)-stable graph satisfies alpha <= floor((n-k+1)/2) + l,
     checked exhaustively over all isomorphism classes with n <= max_n."""
-    _check_max_n(max_n)
-    checks = []
-    for n in range(1, max_n + 1):
+    t0 = time.perf_counter()
+    checks = [
+        _check(
+            "stability_bound", "bound holds", {"n": 1}, "vacuous (no valid k)",
+            "vacuous", True, t0,
+        )
+    ]
+    for n in range(2, max_n + 1):
         t0 = time.perf_counter()
-        if n == 1:
-            checks.append(
-                _check(
-                    "stability_bound", "bound holds", {"n": 1}, "vacuous (no valid k)",
-                    "vacuous", True, t0,
-                )
-            )
-            continue
-        graphs = [(g.n, g.adj) for _, g in enumerate_graphs(n, jobs=jobs)]
-        results = _pool_map(_drop_vector, graphs, jobs)
+        level = facts[n]
+        size = len(level)
         checks.append(
             _check(
                 "stability_bound", "catalog size", {"n": n}, str(CLASS_COUNTS[n - 1]),
-                str(len(graphs)), len(graphs) == CLASS_COUNTS[n - 1], t0,
+                str(size), size == CLASS_COUNTS[n - 1], t0,
             )
         )
         for k in range(1, n):
             for l in range(0, k):
                 t1 = time.perf_counter()
                 bound = stability_bound(n, k, l)
-                violations = sum(
-                    1
-                    for a, drops in results
-                    if drops[k - 1] <= l and a > bound
-                )
+                violations = sum(f.drops[k - 1] <= l and f.alpha > bound for f in level)
                 checks.append(
                     _check(
                         "stability_bound", "bound holds", {"n": n, "k": k, "l": l},
                         "0 violations",
-                        f"{violations} violations over {len(graphs)} classes",
+                        f"{violations} violations over {size} classes",
                         violations == 0, t1,
                     )
                 )
     return checks
 
 
-def suite_hall(max_n: int = 8, jobs: int = 1) -> list[CheckResult]:
+def suite_hall(facts: dict[int, list[Facts]], max_n: int) -> list[CheckResult]:
     """Every maximum independent set of a (1, 0)-stable graph is saturated by
     a matching into the rest of the graph."""
-    _check_max_n(max_n)
     checks = []
     for n in range(2, max_n + 1):
         t0 = time.perf_counter()
-        stable_classes = 0
-        matchings = 0
-        missing = 0
-        for _, g in enumerate_graphs(n, jobs=jobs):
-            if not is_stable(g, 1, 0):
-                continue
-            stable_classes += 1
-            for y in all_max_independent_sets(g):
-                if saturating_matching(g, y) is None:
-                    missing += 1
-                else:
-                    matchings += 1
+        stable = [f.hall for f in facts[n] if f.drops[0] == 0]
+        matchings = sum(h[0] for h in stable)
+        missing = sum(h[1] for h in stable)
         checks.append(
             _check(
                 "hall", "saturating matching exists", {"n": n},
                 "a matching for every maximum independent set",
-                f"{stable_classes} stable classes, {matchings} matchings, "
+                f"{len(stable)} stable classes, {matchings} matchings, "
                 f"{missing} missing",
                 missing == 0, t0,
             )
@@ -258,16 +299,7 @@ def suite_hall(max_n: int = 8, jobs: int = 1) -> list[CheckResult]:
     return checks
 
 
-def _tight_pairs(g: Graph, a: int, drops: list[int]) -> list[tuple[int, int]]:
-    out = []
-    for k in range(1, g.n):
-        for l in range(0, k):
-            if drops[k - 1] <= l and a == stability_bound(g.n, k, l):
-                out.append((k, l))
-    return out
-
-
-def suite_constructions(jobs: int = 1) -> list[CheckResult]:
+def suite_constructions(facts: dict[int, list[Facts]], jobs: int = 1) -> list[CheckResult]:
     """The fixed construction checklist: circulant stability and independence
     numbers, the five tight families, non-existence at six vertices, lifting,
     the stable-vertex-count bound, and the cycle-plus-diameters family pins."""
@@ -330,36 +362,29 @@ def suite_constructions(jobs: int = 1) -> list[CheckResult]:
     )
 
     t0 = time.perf_counter()
-    lift_checked = 0
-    lift_bad = 0
-    for n in range(2, 8):
-        for _, g in enumerate_graphs(n, jobs=jobs):
-            a = alpha(g)
-            drops = [alpha_drop(g, k) for k in range(1, n)]
-            for k, l in _tight_pairs(g, a, drops):
-                lift_checked += 1
-                if not is_tight_stable(families.lift(g, 1), k + 1, l + 1):
-                    lift_bad += 1
+    lifts = [f.lifts for n in range(2, LIFT_MAX_N + 1) for f in facts[n]]
+    lift_checked = sum(checked for checked, _ in lifts)
+    lift_bad = sum(bad for _, bad in lifts)
     checks.append(
         _check(
             "constructions", "lift of tight (k,l) is tight (k+1,l+1)",
-            {"n": "2..7"}, "0 violations",
+            {"n": f"2..{LIFT_MAX_N}"}, "0 violations",
             f"{lift_checked} tight cases, {lift_bad} violations",
             lift_bad == 0, t0,
         )
     )
 
     t0 = time.perf_counter()
-    cor_bad = 0
-    cor_total = 0
-    for n in range(2, 9):
-        for _, g in enumerate_graphs(n, jobs=jobs):
-            cor_total += 1
-            if not check_stable_vertex_bound(g):
-                cor_bad += 1
+    holds = [
+        f.alpha <= (2 * n - f.stable_vertices) // 2
+        for n in range(2, STABLE_VERTEX_MAX_N + 1)
+        for f in facts[n]
+    ]
+    cor_total = len(holds)
+    cor_bad = holds.count(False)
     checks.append(
         _check(
-            "constructions", "stable-vertex-count bound", {"n": "2..8"},
+            "constructions", "stable-vertex-count bound", {"n": f"2..{STABLE_VERTEX_MAX_N}"},
             "alpha <= floor(n - m/2) for every class",
             f"{cor_total} classes, {cor_bad} violations", cor_bad == 0, t0,
         )
@@ -386,67 +411,39 @@ def suite_constructions(jobs: int = 1) -> list[CheckResult]:
         t0 = time.perf_counter()
         g = families.even20_circulant(k)
         tight = is_tight_stable(g, 2, 0)
-        stable = tight or is_stable(g, 2, 0)
-        if tight:
-            status = PASS
-            actual = "tight (2,0)-stable"
-        else:
-            # the family claim says every k >= 3; computation disagrees for
-            # odd k, so the harness notes the discrepancy instead of failing
-            status = NOTED
+        actual = "tight (2,0)-stable"
+        if not tight:
             actual = (
                 f"not tight: alpha={alpha(g)} vs bound "
                 f"{stability_bound(2 * k, 2, 0)}, "
-                f"{'(2,0)-stable' if stable else 'not (2,0)-stable'}"
+                f"{'(2,0)-stable' if is_stable(g, 2, 0) else 'not (2,0)-stable'}"
             )
-        checks.append(
-            CheckResult(
-                suite="constructions",
-                name=f"even20({k}) tight (2,0)",
-                params={"k": k},
-                expected="tight (2,0)-stable (claimed for every k >= 3)",
-                actual=actual,
-                status=status,
-                duration_ms=int((time.perf_counter() - t0) * 1000),
-            )
+        check = _check(
+            "constructions", f"even20({k}) tight (2,0)", {"k": k},
+            "tight (2,0)-stable (claimed for every k >= 3)", actual, tight, t0,
         )
+        # the family claim says every k >= 3; computation disagrees for odd k,
+        # so the harness notes the discrepancy instead of failing
+        check.status = PASS if tight else NOTED
+        checks.append(check)
     return checks
 
 
-def suite_edge_bounds(max_n: int = 8, jobs: int = 1) -> list[CheckResult]:
+def suite_edge_bounds(facts: dict[int, list[Facts]], max_n: int) -> list[CheckResult]:
     """Edge counts of tight (1, 0)-stable graphs are sandwiched between the
     matching family and the balanced bipartite family, both ends attained."""
-    _check_max_n(max_n)
     checks = []
     for n in range(2, max_n + 1):
         t0 = time.perf_counter()
         lo = families.mn_matching(n).edge_count()
         hi = families.kn_tight(n).edge_count()
-        lo_code = canonical(families.mn_matching(n))
-        hi_code = canonical(families.kn_tight(n))
-        seen_lo = seen_hi = False
-        out_of_range = 0
-        tight_classes = 0
-        codes = set()
-        for code, g in enumerate_graphs(n, jobs=jobs):
-            if not is_tight_stable(g, 1, 0):
-                continue
-            tight_classes += 1
-            codes.add(code)
-            e = g.edge_count()
-            if not lo <= e <= hi:
-                out_of_range += 1
-            if e == lo:
-                seen_lo = True
-            if e == hi:
-                seen_hi = True
-        good = (
-            out_of_range == 0
-            and seen_lo
-            and seen_hi
-            and lo_code in codes
-            and hi_code in codes
-        )
+        tight = [f for f in facts[n] if f.edges is not None]
+        tight_classes = len(tight)
+        out_of_range = sum(not lo <= f.edges <= hi for f in tight)
+        seen_lo = any(f.edges == lo for f in tight)
+        seen_hi = any(f.edges == hi for f in tight)
+        named = [any(f.named[i] for f in tight) for i in (0, 1)]
+        good = out_of_range == 0 and seen_lo and seen_hi and all(named)
         checks.append(
             _check(
                 "edge_bounds", "edge count bounds", {"n": n},
@@ -486,13 +483,12 @@ def suite_uniqueness(
     return checks
 
 
-def suite_erdos_rogers(max_n: int = 8, jobs: int = 1) -> list[CheckResult]:
+def suite_erdos_rogers(facts: dict[int, list[Facts]], max_n: int) -> list[CheckResult]:
     """Computed Erdos-Rogers values equal n - t on every applicable cell."""
-    _check_max_n(max_n)
     checks = []
     for n in range(3, max_n + 1):
         t0 = time.perf_counter()
-        rows = er_table(n, jobs=jobs)
+        rows = er_grid(n, ((f.alpha, f.mbelow) for f in facts[n]))
         applicable = [r for r in rows if r.predicted is not None]
         bad = [r for r in applicable if not r.match]
         checks.append(
@@ -510,23 +506,24 @@ def suite_erdos_rogers(max_n: int = 8, jobs: int = 1) -> list[CheckResult]:
 def run_all(config: VerifyConfig | None = None) -> VerificationReport:
     """Run the selected suites in fixed order and pin the discrepancy set."""
     config = config or VerifyConfig()
+    facts = catalog_facts(config)
     checks: list[CheckResult] = []
     for name in SUITE_ORDER:
         if name not in config.suites:
             continue
         if name == "stability_bound":
-            checks += suite_stability_bound(config.max_n, config.jobs)
+            checks += suite_stability_bound(facts, config.max_n)
         elif name == "hall":
-            checks += suite_hall(config.max_n, config.jobs)
+            checks += suite_hall(facts, config.max_n)
         elif name == "constructions":
-            checks += suite_constructions(config.jobs)
+            checks += suite_constructions(facts, config.jobs)
         elif name == "edge_bounds":
-            checks += suite_edge_bounds(config.max_n, config.jobs)
+            checks += suite_edge_bounds(facts, config.max_n)
         elif name == "uniqueness":
             ns = (3, 5, 7, 9, 11) if config.allow_long else (3, 5, 7, 9)
             checks += suite_uniqueness(ns, config.jobs, config.allow_long)
         elif name == "erdos_rogers":
-            checks += suite_erdos_rogers(config.max_n, config.jobs)
+            checks += suite_erdos_rogers(facts, config.max_n)
 
     if "constructions" in config.suites:
         t0 = time.perf_counter()

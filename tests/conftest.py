@@ -24,4 +24,4 @@ def catalog():
 
 @pytest.fixture(scope="session")
 def jobs():
-    return os.cpu_count() or 1
+    return len(os.sched_getaffinity(0))

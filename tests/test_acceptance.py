@@ -37,6 +37,8 @@ from indstab.stability import (
 from indstab.verify import (
     CLASS_COUNTS,
     EXPECTED_DISCREPANCIES,
+    VerifyConfig,
+    catalog_facts,
     suite_constructions,
     suite_stability_bound,
 )
@@ -50,12 +52,14 @@ def _report(num: int, ok: bool, text: str) -> None:
 
 
 @pytest.fixture(scope="module")
-def constructions_checks():
-    return suite_constructions()
+def constructions_checks(jobs):
+    facts = catalog_facts(VerifyConfig(jobs=jobs, suites=("constructions",)))
+    return suite_constructions(facts, jobs)
 
 
 def test_criterion_1_theorem_bound_exhaustive(jobs):
-    checks = suite_stability_bound(max_n=8, jobs=jobs)
+    facts = catalog_facts(VerifyConfig(max_n=8, jobs=jobs, suites=("stability_bound",)))
+    checks = suite_stability_bound(facts, 8)
     bad = [c for c in checks if c.status != "pass"]
     counts = [
         int(c.actual) for c in checks if c.name == "catalog size"

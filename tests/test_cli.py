@@ -1,12 +1,15 @@
+import glob
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
 import indstab
-from indstab.cli import main
+from indstab.cli import _build_parser, main
 from indstab.graph6 import g6_decode, g6_encode
 from indstab.families import cycle, kn_tight, stable3_circulant
 from indstab.mis import alpha
@@ -37,6 +40,14 @@ def test_alpha_from_file(capsys, tmp_path):
     p.write_text(f"{C5}\n{K33}\n", encoding="utf-8")
     code, out, _ = run(capsys, "alpha", f"@{p}")
     assert code == 0 and out.split() == ["2", "3"]
+
+
+def test_empty_graph_file_is_usage_error(capsys, tmp_path):
+    p = tmp_path / "empty.g6"
+    p.write_text("\n", encoding="utf-8")
+    code, out, err = run(capsys, "alpha", f"@{p}")
+    assert code == 2 and out == ""
+    assert err == f"error: no graphs in {p}\n"
 
 
 def test_drop(capsys):
@@ -155,6 +166,53 @@ def test_enumerate_into_closed_pipe_exits_quietly():
     finally:
         os.close(write_end)
     assert proc.returncode == 0 and proc.stderr == b""
+
+
+def _children(pid):
+    kids = set()
+    for path in glob.glob(f"/proc/{pid}/task/*/children"):
+        with open(path, encoding="ascii") as fh:
+            kids.update(int(k) for k in fh.read().split())
+    return kids
+
+
+def _running(pid):
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def test_interrupt_during_pool_run_exits_2_and_leaves_no_workers():
+    src = os.path.dirname(os.path.dirname(indstab.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "indstab.cli", "enumerate", "--n", "9", "--count-only",
+         "--jobs", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    try:
+        time.sleep(1)
+        deadline = time.monotonic() + 30
+        while not (workers := _children(proc.pid)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert workers, "the pool never started"
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=30)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 2
+    assert out == b"" and err == b"error: interrupted\n"
+    assert not [pid for pid in workers if _running(pid)]
+
+
+def test_jobs_default_follows_cpu_affinity(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5})
+    args = _build_parser().parse_args(["enumerate", "--n", "3"])
+    assert args.jobs == 3
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

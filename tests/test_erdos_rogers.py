@@ -2,7 +2,13 @@ import random
 
 import pytest
 
-from indstab.erdos_rogers import er_f, er_predicted, er_table, max_subset_alpha_below
+from indstab.erdos_rogers import (
+    _mbelow_all_s,
+    er_f,
+    er_predicted,
+    er_table,
+    max_subset_alpha_below,
+)
 from indstab.families import cycle, path
 from indstab.graphs import build, complement
 
@@ -22,6 +28,14 @@ def test_mbelow_empty_graph():
 
 def test_mbelow_p3():
     assert max_subset_alpha_below(path(3), 2) == 2
+
+
+def test_mbelow_table_matches_scan(catalog):
+    # the 2^n table behind er_f and er_table against the subset-size scan
+    for n in range(1, 7):
+        for _, g in catalog(n):
+            table = _mbelow_all_s(g.adj, n)
+            assert table == [max_subset_alpha_below(g, s) for s in range(1, n + 1)]
 
 
 def test_mbelow_matches_clique_formulation():

@@ -1,10 +1,13 @@
+import hashlib
 import json
 
 import pytest
 
 from indstab.verify import (
     EXPECTED_DISCREPANCIES,
+    SUITE_ORDER,
     VerifyConfig,
+    catalog_facts,
     run_all,
     suite_constructions,
     suite_edge_bounds,
@@ -15,8 +18,12 @@ from indstab.verify import (
 )
 
 
+def _facts(max_n, *suites):
+    return catalog_facts(VerifyConfig(max_n=max_n, jobs=1, suites=suites))
+
+
 def test_theorem_suite_small():
-    checks = suite_stability_bound(max_n=5)
+    checks = suite_stability_bound(_facts(5, "stability_bound"), 5)
     assert all(c.status == "pass" for c in checks)
     # n=1 vacuous + per-n catalog checks + one check per (n, k, l)
     assert any(c.params == {"n": 1} for c in checks)
@@ -24,13 +31,13 @@ def test_theorem_suite_small():
 
 
 def test_hall_suite_small():
-    checks = suite_hall(max_n=6)
+    checks = suite_hall(_facts(6, "hall"), 6)
     assert all(c.status == "pass" for c in checks)
     assert len(checks) == 5  # n = 2..6
 
 
 def test_edge_bounds_small():
-    checks = suite_edge_bounds(max_n=6)
+    checks = suite_edge_bounds(_facts(6, "edge_bounds"), 6)
     assert all(c.status == "pass" for c in checks)
     by_n = {c.params["n"]: c for c in checks}
     assert "[3, 9]" in by_n[6].expected or "3" in by_n[6].expected
@@ -49,13 +56,13 @@ def test_uniqueness_guards():
 
 
 def test_erdos_rogers_suite_small():
-    checks = suite_erdos_rogers(max_n=5)
+    checks = suite_erdos_rogers(_facts(5, "erdos_rogers"), 5)
     assert all(c.status == "pass" for c in checks)
     assert len(checks) == 3  # n = 3..5
 
 
 def test_constructions_suite_statuses():
-    checks = suite_constructions()
+    checks = suite_constructions(_facts(8, "constructions"))
     noted = [c.name for c in checks if c.status == "discrepancy-noted"]
     assert tuple(noted) == EXPECTED_DISCREPANCIES
     assert not [c for c in checks if c.status == "fail"]
@@ -66,6 +73,8 @@ def test_config_rejects_unknown_suite():
         VerifyConfig(suites=("spectra",))
     with pytest.raises(ValueError, match="max_n"):
         VerifyConfig(max_n=9)
+    with pytest.raises(ValueError, match="max_n must be in 1..8, got 0"):
+        VerifyConfig(max_n=0, suites=("uniqueness",))
 
 
 def _small_config(**kw):
@@ -107,6 +116,23 @@ def test_worker_count_does_not_change_report():
     a = run_all(_small_config(jobs=1)).to_json()
     b = run_all(_small_config(jobs=2)).to_json()
     assert a == b
+
+
+def test_report_digest_pinned():
+    # the bytes of the report, pinned before the suites shared one catalog pass
+    # (the first digest is also the catalog benchmark's)
+    def digest(**kw):
+        return hashlib.sha256(run_all(VerifyConfig(**kw)).to_json().encode()).hexdigest()
+
+    every_but_uniqueness = tuple(s for s in SUITE_ORDER if s != "uniqueness")
+    assert digest(max_n=7, jobs=1, suites=every_but_uniqueness) == (
+        "88e3e7f8c36cf3706d981de981364772a8debcef164f0452f36c5db27219afaf"
+    )
+    four = ("stability_bound", "hall", "edge_bounds", "erdos_rogers")
+    for jobs in (1, 2):
+        assert digest(max_n=6, jobs=jobs, suites=four) == (
+            "b783849cb2d36e8f087d34075df790f315714e65c397cc3e439d15c99a3b48d6"
+        )
 
 
 def test_suite_order_fixed():
