@@ -5,8 +5,10 @@ with independence number at most s + t - 1 of the largest vertex subset whose
 induced subgraph has independence number at most s - 1.  Complementation maps
 this to the classical clique formulation, and the minimum over isomorphism
 classes equals the minimum over labeled graphs, so the computation iterates
-the enumeration catalog.  Whenever s > floor((n-t+1)/2) and s + t <= n + 1
-the value equals n - t exactly.
+the enumeration catalog.  Each class is read through its mis.subset_alphas
+table, which holds the independence number of every induced subgraph; er_f
+reads one cell of the (s, t) grid that er_table builds.  Whenever
+s > floor((n-t+1)/2) and s + t <= n + 1 the value equals n - t exactly.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Iterable, Sequence
 
 from indstab.enumeration import enumerate_graphs
 from indstab.graphs import Graph, vset
-from indstab.mis import alpha_mask
+from indstab.mis import alpha_mask, subset_alphas
 
 ER_MAX_N = 8
 
@@ -49,17 +51,12 @@ def er_predicted(n: int, s: int, t: int) -> int | None:
     return None
 
 
-def _mbelow_all_s(adj: tuple[int, ...], n: int) -> list[int]:
-    """[max_subset_alpha_below for s = 1..n], from one sweep over all subsets."""
-    table = [0] * (1 << n)  # independence number of each induced subgraph, by mask
+def _mbelow_all_s(table: Sequence[int]) -> list[int]:
+    """[max_subset_alpha_below for s = 1..n], from an n-vertex graph's
+    subset_alphas table."""
+    n = len(table).bit_length() - 1
     best_by_alpha = [0] * (n + 1)  # alpha value -> largest subset size with it
-    for mask in range(1, 1 << n):
-        v = (mask & -mask).bit_length() - 1
-        a = table[mask & (mask - 1)]
-        with_v = 1 + table[mask & ~(adj[v] | (1 << v))]
-        if with_v > a:
-            a = with_v
-        table[mask] = a
+    for mask, a in enumerate(table):
         size = mask.bit_count()
         if size > best_by_alpha[a]:
             best_by_alpha[a] = size
@@ -68,17 +65,15 @@ def _mbelow_all_s(adj: tuple[int, ...], n: int) -> list[int]:
 
 
 def er_f(n: int, s: int, t: int, *, jobs: int = 1) -> int:
-    """Exact Erdos-Rogers value by scanning the enumeration catalog."""
+    """Exact Erdos-Rogers value: one cell of er_table(n)."""
     if min(n, s, t) < 1:
         raise ValueError(f"parameters must be positive, got {(n, s, t)}")
     if n > ER_MAX_N:
         raise ValueError(f"exact values are enumeration-backed, n <= {ER_MAX_N} only")
-    # the complete graph always qualifies; for s > n every subset does
-    return min(
-        _mbelow_all_s(g.adj, n)[s - 1] if s <= n else n
-        for _, g in enumerate_graphs(n, jobs=jobs)
-        if alpha_mask(g.adj, g.vertex_mask) <= s + t - 1
-    )
+    if s > n:
+        return n  # every subset qualifies
+    # t >= n admits every class, as t = n already does; rows run s-major
+    return er_table(n, jobs=jobs)[(s - 1) * n + min(t, n) - 1].computed
 
 
 @dataclass(frozen=True)
@@ -93,17 +88,12 @@ class ErRow:
 def er_table(n: int, *, jobs: int = 1) -> list[ErRow]:
     """The full (s, t) grid at fixed n, one catalog pass for all cells.
 
-    For every graph the per-s subset maxima come from a single sweep over all
-    2^n induced subgraphs."""
+    For every graph alpha and the per-s subset maxima come from its
+    subset_alphas table."""
     if not 1 <= n <= ER_MAX_N:
         raise ValueError(f"table needs 1 <= n <= {ER_MAX_N}, got {n}")
-    return er_grid(
-        n,
-        (
-            (alpha_mask(g.adj, g.vertex_mask), _mbelow_all_s(g.adj, n))
-            for _, g in enumerate_graphs(n, jobs=jobs)
-        ),
-    )
+    tables = (subset_alphas(g.adj, n) for _, g in enumerate_graphs(n, jobs=jobs))
+    return er_grid(n, ((table[-1], _mbelow_all_s(table)) for table in tables))
 
 
 def er_grid(n: int, classes: Iterable[tuple[int, Sequence[int]]]) -> list[ErRow]:

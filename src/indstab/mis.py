@@ -9,7 +9,8 @@ runs from a greedy incumbent with no cut-off and the threshold query ("an
 independent set of at least t vertices") from t - 1 with cut-off t.
 Low-level helpers operate directly on adjacency rows and a vertex mask, which
 lets the stability scans query induced subgraphs without rebuilding Graph
-values.
+values.  For the small catalog classes, subset_alphas instead sweeps all 2^n
+vertex masks once and tabulates every induced subgraph's independence number.
 """
 
 from __future__ import annotations
@@ -115,6 +116,22 @@ def alpha_mask(adj: tuple[int, ...], mask: int) -> int:
     """Exact independence number of the induced subgraph on `mask`."""
     best, best_set = _greedy(adj, mask, mask.bit_count())
     return _grow(adj, mask, 0, 0, best, best_set, mask.bit_count())[0]
+
+
+def subset_alphas(adj: tuple[int, ...], n: int) -> list[int]:
+    """The independence number of every induced subgraph, indexed by vertex mask.
+
+    One sweep over all 2^n masks: a mask's value is that of the mask without
+    its lowest vertex v, or one more than that of the mask without v's closed
+    neighborhood, whichever is larger.  Meant for n <= 8, the catalog range.
+    """
+    table = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        v = (mask & -mask).bit_length() - 1
+        a = table[mask & (mask - 1)]
+        with_v = 1 + table[mask & ~(adj[v] | (1 << v))]
+        table[mask] = with_v if with_v > a else a
+    return table
 
 
 def independent_set_at_least(

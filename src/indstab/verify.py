@@ -10,7 +10,10 @@ harness neither hides the claim nor asserts a falsehood.
 The exhaustive suites share one catalog pass, catalog_facts: each level is
 built once, and the worker that produces a class computes the Facts that the
 selected suites read of it, up to an n set by the suites and max_n alone.
-Each suite is then a reduction over those facts.
+Every fact is read from one mis.subset_alphas table per class (alpha of every
+induced subgraph), and each suite is then a reduction over those facts.  A
+suite stamps each check with the time since its previous check; run_all
+times the catalog pass, which the report carries as catalog_ms.
 
 Reports are deterministic for a fixed (config, tool version): suites run in a
 fixed order, every scan is exhaustive, and JSON output omits wall-clock
@@ -31,14 +34,8 @@ from indstab.canon import CanonicalCode, canonical
 from indstab.enumeration import enumerate_levels, search_tight_stable
 from indstab.erdos_rogers import _mbelow_all_s, er_grid
 from indstab.graphs import Graph
-from indstab.mis import all_max_independent_sets, alpha, saturating_matching
-from indstab.stability import (
-    alpha_drop,
-    is_stable,
-    is_tight_stable,
-    stability_bound,
-    stable_vertex_count,
-)
+from indstab.mis import alpha, saturating_matching, subset_alphas
+from indstab.stability import is_stable, is_tight_stable, stability_bound, stable_vertex_count
 
 TOOL_VERSION = "0.1.0"
 REPORT_SCHEMA = "indstab-report/1"
@@ -100,6 +97,9 @@ class VerificationReport:
     checks: list[CheckResult]
     config: VerifyConfig
     tool_version: str = TOOL_VERSION
+    # the top level and the wall time of the shared catalog pass; 0 if none ran
+    catalog_n: int = 0
+    catalog_ms: int = 0
 
     @property
     def summary(self) -> dict[str, int]:
@@ -128,10 +128,14 @@ class VerificationReport:
             "checks": checks,
             "summary": self.summary,
         }
+        if include_timings:
+            doc["catalog_ms"] = self.catalog_ms
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     def to_text(self) -> str:
         lines = []
+        if self.catalog_n:
+            lines.append(f"catalog pass (n = 2..{self.catalog_n}): {self.catalog_ms} ms")
         for c in self.checks:
             tag = {PASS: "PASS", FAIL: "FAIL", NOTED: "NOTED"}[c.status]
             params = " ".join(f"{k}={v}" for k, v in c.params.items())
@@ -150,16 +154,24 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-def _check(suite, name, params, expected, actual, good, t0) -> CheckResult:
-    return CheckResult(
-        suite=suite,
-        name=name,
-        params=params,
-        expected=expected,
-        actual=actual,
-        status=PASS if good else FAIL,
-        duration_ms=int((time.perf_counter() - t0) * 1000),
-    )
+class _Recorder(list):
+    """The checks of one suite, each stamped with the time since the suite's
+    previous check (the first, since the recorder was made)."""
+
+    def __init__(self, suite: str):
+        super().__init__()
+        self.suite = suite
+        self.t0 = time.perf_counter()
+
+    def check(self, name, params, expected, actual, good) -> CheckResult:
+        now = time.perf_counter()
+        c = CheckResult(
+            self.suite, name, params, expected, actual, PASS if good else FAIL,
+            int((now - self.t0) * 1000),
+        )
+        self.t0 = now
+        self.append(c)
+        return c
 
 
 # ---------------------------------------------------------------------------
@@ -171,54 +183,74 @@ class Facts(NamedTuple):
     suite reads the field at the class's vertex count."""
 
     alpha: int
-    drops: tuple[int, ...] | None  # alpha_drop for k = 1..n-1, or for k = 1 alone
+    drops: tuple[int, ...] | None  # alpha_drop for k = 1..n-1
     stable_vertices: int | None
     mbelow: tuple[int, ...] | None  # max_subset_alpha_below for s = 1..n
     # (1, 0)-stable: maximum independent sets with and without a saturating matching
     hall: tuple[int, int] | None
     # tight (k, l) pairs, and those whose lift is not tight (k + 1, l + 1)
     lifts: tuple[int, int] | None
-    # tight (1, 0): edge count; whether the class is mn_matching(n), kn_tight(n)
+    # tight (1, 0): the edge count and the class's canonical code
     edges: int | None
-    named: tuple[bool, bool] | None
+    code: CanonicalCode | None
 
 
 LIFT_MAX_N = 7  # the lift check covers n = 2..7
 STABLE_VERTEX_MAX_N = 8  # the stable-vertex-count bound covers n = 2..8
 
 
+def _drops(table: list[int]) -> tuple[int, ...]:
+    """alpha_drop for k = 1..n-1 from an n-vertex graph's subset_alphas table:
+    alpha minus the least alpha over the (n - k)-vertex masks."""
+    n = len(table).bit_length() - 1
+    least = [n] * (n + 1)
+    for mask, a in enumerate(table):
+        size = mask.bit_count()
+        if a < least[size]:
+            least[size] = a
+    return tuple(table[-1] - least[n - k] for k in range(1, n))
+
+
 def _class_facts(suites, max_n: int, g: Graph, code: CanonicalCode) -> Facts | None:
-    """The Facts of one class, computed in the worker that produced it."""
+    """The Facts of one class, computed in the worker that produced it from
+    the class's subset_alphas table; the table is dropped on return."""
     n = g.n
     if n < 2:
         return None
     wants = set(suites) if n <= max_n else set()
     lift = "constructions" in suites and n <= LIFT_MAX_N
-    a = alpha(g)
-    drops = stable = mbelow = hall = lifts = edges = named = None
-    if lift or "stability_bound" in wants:
-        drops = tuple(alpha_drop(g, k) for k in range(1, n))
-    elif "hall" in wants or "edge_bounds" in wants:
-        drops = (alpha_drop(g, 1),)
+    table = subset_alphas(g.adj, n)
+    a = table[-1]
+    full = len(table) - 1
+    drops = stable = mbelow = hall = lifts = edges = tight_code = None
+    if lift or wants & {"stability_bound", "hall", "edge_bounds"}:
+        drops = _drops(table)
     if "constructions" in suites:
-        stable = stable_vertex_count(g)
+        stable = sum(table[full & ~(1 << v)] == a for v in range(n))
     if lift:
         pairs = [
             (k, l) for k in range(1, n) for l in range(k)
             if drops[k - 1] <= l and a == stability_bound(n, k, l)
         ]
-        lifted = families.lift(g, 1)
-        lifts = (len(pairs), sum(not is_tight_stable(lifted, k + 1, l + 1) for k, l in pairs))
+        bad = 0
+        if pairs:
+            # the lifted graph's own table: is_tight_stable(lifted, k + 1, l + 1)
+            lifted = subset_alphas(families.lift(g, 1).adj, n + 1)
+            lifted_drops = _drops(lifted)
+            bad = sum(
+                lifted[-1] != stability_bound(n + 1, k + 1, l + 1) or lifted_drops[k] > l + 1
+                for k, l in pairs
+            )
+        lifts = (len(pairs), bad)
     if "erdos_rogers" in wants:
-        mbelow = tuple(_mbelow_all_s(g.adj, n))
+        mbelow = tuple(_mbelow_all_s(table))
     if "hall" in wants and drops[0] == 0:
-        sets = all_max_independent_sets(g)
+        sets = [m for m, x in enumerate(table) if x == a == m.bit_count()]
         missing = sum(saturating_matching(g, y) is None for y in sets)
         hall = (len(sets) - missing, missing)
     if "edge_bounds" in wants and drops[0] == 0 and a == stability_bound(n, 1, 0):
-        edges = g.edge_count()
-        named = tuple(code == canonical(f(n)) for f in (families.mn_matching, families.kn_tight))
-    return Facts(a, drops, stable, mbelow, hall, lifts, edges, named)
+        edges, tight_code = g.edge_count(), code
+    return Facts(a, drops, stable, mbelow, hall, lifts, edges, tight_code)
 
 
 def catalog_facts(config: VerifyConfig) -> dict[int, list[Facts]]:
@@ -245,92 +277,62 @@ def catalog_facts(config: VerifyConfig) -> dict[int, list[Facts]]:
 def suite_stability_bound(facts: dict[int, list[Facts]], max_n: int) -> list[CheckResult]:
     """Every (k, l)-stable graph satisfies alpha <= floor((n-k+1)/2) + l,
     checked exhaustively over all isomorphism classes with n <= max_n."""
-    t0 = time.perf_counter()
-    checks = [
-        _check(
-            "stability_bound", "bound holds", {"n": 1}, "vacuous (no valid k)",
-            "vacuous", True, t0,
-        )
-    ]
+    rec = _Recorder("stability_bound")
+    rec.check("bound holds", {"n": 1}, "vacuous (no valid k)", "vacuous", True)
     for n in range(2, max_n + 1):
-        t0 = time.perf_counter()
         level = facts[n]
         size = len(level)
-        checks.append(
-            _check(
-                "stability_bound", "catalog size", {"n": n}, str(CLASS_COUNTS[n - 1]),
-                str(size), size == CLASS_COUNTS[n - 1], t0,
-            )
+        rec.check(
+            "catalog size", {"n": n}, str(CLASS_COUNTS[n - 1]), str(size),
+            size == CLASS_COUNTS[n - 1],
         )
         for k in range(1, n):
             for l in range(0, k):
-                t1 = time.perf_counter()
                 bound = stability_bound(n, k, l)
                 violations = sum(f.drops[k - 1] <= l and f.alpha > bound for f in level)
-                checks.append(
-                    _check(
-                        "stability_bound", "bound holds", {"n": n, "k": k, "l": l},
-                        "0 violations",
-                        f"{violations} violations over {size} classes",
-                        violations == 0, t1,
-                    )
+                rec.check(
+                    "bound holds", {"n": n, "k": k, "l": l}, "0 violations",
+                    f"{violations} violations over {size} classes", violations == 0,
                 )
-    return checks
+    return rec
 
 
 def suite_hall(facts: dict[int, list[Facts]], max_n: int) -> list[CheckResult]:
     """Every maximum independent set of a (1, 0)-stable graph is saturated by
     a matching into the rest of the graph."""
-    checks = []
+    rec = _Recorder("hall")
     for n in range(2, max_n + 1):
-        t0 = time.perf_counter()
         stable = [f.hall for f in facts[n] if f.drops[0] == 0]
         matchings = sum(h[0] for h in stable)
         missing = sum(h[1] for h in stable)
-        checks.append(
-            _check(
-                "hall", "saturating matching exists", {"n": n},
-                "a matching for every maximum independent set",
-                f"{len(stable)} stable classes, {matchings} matchings, "
-                f"{missing} missing",
-                missing == 0, t0,
-            )
+        rec.check(
+            "saturating matching exists", {"n": n},
+            "a matching for every maximum independent set",
+            f"{len(stable)} stable classes, {matchings} matchings, {missing} missing",
+            missing == 0,
         )
-    return checks
+    return rec
 
 
 def suite_constructions(facts: dict[int, list[Facts]], jobs: int = 1) -> list[CheckResult]:
     """The fixed construction checklist: circulant stability and independence
     numbers, the five tight families, non-existence at six vertices, lifting,
     the stable-vertex-count bound, and the cycle-plus-diameters family pins."""
-    checks = []
+    rec = _Recorder("constructions")
 
     for m in (3, 4, 5):
-        t0 = time.perf_counter()
         a = alpha(families.stable3_circulant(m))
-        checks.append(
-            _check(
-                "constructions", "stable3 circulant alpha", {"m": m}, str(m * m),
-                str(a), a == m * m, t0,
-            )
-        )
+        rec.check("stable3 circulant alpha", {"m": m}, str(m * m), str(a), a == m * m)
     for m in (3, 4):
-        t0 = time.perf_counter()
         ok = is_stable(families.stable3_circulant(m), 3, 0)
-        checks.append(
-            _check(
-                "constructions", "stable3 circulant is (3,0)-stable", {"m": m},
-                "true", str(ok).lower(), ok, t0,
-            )
+        rec.check(
+            "stable3 circulant is (3,0)-stable", {"m": m}, "true", str(ok).lower(), ok,
         )
-    t0 = time.perf_counter()
     g = families.stable4_circulant(3)
     ok = is_stable(g, 4, 0)
-    checks.append(
-        _check(
-            "constructions", "stable4 circulant is (4,0)-stable", {"m": 3},
-            "true", f"{str(ok).lower()} (alpha={alpha(g)})", ok, t0,
-        )
+    rec.check(
+        "stable4 circulant is (4,0)-stable", {"m": 3},
+        "true", f"{str(ok).lower()} (alpha={alpha(g)})", ok,
     )
 
     grids = [
@@ -341,74 +343,51 @@ def suite_constructions(facts: dict[int, list[Facts]], jobs: int = 1) -> list[Ch
         ("mn_matching tight (1,0)", families.mn_matching, range(2, 15), 1, 0),
     ]
     for name, fam, ns, k, l in grids:
-        t0 = time.perf_counter()
         bad = [n for n in ns if not is_tight_stable(fam(n), k, l)]
-        checks.append(
-            _check(
-                "constructions", name, {"n": f"{ns.start}..{ns.stop - 1}"},
-                "tight for the whole range",
-                "all tight" if not bad else f"failures at n={bad}",
-                not bad, t0,
-            )
+        rec.check(
+            name, {"n": f"{ns.start}..{ns.stop - 1}"}, "tight for the whole range",
+            "all tight" if not bad else f"failures at n={bad}", not bad,
         )
 
-    t0 = time.perf_counter()
     found = search_tight_stable(6, 3, 0, jobs=jobs)
-    checks.append(
-        _check(
-            "constructions", "no 6-vertex tight (3,0)-stable graph", {},
-            "empty search", f"{len(found)} classes found", not found, t0,
-        )
+    rec.check(
+        "no 6-vertex tight (3,0)-stable graph", {},
+        "empty search", f"{len(found)} classes found", not found,
     )
 
-    t0 = time.perf_counter()
     lifts = [f.lifts for n in range(2, LIFT_MAX_N + 1) for f in facts[n]]
     lift_checked = sum(checked for checked, _ in lifts)
     lift_bad = sum(bad for _, bad in lifts)
-    checks.append(
-        _check(
-            "constructions", "lift of tight (k,l) is tight (k+1,l+1)",
-            {"n": f"2..{LIFT_MAX_N}"}, "0 violations",
-            f"{lift_checked} tight cases, {lift_bad} violations",
-            lift_bad == 0, t0,
-        )
+    rec.check(
+        "lift of tight (k,l) is tight (k+1,l+1)", {"n": f"2..{LIFT_MAX_N}"}, "0 violations",
+        f"{lift_checked} tight cases, {lift_bad} violations", lift_bad == 0,
     )
 
-    t0 = time.perf_counter()
     holds = [
         f.alpha <= (2 * n - f.stable_vertices) // 2
         for n in range(2, STABLE_VERTEX_MAX_N + 1)
         for f in facts[n]
     ]
-    cor_total = len(holds)
     cor_bad = holds.count(False)
-    checks.append(
-        _check(
-            "constructions", "stable-vertex-count bound", {"n": f"2..{STABLE_VERTEX_MAX_N}"},
-            "alpha <= floor(n - m/2) for every class",
-            f"{cor_total} classes, {cor_bad} violations", cor_bad == 0, t0,
-        )
+    rec.check(
+        "stable-vertex-count bound", {"n": f"2..{STABLE_VERTEX_MAX_N}"},
+        "alpha <= floor(n - m/2) for every class",
+        f"{len(holds)} classes, {cor_bad} violations", cor_bad == 0,
     )
     for m in (2, 4, 6):
         for n in (6, 8):
-            t0 = time.perf_counter()
             w = families.lift(families.kn_tight(m), n - m)
             mm = stable_vertex_count(w)
             a = alpha(w)
             target = (2 * n - mm) // 2
-            good = mm == m and a == target
-            checks.append(
-                _check(
-                    "constructions", "stable-vertex-count bound is attained",
-                    {"m": m, "n": n},
-                    f"m={m} stable vertices and alpha = floor(n - m/2)",
-                    f"m={mm}, alpha={a}, floor(n - m/2)={target}",
-                    good, t0,
-                )
+            rec.check(
+                "stable-vertex-count bound is attained", {"m": m, "n": n},
+                f"m={m} stable vertices and alpha = floor(n - m/2)",
+                f"m={mm}, alpha={a}, floor(n - m/2)={target}",
+                mm == m and a == target,
             )
 
     for k in (3, 4, 5, 6):
-        t0 = time.perf_counter()
         g = families.even20_circulant(k)
         tight = is_tight_stable(g, 2, 0)
         actual = "tight (2,0)-stable"
@@ -418,95 +397,82 @@ def suite_constructions(facts: dict[int, list[Facts]], jobs: int = 1) -> list[Ch
                 f"{stability_bound(2 * k, 2, 0)}, "
                 f"{'(2,0)-stable' if is_stable(g, 2, 0) else 'not (2,0)-stable'}"
             )
-        check = _check(
-            "constructions", f"even20({k}) tight (2,0)", {"k": k},
-            "tight (2,0)-stable (claimed for every k >= 3)", actual, tight, t0,
+        check = rec.check(
+            f"even20({k}) tight (2,0)", {"k": k},
+            "tight (2,0)-stable (claimed for every k >= 3)", actual, tight,
         )
         # the family claim says every k >= 3; computation disagrees for odd k,
         # so the harness notes the discrepancy instead of failing
         check.status = PASS if tight else NOTED
-        checks.append(check)
-    return checks
+    return rec
 
 
 def suite_edge_bounds(facts: dict[int, list[Facts]], max_n: int) -> list[CheckResult]:
     """Edge counts of tight (1, 0)-stable graphs are sandwiched between the
     matching family and the balanced bipartite family, both ends attained."""
-    checks = []
+    rec = _Recorder("edge_bounds")
     for n in range(2, max_n + 1):
-        t0 = time.perf_counter()
-        lo = families.mn_matching(n).edge_count()
-        hi = families.kn_tight(n).edge_count()
+        ends = (families.mn_matching(n), families.kn_tight(n))
+        lo, hi = (e.edge_count() for e in ends)
         tight = [f for f in facts[n] if f.edges is not None]
-        tight_classes = len(tight)
         out_of_range = sum(not lo <= f.edges <= hi for f in tight)
         seen_lo = any(f.edges == lo for f in tight)
         seen_hi = any(f.edges == hi for f in tight)
-        named = [any(f.named[i] for f in tight) for i in (0, 1)]
-        good = out_of_range == 0 and seen_lo and seen_hi and all(named)
-        checks.append(
-            _check(
-                "edge_bounds", "edge count bounds", {"n": n},
-                f"all tight (1,0) classes within [{lo}, {hi}], both ends attained "
-                "by the named constructions",
-                f"{tight_classes} classes, {out_of_range} out of range, "
-                f"min attained={seen_lo}, max attained={seen_hi}",
-                good, t0,
-            )
+        named = {canonical(e) for e in ends} <= {f.code for f in tight}
+        rec.check(
+            "edge count bounds", {"n": n},
+            f"all tight (1,0) classes within [{lo}, {hi}], both ends attained "
+            "by the named constructions",
+            f"{len(tight)} classes, {out_of_range} out of range, "
+            f"min attained={seen_lo}, max attained={seen_hi}",
+            out_of_range == 0 and seen_lo and seen_hi and named,
         )
-    return checks
+    return rec
 
 
 def suite_uniqueness(
     ns=(3, 5, 7, 9), jobs: int = 1, allow_long: bool = False
 ) -> list[CheckResult]:
     """The odd cycle is the unique tight (2, 0)-stable graph at each odd n."""
-    checks = []
+    rec = _Recorder("uniqueness")
     for n in ns:
         if n not in (3, 5, 7, 9, 11):
             raise ValueError(f"uniqueness runs at odd n in 3..11, got {n}")
         if n == 11 and not allow_long:
             raise ValueError("n = 11 uniqueness needs allow_long")
-        t0 = time.perf_counter()
         found = search_tight_stable(n, 2, 0, jobs=jobs, allow_long=allow_long)
-        want = canonical(families.cycle(n))
-        good = found == [want]
-        checks.append(
-            _check(
-                "uniqueness", "odd cycle is the unique tight (2,0) graph",
-                {"n": n}, "exactly the n-cycle",
-                f"{len(found)} classes found"
-                + ("" if good else " (not matching the cycle)"),
-                good, t0,
-            )
+        good = found == [canonical(families.cycle(n))]
+        rec.check(
+            "odd cycle is the unique tight (2,0) graph", {"n": n}, "exactly the n-cycle",
+            f"{len(found)} classes found" + ("" if good else " (not matching the cycle)"),
+            good,
         )
-    return checks
+    return rec
 
 
 def suite_erdos_rogers(facts: dict[int, list[Facts]], max_n: int) -> list[CheckResult]:
     """Computed Erdos-Rogers values equal n - t on every applicable cell."""
-    checks = []
+    rec = _Recorder("erdos_rogers")
     for n in range(3, max_n + 1):
-        t0 = time.perf_counter()
         rows = er_grid(n, ((f.alpha, f.mbelow) for f in facts[n]))
         applicable = [r for r in rows if r.predicted is not None]
         bad = [r for r in applicable if not r.match]
-        checks.append(
-            _check(
-                "erdos_rogers", "exact value matches n - t", {"n": n},
-                f"{len(applicable)} applicable cells all equal n - t",
-                f"{len(applicable)} applicable, {len(rows) - len(applicable)} "
-                f"skipped, {len(bad)} mismatches",
-                not bad, t0,
-            )
+        rec.check(
+            "exact value matches n - t", {"n": n},
+            f"{len(applicable)} applicable cells all equal n - t",
+            f"{len(applicable)} applicable, {len(rows) - len(applicable)} "
+            f"skipped, {len(bad)} mismatches",
+            not bad,
         )
-    return checks
+    return rec
 
 
 def run_all(config: VerifyConfig | None = None) -> VerificationReport:
     """Run the selected suites in fixed order and pin the discrepancy set."""
     config = config or VerifyConfig()
+    t0 = time.perf_counter()
     facts = catalog_facts(config)
+    catalog_ms = int((time.perf_counter() - t0) * 1000)
     checks: list[CheckResult] = []
     for name in SUITE_ORDER:
         if name not in config.suites:
@@ -526,14 +492,14 @@ def run_all(config: VerifyConfig | None = None) -> VerificationReport:
             checks += suite_erdos_rogers(facts, config.max_n)
 
     if "constructions" in config.suites:
-        t0 = time.perf_counter()
+        pin = _Recorder("constructions")
         noted = tuple(c.name for c in checks if c.status == NOTED)
-        checks.append(
-            _check(
-                "constructions", "discrepancy pin", {},
-                f"noted exactly: {', '.join(EXPECTED_DISCREPANCIES)}",
-                f"noted: {', '.join(noted) if noted else '(none)'}",
-                noted == EXPECTED_DISCREPANCIES, t0,
-            )
+        pin.check(
+            "discrepancy pin", {}, f"noted exactly: {', '.join(EXPECTED_DISCREPANCIES)}",
+            f"noted: {', '.join(noted) if noted else '(none)'}",
+            noted == EXPECTED_DISCREPANCIES,
         )
-    return VerificationReport(checks=checks, config=config)
+        checks += pin
+    return VerificationReport(
+        checks=checks, config=config, catalog_n=max(facts, default=0), catalog_ms=catalog_ms
+    )

@@ -11,6 +11,7 @@ from indstab.erdos_rogers import (
 )
 from indstab.families import cycle, path
 from indstab.graphs import build, complement
+from indstab.mis import subset_alphas
 
 from _oracles import random_graph
 
@@ -34,7 +35,7 @@ def test_mbelow_table_matches_scan(catalog):
     # the 2^n table behind er_f and er_table against the subset-size scan
     for n in range(1, 7):
         for _, g in catalog(n):
-            table = _mbelow_all_s(g.adj, n)
+            table = _mbelow_all_s(subset_alphas(g.adj, n))
             assert table == [max_subset_alpha_below(g, s) for s in range(1, n + 1)]
 
 
@@ -67,6 +68,14 @@ def test_mbelow_matches_clique_formulation():
 def test_er_f_small_values():
     assert er_f(3, 2, 1) == 2
     assert er_f(6, 3, 2) == 4
+
+
+def test_er_f_reads_the_table_cell():
+    # t beyond n reads the t = n cell; s beyond n admits every subset
+    assert er_f(5, 2, 7) == 1
+    assert er_f(6, 3, 9) == 2
+    assert er_f(7, 2, 8) == 1
+    assert er_f(4, 5, 9) == 4
 
 
 def test_er_f_everything_allowed():

@@ -7,10 +7,12 @@ from indstab.graphs import build, complement, remove_vertices, vset, vset_member
 from indstab.mis import (
     all_max_independent_sets,
     alpha,
+    alpha_mask,
     independent_set_at_least,
     is_independent,
     max_independent_set,
     saturating_matching,
+    subset_alphas,
 )
 
 from _oracles import alpha_brute, max_clique_brute, random_graph
@@ -63,6 +65,14 @@ def test_alpha_matches_brute_force_small():
     for _ in range(300):
         g = random_graph(rng.randint(1, 10), rng.random(), rng)
         assert alpha(g) == alpha_brute(g)
+
+
+def test_subset_alphas_match_solver(catalog):
+    # the 2^n sweep behind verify's facts against the branch and bound
+    for n in range(1, 7):
+        for _, g in catalog(n):
+            table = subset_alphas(g.adj, n)
+            assert table == [alpha_mask(g.adj, mask) for mask in range(1 << n)]
 
 
 def test_independent_set_at_least_returns_a_witness_inside_the_mask():

@@ -3,10 +3,22 @@ import json
 
 import pytest
 
+from indstab import verify
+from indstab.erdos_rogers import max_subset_alpha_below
+from indstab.families import lift
+from indstab.mis import all_max_independent_sets, alpha, saturating_matching
+from indstab.stability import (
+    alpha_drop,
+    is_tight_stable,
+    stability_bound,
+    stable_vertex_count,
+)
 from indstab.verify import (
     EXPECTED_DISCREPANCIES,
     SUITE_ORDER,
+    Facts,
     VerifyConfig,
+    _class_facts,
     catalog_facts,
     run_all,
     suite_constructions,
@@ -20,6 +32,36 @@ from indstab.verify import (
 
 def _facts(max_n, *suites):
     return catalog_facts(VerifyConfig(max_n=max_n, jobs=1, suites=suites))
+
+
+def test_class_facts_match_scans(catalog):
+    # every fact read from the subset_alphas table, rebuilt from the removal
+    # scans, the maximum-independent-set walk and the subset-size scan
+    five = tuple(s for s in SUITE_ORDER if s != "uniqueness")
+    for n in range(2, 8):
+        for code, g in catalog(n):
+            a = alpha(g)
+            drops = tuple(alpha_drop(g, k) for k in range(1, n))
+            pairs = [
+                (k, l) for k in range(1, n) for l in range(k)
+                if drops[k - 1] <= l and a == stability_bound(n, k, l)
+            ]
+            lifted = lift(g, 1)
+            hall = edges = tight_code = None
+            if drops[0] == 0:
+                sets = all_max_independent_sets(g)
+                missing = sum(saturating_matching(g, y) is None for y in sets)
+                hall = (len(sets) - missing, missing)
+                if a == stability_bound(n, 1, 0):
+                    edges, tight_code = g.edge_count(), code
+            want = Facts(
+                a, drops, stable_vertex_count(g),
+                tuple(max_subset_alpha_below(g, s) for s in range(1, n + 1)),
+                hall,
+                (len(pairs), sum(not is_tight_stable(lifted, k + 1, l + 1) for k, l in pairs)),
+                edges, tight_code,
+            )
+            assert _class_facts(five, 7, g, code) == want
 
 
 def test_theorem_suite_small():
@@ -103,8 +145,26 @@ def test_report_json_is_deterministic_and_valid():
 
 
 def test_report_json_with_timings():
-    doc = json.loads(run_all(_small_config()).to_json(include_timings=True))
+    report = run_all(_small_config())
+    doc = json.loads(report.to_json(include_timings=True))
     assert all("duration_ms" in c for c in doc["checks"])
+    assert isinstance(doc["catalog_ms"], int)
+    assert "catalog_ms" not in json.loads(report.to_json())
+
+
+def test_report_text_charges_the_catalog_pass(monkeypatch):
+    text = run_all(_small_config()).to_text()
+    assert text.splitlines()[0].startswith("catalog pass (n = 2..5): ")
+    assert text.splitlines()[0].endswith(" ms")
+    # a uniqueness-only run builds no catalog; run_all finds the suite
+    # through the module, so a short stand-in keeps the run small
+    short = verify.suite_uniqueness
+    monkeypatch.setattr(
+        verify, "suite_uniqueness", lambda ns, jobs, allow_long: short((3, 5), jobs, allow_long)
+    )
+    text = run_all(_small_config(suites=("uniqueness",))).to_text()
+    assert "catalog pass" not in text
+    assert text.startswith("[PASS] uniqueness: ")
 
 
 def test_report_text_mentions_summary():
@@ -145,6 +205,11 @@ def test_run_all_default_configuration(jobs):
     # the headline command: every suite at its default scale
     report = run_all(VerifyConfig(jobs=jobs))
     assert report.ok
+    # the bytes of the default report, pinned before its facts came from one
+    # subset table per class (reports do not depend on jobs)
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == (
+        "3ed10e5bf6e78800ea38533fd06e72aeef3efeadcb846d99ac2e733ef97c6508"
+    )
     assert report.summary["fail"] == 0
     assert report.summary["discrepancy-noted"] == 2
     names = {c.name for c in report.checks}
