@@ -37,72 +37,34 @@ def _add_jobs(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _cmd_alpha(args) -> int:
+def _one_graph(arg: str) -> Graph:
+    graphs = _graphs_from_arg(arg)
+    if len(graphs) != 1:
+        raise ValueError(f"--graph takes one graph, {arg[1:]} holds {len(graphs)}")
+    return graphs[0]
+
+
+def _cmd_per_graph(args) -> int:
     for g in _graphs_from_arg(args.graph):
-        if args.witness:
-            r = max_independent_set(g)
-            members = ",".join(str(v) for v in vset_members(r.witness))
-            print(f"{r.alpha} {{{members}}}")
-        else:
-            print(alpha(g))
+        print(args.answer(g, args))
     return 0
 
 
-def _cmd_drop(args) -> int:
-    for g in _graphs_from_arg(args.graph):
-        print(alpha_drop(g, args.k))
-    return 0
-
-
-def _cmd_stable(args) -> int:
-    for g in _graphs_from_arg(args.graph):
-        print("true" if is_stable(g, args.k, args.l) else "false")
-    return 0
-
-
-def _cmd_tight(args) -> int:
-    for g in _graphs_from_arg(args.graph):
-        print("true" if is_tight_stable(g, args.k, args.l) else "false")
-    return 0
+def _alpha_answer(g: Graph, args) -> str:
+    if not args.witness:
+        return str(alpha(g))
+    r = max_independent_set(g)
+    members = ",".join(str(v) for v in vset_members(r.witness))
+    return f"{r.alpha} {{{members}}}"
 
 
 def _cmd_construct(args) -> int:
-    fam = args.family
-    if fam == "circulant":
-        if args.n is None or not args.diff:
-            raise ValueError("circulant needs --n and at least one --diff")
-        g = families.circulant(args.n, set(args.diff))
-    elif fam in ("stable3", "stable4"):
-        if args.m is None:
-            raise ValueError(f"{fam} needs --m")
-        fn = families.stable3_circulant if fam == "stable3" else families.stable4_circulant
-        g = fn(args.m)
-    elif fam == "even20":
-        if args.k is None:
-            raise ValueError("even20 needs --k")
-        g = families.even20_circulant(args.k)
-    elif fam == "figure2":
-        g = families.figure2()
-    elif fam == "lift":
-        if args.graph is None or args.j is None:
-            raise ValueError("lift needs --graph and --j")
-        (base,) = _graphs_from_arg(args.graph)
-        g = families.lift(base, args.j)
-    elif fam == "sandwich":
-        if args.n is None:
-            raise ValueError("sandwich needs --n")
-        g = families.sandwich_sample(args.n, args.seed)
-    else:
-        if args.n is None:
-            raise ValueError(f"{fam} needs --n")
-        g = {
-            "kn_tight": families.kn_tight,
-            "mn_matching": families.mn_matching,
-            "cycle": families.cycle,
-            "path": families.path,
-            "wheel": families.wheel,
-        }[fam](args.n)
-    print(g6_encode(g))
+    fn, flags = families.FAMILIES[args.family]
+    missing = [f"--{f}" for f in flags if getattr(args, f) is None]
+    if missing:
+        raise ValueError(f"{args.family} needs {' and '.join(missing)}")
+    values = [_one_graph(args.graph) if f == "graph" else getattr(args, f) for f in flags]
+    print(g6_encode(fn(*values)))
     return 0
 
 
@@ -174,24 +136,28 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("alpha", help="independence number of graph6 input")
     p.add_argument("graph", help="graph6 string or @file")
     p.add_argument("--witness", action="store_true", help="also print a witness set")
-    p.set_defaults(fn=_cmd_alpha)
+    p.set_defaults(fn=_cmd_per_graph, answer=_alpha_answer)
 
     p = sub.add_parser("drop", help="worst-case alpha drop over k-vertex removals")
     p.add_argument("graph", help="graph6 string or @file")
     p.add_argument("--k", type=int, required=True)
-    p.set_defaults(fn=_cmd_drop)
+    p.set_defaults(fn=_cmd_per_graph, answer=lambda g, a: alpha_drop(g, a.k))
 
     p = sub.add_parser("stable", help="test (k,l)-stability")
     p.add_argument("graph", help="graph6 string or @file")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
-    p.set_defaults(fn=_cmd_stable)
+    p.set_defaults(
+        fn=_cmd_per_graph, answer=lambda g, a: str(is_stable(g, a.k, a.l)).lower()
+    )
 
     p = sub.add_parser("tight", help="test tight (k,l)-stability")
     p.add_argument("graph", help="graph6 string or @file")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
-    p.set_defaults(fn=_cmd_tight)
+    p.set_defaults(
+        fn=_cmd_per_graph, answer=lambda g, a: str(is_tight_stable(g, a.k, a.l)).lower()
+    )
 
     p = sub.add_parser("construct", help="emit a named family member as graph6")
     p.add_argument("--family", required=True, choices=sorted(families.FAMILIES))

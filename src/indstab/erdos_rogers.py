@@ -5,21 +5,24 @@ with independence number at most s + t - 1 of the largest vertex subset whose
 induced subgraph has independence number at most s - 1.  Complementation maps
 this to the classical clique formulation, and the minimum over isomorphism
 classes equals the minimum over labeled graphs, so the computation iterates
-the enumeration catalog.  Each class is read through its mis.subset_alphas
-table, which holds the independence number of every induced subgraph; er_f
-reads one cell of the (s, t) grid that er_table builds.  Whenever
+the enumeration catalog.  Each class is read through its alpha profile p(q),
+the least independence number over its q-vertex induced subgraphs (from
+mis.subset_alphas and mis.alpha_profile): the largest subset with induced
+independence number at most s - 1 has the largest q with p(q) <= s - 1.
+er_f reads one cell of the (s, t) grid that er_table builds.  Whenever
 s > floor((n-t+1)/2) and s + t <= n + 1 the value equals n - t exactly.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, combinations
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from indstab.enumeration import enumerate_graphs
 from indstab.graphs import Graph, vset
-from indstab.mis import alpha_mask, subset_alphas
+from indstab.mis import alpha_mask, alpha_profile, subset_alphas
 
 ER_MAX_N = 8
 
@@ -51,19 +54,6 @@ def er_predicted(n: int, s: int, t: int) -> int | None:
     return None
 
 
-def _mbelow_all_s(table: Sequence[int]) -> list[int]:
-    """[max_subset_alpha_below for s = 1..n], from an n-vertex graph's
-    subset_alphas table."""
-    n = len(table).bit_length() - 1
-    best_by_alpha = [0] * (n + 1)  # alpha value -> largest subset size with it
-    for mask, a in enumerate(table):
-        size = mask.bit_count()
-        if size > best_by_alpha[a]:
-            best_by_alpha[a] = size
-    # s - 1 = limit: the largest subset with alpha <= limit
-    return list(accumulate(best_by_alpha[:n], max))
-
-
 def er_f(n: int, s: int, t: int, *, jobs: int = 1) -> int:
     """Exact Erdos-Rogers value: one cell of er_table(n)."""
     if min(n, s, t) < 1:
@@ -86,28 +76,30 @@ class ErRow:
 
 
 def er_table(n: int, *, jobs: int = 1) -> list[ErRow]:
-    """The full (s, t) grid at fixed n, one catalog pass for all cells.
-
-    For every graph alpha and the per-s subset maxima come from its
-    subset_alphas table."""
+    """The full (s, t) grid at fixed n, one catalog pass for all cells."""
     if not 1 <= n <= ER_MAX_N:
         raise ValueError(f"table needs 1 <= n <= {ER_MAX_N}, got {n}")
-    tables = (subset_alphas(g.adj, n) for _, g in enumerate_graphs(n, jobs=jobs))
-    return er_grid(n, ((table[-1], _mbelow_all_s(table)) for table in tables))
+    return er_grid(
+        n, (alpha_profile(subset_alphas(g.adj, n)) for _, g in enumerate_graphs(n, jobs=jobs))
+    )
 
 
-def er_grid(n: int, classes: Iterable[tuple[int, Sequence[int]]]) -> list[ErRow]:
-    """The (s, t) grid at n from (alpha, _mbelow_all_s) of every n-vertex class.
+def er_grid(n: int, profiles: Iterable[Sequence[int]]) -> list[ErRow]:
+    """The (s, t) grid at n from the alpha profile of every n-vertex class.
 
-    A cell is the minimum over the classes with alpha <= s + t - 1, so it is
-    a prefix minimum over alpha buckets; repeated pairs change nothing.
+    A class's largest subset with alpha <= s - 1 is the largest q with
+    p(q) <= s - 1, found by bisection because p never decreases.  A cell is
+    the minimum over the classes with alpha = p(n) <= s + t - 1, so it is a
+    prefix minimum over alpha buckets, so each distinct profile is read once.
     """
-    # low[a - 1][s - 1] = min of mbelow(G, s) over classes with alpha == a;
-    # an empty bucket keeps n, which no cell minimum exceeds, and bucket 1
-    # always holds the complete graph
+    # low[a - 1][s - 1] = min of that subset maximum over classes with
+    # alpha == a; an empty bucket keeps n, which no cell minimum exceeds, and
+    # bucket 1 always holds the complete graph
     low = [[n] * n for _ in range(n)]
-    for a, mbelow in classes:
-        low[a - 1] = [min(x, y) for x, y in zip(low[a - 1], mbelow)]
+    for p in set(map(tuple, profiles)):
+        row = low[p[n] - 1]
+        for s in range(1, n + 1):
+            row[s - 1] = min(row[s - 1], bisect_right(p, s - 1) - 1)
     rows = []
     for s in range(1, n + 1):
         for t in range(1, n + 1):

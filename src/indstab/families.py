@@ -182,13 +182,15 @@ def sandwich_sample(n: int, seed: int) -> Graph:
     return build(n, edges)
 
 
+# family -> (generator, its parameters in order); the parameter names are the
+# flags of the `construct` command
 FAMILIES = {
     "kn_tight": (kn_tight, ("n",)),
     "mn_matching": (mn_matching, ("n",)),
     "cycle": (cycle, ("n",)),
     "path": (path, ("n",)),
     "wheel": (wheel, ("n",)),
-    "circulant": (circulant, ("n", "diffs")),
+    "circulant": (circulant, ("n", "diff")),
     "stable3": (stable3_circulant, ("m",)),
     "stable4": (stable4_circulant, ("m",)),
     "even20": (even20_circulant, ("k",)),

@@ -10,14 +10,15 @@ independent set of at least t vertices") from t - 1 with cut-off t.
 Low-level helpers operate directly on adjacency rows and a vertex mask, which
 lets the stability scans query induced subgraphs without rebuilding Graph
 values.  For the small catalog classes, subset_alphas instead sweeps all 2^n
-vertex masks once and tabulates every induced subgraph's independence number.
+vertex masks once and tabulates every induced subgraph's independence number,
+and alpha_profile reduces that table to the least one per subgraph size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from indstab.graphs import Graph, vset_members
+from indstab.graphs import Graph, _check_vset, vset_members
 
 
 @dataclass(frozen=True)
@@ -134,6 +135,23 @@ def subset_alphas(adj: tuple[int, ...], n: int) -> list[int]:
     return table
 
 
+def alpha_profile(table: list[int]) -> list[int]:
+    """p(q), the least independence number over the q-vertex induced
+    subgraphs, for q = 0..n, from an n-vertex graph's subset_alphas table.
+
+    p(0) = 0 and p(n) = alpha.  p never decreases and rises by at most one
+    per step, since removing a vertex never raises alpha and lowers it by at
+    most one.
+    """
+    n = len(table).bit_length() - 1
+    least = [n] * (n + 1)
+    for mask, a in enumerate(table):
+        size = mask.bit_count()
+        if a < least[size]:
+            least[size] = a
+    return least
+
+
 def independent_set_at_least(
     adj: tuple[int, ...], mask: int, target: int
 ) -> int | None:
@@ -239,6 +257,7 @@ def saturating_matching(g: Graph, y: int) -> Matching | None:
     smaller external neighborhood than itself.  Augmenting paths are explored
     in ascending label order, so the result is deterministic.
     """
+    _check_vset(g, y, "queried set")
     if not is_independent(g, y):
         raise ValueError("the queried set is not independent")
     ys = vset_members(y)

@@ -11,7 +11,8 @@ The exhaustive suites share one catalog pass, catalog_facts: each level is
 built once, and the worker that produces a class computes the Facts that the
 selected suites read of it, up to an n set by the suites and max_n alone.
 Every fact is read from one mis.subset_alphas table per class (alpha of every
-induced subgraph), and each suite is then a reduction over those facts.  A
+induced subgraph), most through its alpha profile p(q), the least alpha over
+the q-vertex induced subgraphs.  Each suite is a reduction over the facts.  A
 suite stamps each check with the time since its previous check; run_all
 times the catalog pass, which the report carries as catalog_ms.
 
@@ -32,9 +33,9 @@ from typing import NamedTuple
 from indstab import families
 from indstab.canon import CanonicalCode, canonical
 from indstab.enumeration import enumerate_levels, search_tight_stable
-from indstab.erdos_rogers import _mbelow_all_s, er_grid
+from indstab.erdos_rogers import er_grid
 from indstab.graphs import Graph
-from indstab.mis import alpha, saturating_matching, subset_alphas
+from indstab.mis import alpha, alpha_profile, saturating_matching, subset_alphas
 from indstab.stability import is_stable, is_tight_stable, stability_bound, stable_vertex_count
 
 TOOL_VERSION = "0.1.0"
@@ -183,9 +184,8 @@ class Facts(NamedTuple):
     suite reads the field at the class's vertex count."""
 
     alpha: int
-    drops: tuple[int, ...] | None  # alpha_drop for k = 1..n-1
+    profile: tuple[int, ...] | None  # alpha_profile, q = 0..n
     stable_vertices: int | None
-    mbelow: tuple[int, ...] | None  # max_subset_alpha_below for s = 1..n
     # (1, 0)-stable: maximum independent sets with and without a saturating matching
     hall: tuple[int, int] | None
     # tight (k, l) pairs, and those whose lift is not tight (k + 1, l + 1)
@@ -199,18 +199,6 @@ LIFT_MAX_N = 7  # the lift check covers n = 2..7
 STABLE_VERTEX_MAX_N = 8  # the stable-vertex-count bound covers n = 2..8
 
 
-def _drops(table: list[int]) -> tuple[int, ...]:
-    """alpha_drop for k = 1..n-1 from an n-vertex graph's subset_alphas table:
-    alpha minus the least alpha over the (n - k)-vertex masks."""
-    n = len(table).bit_length() - 1
-    least = [n] * (n + 1)
-    for mask, a in enumerate(table):
-        size = mask.bit_count()
-        if a < least[size]:
-            least[size] = a
-    return tuple(table[-1] - least[n - k] for k in range(1, n))
-
-
 def _class_facts(suites, max_n: int, g: Graph, code: CanonicalCode) -> Facts | None:
     """The Facts of one class, computed in the worker that produced it from
     the class's subset_alphas table; the table is dropped on return."""
@@ -222,35 +210,33 @@ def _class_facts(suites, max_n: int, g: Graph, code: CanonicalCode) -> Facts | N
     table = subset_alphas(g.adj, n)
     a = table[-1]
     full = len(table) - 1
-    drops = stable = mbelow = hall = lifts = edges = tight_code = None
-    if lift or wants & {"stability_bound", "hall", "edge_bounds"}:
-        drops = _drops(table)
+    profile = stable = hall = lifts = edges = tight_code = None
+    if lift or wants & {"stability_bound", "hall", "edge_bounds", "erdos_rogers"}:
+        profile = tuple(alpha_profile(table))
     if "constructions" in suites:
         stable = sum(table[full & ~(1 << v)] == a for v in range(n))
     if lift:
         pairs = [
             (k, l) for k in range(1, n) for l in range(k)
-            if drops[k - 1] <= l and a == stability_bound(n, k, l)
+            if profile[n - k] >= a - l and a == stability_bound(n, k, l)
         ]
         bad = 0
         if pairs:
-            # the lifted graph's own table: is_tight_stable(lifted, k + 1, l + 1)
-            lifted = subset_alphas(families.lift(g, 1).adj, n + 1)
-            lifted_drops = _drops(lifted)
+            # the lifted graph's own profile: is_tight_stable(lifted, k + 1, l + 1)
+            lifted = alpha_profile(subset_alphas(families.lift(g, 1).adj, n + 1))
+            la = lifted[-1]
             bad = sum(
-                lifted[-1] != stability_bound(n + 1, k + 1, l + 1) or lifted_drops[k] > l + 1
+                la != stability_bound(n + 1, k + 1, l + 1) or lifted[n - k] < la - l - 1
                 for k, l in pairs
             )
         lifts = (len(pairs), bad)
-    if "erdos_rogers" in wants:
-        mbelow = tuple(_mbelow_all_s(table))
-    if "hall" in wants and drops[0] == 0:
+    if "hall" in wants and profile[n - 1] == a:
         sets = [m for m, x in enumerate(table) if x == a == m.bit_count()]
         missing = sum(saturating_matching(g, y) is None for y in sets)
         hall = (len(sets) - missing, missing)
-    if "edge_bounds" in wants and drops[0] == 0 and a == stability_bound(n, 1, 0):
+    if "edge_bounds" in wants and profile[n - 1] == a == stability_bound(n, 1, 0):
         edges, tight_code = g.edge_count(), code
-    return Facts(a, drops, stable, mbelow, hall, lifts, edges, tight_code)
+    return Facts(a, profile, stable, hall, lifts, edges, tight_code)
 
 
 def catalog_facts(config: VerifyConfig) -> dict[int, list[Facts]]:
@@ -289,7 +275,9 @@ def suite_stability_bound(facts: dict[int, list[Facts]], max_n: int) -> list[Che
         for k in range(1, n):
             for l in range(0, k):
                 bound = stability_bound(n, k, l)
-                violations = sum(f.drops[k - 1] <= l and f.alpha > bound for f in level)
+                violations = sum(
+                    f.profile[n - k] >= f.alpha - l and f.alpha > bound for f in level
+                )
                 rec.check(
                     "bound holds", {"n": n, "k": k, "l": l}, "0 violations",
                     f"{violations} violations over {size} classes", violations == 0,
@@ -302,7 +290,7 @@ def suite_hall(facts: dict[int, list[Facts]], max_n: int) -> list[CheckResult]:
     a matching into the rest of the graph."""
     rec = _Recorder("hall")
     for n in range(2, max_n + 1):
-        stable = [f.hall for f in facts[n] if f.drops[0] == 0]
+        stable = [f.hall for f in facts[n] if f.profile[n - 1] == f.alpha]
         matchings = sum(h[0] for h in stable)
         missing = sum(h[1] for h in stable)
         rec.check(
@@ -314,7 +302,7 @@ def suite_hall(facts: dict[int, list[Facts]], max_n: int) -> list[CheckResult]:
     return rec
 
 
-def suite_constructions(facts: dict[int, list[Facts]], jobs: int = 1) -> list[CheckResult]:
+def suite_constructions(facts: dict[int, list[Facts]]) -> list[CheckResult]:
     """The fixed construction checklist: circulant stability and independence
     numbers, the five tight families, non-existence at six vertices, lifting,
     the stable-vertex-count bound, and the cycle-plus-diameters family pins."""
@@ -349,10 +337,11 @@ def suite_constructions(facts: dict[int, list[Facts]], jobs: int = 1) -> list[Ch
             "all tight" if not bad else f"failures at n={bad}", not bad,
         )
 
-    found = search_tight_stable(6, 3, 0, jobs=jobs)
+    bound = stability_bound(6, 3, 0)
+    found = sum(f.alpha == bound and f.profile[3] >= bound for f in facts[6])
     rec.check(
         "no 6-vertex tight (3,0)-stable graph", {},
-        "empty search", f"{len(found)} classes found", not found,
+        "empty search", f"{found} classes found", not found,
     )
 
     lifts = [f.lifts for n in range(2, LIFT_MAX_N + 1) for f in facts[n]]
@@ -454,7 +443,7 @@ def suite_erdos_rogers(facts: dict[int, list[Facts]], max_n: int) -> list[CheckR
     """Computed Erdos-Rogers values equal n - t on every applicable cell."""
     rec = _Recorder("erdos_rogers")
     for n in range(3, max_n + 1):
-        rows = er_grid(n, ((f.alpha, f.mbelow) for f in facts[n]))
+        rows = er_grid(n, (f.profile for f in facts[n]))
         applicable = [r for r in rows if r.predicted is not None]
         bad = [r for r in applicable if not r.match]
         rec.check(
@@ -482,7 +471,7 @@ def run_all(config: VerifyConfig | None = None) -> VerificationReport:
         elif name == "hall":
             checks += suite_hall(facts, config.max_n)
         elif name == "constructions":
-            checks += suite_constructions(facts, config.jobs)
+            checks += suite_constructions(facts)
         elif name == "edge_bounds":
             checks += suite_edge_bounds(facts, config.max_n)
         elif name == "uniqueness":

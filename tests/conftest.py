@@ -6,6 +6,7 @@ import pytest
 sys.path.insert(0, os.path.dirname(__file__))
 
 from indstab.enumeration import enumerate_graphs
+from indstab.verify import VerifyConfig, run_all
 
 _CATALOGS: dict[int, list] = {}
 
@@ -25,3 +26,10 @@ def catalog():
 @pytest.fixture(scope="session")
 def jobs():
     return len(os.sched_getaffinity(0))
+
+
+@pytest.fixture(scope="session")
+def default_report(jobs):
+    """run_all at the default configuration, made once: its n = 9 uniqueness
+    search is the slowest step of the test suite."""
+    return run_all(VerifyConfig(jobs=jobs))

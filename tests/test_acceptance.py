@@ -54,7 +54,7 @@ def _report(num: int, ok: bool, text: str) -> None:
 @pytest.fixture(scope="module")
 def constructions_checks(jobs):
     facts = catalog_facts(VerifyConfig(jobs=jobs, suites=("constructions",)))
-    return suite_constructions(facts, jobs)
+    return suite_constructions(facts)
 
 
 def test_criterion_1_theorem_bound_exhaustive(jobs):
@@ -102,14 +102,15 @@ def test_criterion_4_no_tight_30_at_six(jobs):
     _report(4, found == [], "no 6-vertex tight (3,0)-stable graph exists")
 
 
-def test_criterion_5_uniqueness_of_odd_cycles(jobs):
-    ok = True
-    detail = []
-    for n in (3, 5, 7, 9):
-        found = search_tight_stable(n, 2, 0, jobs=jobs)
-        good = found == [canonical(cycle(n))]
-        ok = ok and good
-        detail.append(f"n={n}:{'unique' if good else 'VIOLATED'}")
+def test_criterion_5_uniqueness_of_odd_cycles(default_report):
+    # a uniqueness check passes when search_tight_stable(n, 2, 0) equals
+    # [canonical(cycle(n))]
+    checks = {c.params["n"]: c for c in default_report.checks if c.suite == "uniqueness"}
+    ok = sorted(checks) == [3, 5, 7, 9] and all(c.status == "pass" for c in checks.values())
+    detail = [
+        f"n={n}:{'unique' if c.status == 'pass' else 'VIOLATED'}"
+        for n, c in sorted(checks.items())
+    ]
     _report(5, ok, "tight (2,0) search returns exactly the cycle: " + ", ".join(detail))
 
 

@@ -111,6 +111,23 @@ def test_construct_missing_parameter(capsys):
     assert code == 2 and "needs" in err
 
 
+def test_construct_names_every_missing_flag(capsys):
+    code, out, err = run(capsys, "construct", "--family", "circulant", "--n", "6")
+    assert code == 2 and out == "" and err == "error: circulant needs --diff\n"
+    code, out, err = run(capsys, "construct", "--family", "circulant")
+    assert code == 2 and err == "error: circulant needs --n and --diff\n"
+    code, out, err = run(capsys, "construct", "--family", "lift", "--graph", C5)
+    assert code == 2 and out == "" and err == "error: lift needs --j\n"
+
+
+def test_construct_lift_takes_one_graph(capsys, tmp_path):
+    p = tmp_path / "two.g6"
+    p.write_text(f"{C5}\n{K33}\n", encoding="utf-8")
+    code, out, err = run(capsys, "construct", "--family", "lift", "--graph", f"@{p}", "--j", "1")
+    assert code == 2 and out == ""
+    assert err == f"error: --graph takes one graph, {p} holds 2\n"
+
+
 def test_construct_every_family_emits_a_graph(capsys):
     from indstab import families as fam
 

@@ -3,15 +3,15 @@ import random
 import pytest
 
 from indstab.erdos_rogers import (
-    _mbelow_all_s,
     er_f,
+    er_grid,
     er_predicted,
     er_table,
     max_subset_alpha_below,
 )
 from indstab.families import cycle, path
 from indstab.graphs import build, complement
-from indstab.mis import subset_alphas
+from indstab.mis import alpha_profile, subset_alphas
 
 from _oracles import random_graph
 
@@ -32,10 +32,12 @@ def test_mbelow_p3():
 
 
 def test_mbelow_table_matches_scan(catalog):
-    # the 2^n table behind er_f and er_table against the subset-size scan
+    # the profile reading behind er_f and er_table against the subset-size
+    # scan: with one class, the t = n column holds that class's maxima
     for n in range(1, 7):
         for _, g in catalog(n):
-            table = _mbelow_all_s(subset_alphas(g.adj, n))
+            rows = er_grid(n, [alpha_profile(subset_alphas(g.adj, n))])
+            table = [r.computed for r in rows if r.t == n]
             assert table == [max_subset_alpha_below(g, s) for s in range(1, n + 1)]
 
 

@@ -8,6 +8,7 @@ from indstab.mis import (
     all_max_independent_sets,
     alpha,
     alpha_mask,
+    alpha_profile,
     independent_set_at_least,
     is_independent,
     max_independent_set,
@@ -73,6 +74,15 @@ def test_subset_alphas_match_solver(catalog):
         for _, g in catalog(n):
             table = subset_alphas(g.adj, n)
             assert table == [alpha_mask(g.adj, mask) for mask in range(1 << n)]
+
+
+def test_alpha_profile_steps_by_zero_or_one(catalog):
+    # er_grid bisects the profile, which needs it never to decrease
+    for n in range(1, 8):
+        for _, g in catalog(n):
+            p = alpha_profile(subset_alphas(g.adj, n))
+            assert len(p) == n + 1 and p[0] == 0 and p[n] == alpha(g)
+            assert all(p[q - 1] <= p[q] <= p[q - 1] + 1 for q in range(1, n + 1))
 
 
 def test_independent_set_at_least_returns_a_witness_inside_the_mask():
@@ -164,6 +174,12 @@ def test_matching_star_fails_hall():
 def test_matching_rejects_dependent_set():
     with pytest.raises(ValueError, match="independent"):
         saturating_matching(cycle(4), vset([0, 1]))
+
+
+def test_matching_rejects_out_of_range_set():
+    for y in (1 << 5, -1):
+        with pytest.raises(ValueError, match="not a subset of the 3 vertex labels"):
+            saturating_matching(build(3, []), y)
 
 
 def test_matching_pairs_are_disjoint_edges():

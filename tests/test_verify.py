@@ -4,7 +4,6 @@ import json
 import pytest
 
 from indstab import verify
-from indstab.erdos_rogers import max_subset_alpha_below
 from indstab.families import lift
 from indstab.mis import all_max_independent_sets, alpha, saturating_matching
 from indstab.stability import (
@@ -36,7 +35,7 @@ def _facts(max_n, *suites):
 
 def test_class_facts_match_scans(catalog):
     # every fact read from the subset_alphas table, rebuilt from the removal
-    # scans, the maximum-independent-set walk and the subset-size scan
+    # scans and the maximum-independent-set walk
     five = tuple(s for s in SUITE_ORDER if s != "uniqueness")
     for n in range(2, 8):
         for code, g in catalog(n):
@@ -54,10 +53,10 @@ def test_class_facts_match_scans(catalog):
                 hall = (len(sets) - missing, missing)
                 if a == stability_bound(n, 1, 0):
                     edges, tight_code = g.edge_count(), code
+            # p(n - k) = alpha - drop_k, p(0) = 0, p(n) = alpha
+            profile = (0, *(a - d for d in reversed(drops)), a)
             want = Facts(
-                a, drops, stable_vertex_count(g),
-                tuple(max_subset_alpha_below(g, s) for s in range(1, n + 1)),
-                hall,
+                a, profile, stable_vertex_count(g), hall,
                 (len(pairs), sum(not is_tight_stable(lifted, k + 1, l + 1) for k, l in pairs)),
                 edges, tight_code,
             )
@@ -201,9 +200,9 @@ def test_suite_order_fixed():
     assert suites == sorted(suites, key=("hall", "erdos_rogers").index)
 
 
-def test_run_all_default_configuration(jobs):
+def test_run_all_default_configuration(default_report):
     # the headline command: every suite at its default scale
-    report = run_all(VerifyConfig(jobs=jobs))
+    report = default_report
     assert report.ok
     # the bytes of the default report, pinned before its facts came from one
     # subset table per class (reports do not depend on jobs)
