@@ -73,13 +73,8 @@ def _cmd_enumerate(args) -> int:
     if args.filter:
         parts = [parse_predicate(f) for f in args.filter]
         predicate = parts[0] if len(parts) == 1 else And(tuple(parts))
-    cap = predicate.alpha_cap(args.n) if predicate is not None else None
     stream = enumerate_graphs(
-        args.n,
-        jobs=args.jobs,
-        allow_long=args.allow_long,
-        max_alpha=cap,
-        predicate=predicate,
+        args.n, jobs=args.jobs, allow_long=args.allow_long, predicate=predicate
     )
     if args.count_only:
         print(sum(1 for _ in stream))

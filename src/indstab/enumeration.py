@@ -8,10 +8,13 @@ Attachment subsets are first deduplicated per parent by automorphism orbits,
 so each isomorphism class is produced exactly once and workers owning
 disjoint parents never need cross-worker deduplication.
 
-The vertex count is guarded at 10; n = 11 runs only behind an explicit
-long-run flag and restricts growth to graphs whose independence number stays
-within the target bound, which is sound because the independence number of an
-induced subgraph never exceeds the whole graph's.
+A search for one predicate prunes every level by the predicate's window: the
+range of alpha, and the (k, 0)-stability, that every induced subgraph of a
+matching graph on that many vertices must have.  Canonical parents are induced
+subgraphs, so every matching class still has its whole chain of ancestors, and
+since the window is isomorphism-invariant, a child is tested before its
+canonical search.  The vertex count is guarded at 10; n = 11 runs only behind
+an explicit long-run flag.
 """
 
 from __future__ import annotations
@@ -47,8 +50,10 @@ class Predicate:
     def matches(self, g: Graph) -> bool:
         raise NotImplementedError
 
-    def alpha_cap(self, n: int) -> int | None:
-        """A bound B such that every matching graph has alpha <= B, or None.
+    def window(self, n: int, m: int) -> tuple[int, int, int] | None:
+        """(lo, hi, ks) such that every m-vertex induced subgraph of every
+        matching n-vertex graph has lo <= alpha <= hi and is (ks, 0)-stable
+        (ks = 0: no stability asked), or None.
 
         Used as a hereditary generation prune; must be sound by definition of
         the predicate alone.  Raises ValueError when the predicate's
@@ -93,8 +98,9 @@ class AlphaEquals(Predicate):
     def matches(self, g: Graph) -> bool:
         return alpha_mask(g.adj, g.vertex_mask) == self.value
 
-    def alpha_cap(self, n: int) -> int | None:
-        return self.value
+    def window(self, n: int, m: int) -> tuple[int, int, int] | None:
+        # deleting a vertex lowers alpha by at most one
+        return self.value - (n - m), self.value, 0
 
 
 @dataclass(frozen=True)
@@ -106,7 +112,7 @@ class Stable(Predicate):
     def matches(self, g: Graph) -> bool:
         return is_stable(g, self.k, self.l)
 
-    def alpha_cap(self, n: int) -> int | None:
+    def window(self, n: int, m: int) -> tuple[int, int, int] | None:
         stability_bound(n, self.k, self.l)  # validates n > k > l >= 0
         return None
 
@@ -120,9 +126,14 @@ class TightStable(Predicate):
     def matches(self, g: Graph) -> bool:
         return is_tight_stable(g, self.k, self.l)
 
-    def alpha_cap(self, n: int) -> int | None:
-        # tight graphs attain the stability bound exactly
-        return stability_bound(n, self.k, self.l)
+    def window(self, n: int, m: int) -> tuple[int, int, int] | None:
+        # tight graphs attain the bound a; deleting k vertices lowers alpha by
+        # at most l, and each further one by at most one.  With l = 0, every
+        # deletion of up to k vertices keeps alpha = a, so a subgraph missing
+        # n - m <= k vertices is (k - (n - m), 0)-stable
+        a = stability_bound(n, self.k, self.l)
+        ks = 0 if self.l else max(0, self.k - (n - m))
+        return a - self.l - max(0, n - self.k - m), a, ks
 
 
 @dataclass(frozen=True)
@@ -132,9 +143,13 @@ class And(Predicate):
     def matches(self, g: Graph) -> bool:
         return all(p.matches(g) for p in sorted(self.parts, key=lambda p: p.cost))
 
-    def alpha_cap(self, n: int) -> int | None:
-        caps = [c for p in self.parts if (c := p.alpha_cap(n)) is not None]
-        return min(caps) if caps else None
+    def window(self, n: int, m: int) -> tuple[int, int, int] | None:
+        # (k, 0)-stable graphs are (k', 0)-stable for every k' <= k
+        ws = [w for p in self.parts if (w := p.window(n, m)) is not None]
+        if not ws:
+            return None
+        los, his, kss = zip(*ws)
+        return max(los), min(his), max(kss)
 
 
 _REGISTRY = {
@@ -220,12 +235,21 @@ def _subset_orbit_reps(n: int, gens: list[list[int]]) -> Iterable[int]:
     return reps
 
 
-def _expand(n: int, adj: tuple[int, ...], gens: list[list[int]], max_alpha):
-    """Accepted children of one parent, as (adj, gens, code_int) triples."""
+def _in_window(g: Graph, window: tuple[int, int, int]) -> bool:
+    lo, hi, ks = window
+    return (
+        not alpha_at_least(g.adj, g.vertex_mask, hi + 1)
+        and alpha_at_least(g.adj, g.vertex_mask, lo)
+        and (ks == 0 or is_stable(g, ks, 0))
+    )
+
+
+def _expand(n: int, adj: tuple[int, ...], gens: list[list[int]], window):
+    """Accepted children of one parent inside `window` (None: all), as
+    (adj, gens, code_int) triples."""
     out = []
     degs = [row.bit_count() for row in adj]
     mind_parent = min(degs)
-    full_child = (1 << (n + 1)) - 1
     for tmask in _subset_orbit_reps(n, gens):
         tsize = tmask.bit_count()
         # the new vertex must end up with minimum degree, else it cannot be
@@ -242,7 +266,7 @@ def _expand(n: int, adj: tuple[int, ...], gens: list[list[int]], max_alpha):
         cadj = tuple(
             row | (1 << n) if (tmask >> v) & 1 else row for v, row in enumerate(adj)
         ) + (tmask,)
-        if max_alpha is not None and alpha_at_least(cadj, full_child, max_alpha + 1):
+        if window is not None and not _in_window(Graph._wrap(n + 1, cadj), window):
             continue
         code_int, perm, orbit_id, cgens = _search(n + 1, cadj)
         cdegs = [row.bit_count() for row in cadj]
@@ -260,12 +284,12 @@ def _expand(n: int, adj: tuple[int, ...], gens: list[list[int]], max_alpha):
 def _expand_chunk(args):
     """Worker task: the children of packed parents, as packed entries (none
     at the top level n), and the non-None results of emit on them."""
-    size, blobs, max_alpha, emit, n = args
+    size, blobs, window, emit, n = args
     entries = []
     items = []
     for blob in blobs:
         adj, gens = _unpack_entry(size, blob)
-        for cadj, cgens, code_int in _expand(size, adj, gens, max_alpha):
+        for cadj, cgens, code_int in _expand(size, adj, gens, window):
             if size + 1 < n:
                 entries.append(_pack_entry(size + 1, cadj, cgens))
             code = CanonicalCode(_pack(code_int, size + 1), size + 1)
@@ -298,16 +322,21 @@ def enumerate_levels(
     *,
     jobs: int = 1,
     allow_long: bool = False,
-    max_alpha: int | None = None,
+    predicate: Predicate | None = None,
 ) -> Iterator[tuple[int, Any]]:
     """Stream (g.n, emit(g, code)) for every class g on 1..n vertices.
 
     Each level is built once, from the one below; jobs > 1 runs one worker pool
     for the whole call, and `emit` runs in the worker that produced the class.
     None results are dropped.  The order is fixed for a fixed jobs count.
-    `max_alpha` caps alpha at every size, which is sound for hereditary targets.
+    With a `predicate`, levels 2..n keep only the classes inside its window
+    at their level (and whose ancestors were kept): every class that matches
+    at level n is still produced, and each level's stream is a subsequence
+    of the unpruned one.
     """
     _check_guard(n, allow_long)
+    # computed before any level is built, so bad parameters fail at once
+    windows = [None if predicate is None else predicate.window(n, m) for m in range(n + 1)]
     item = emit(Graph._wrap(1, (0,)), CanonicalCode(_pack(0, 1), 1))
     if item is not None:
         yield 1, item
@@ -321,7 +350,7 @@ def enumerate_levels(
     ) as pool:
         run = pool.imap if pool else map
         for size in range(1, n):
-            tasks = ((size, chunk, max_alpha, emit, n) for chunk in _chunked(level, _CHUNK))
+            tasks = ((size, c, windows[size + 1], emit, n) for c in _chunked(level, _CHUNK))
             level = []
             for entries, items in run(_expand_chunk, tasks):
                 level += entries
@@ -342,17 +371,16 @@ def enumerate_graphs(
     *,
     jobs: int = 1,
     allow_long: bool = False,
-    max_alpha: int | None = None,
     predicate: Predicate | None = None,
 ) -> Iterator[tuple[CanonicalCode, Graph]]:
     """Stream every isomorphism class on n vertices exactly once.
 
-    The top level of enumerate_levels, in its order and with its `max_alpha`;
-    `predicate` filters the classes inside the workers.
+    The top level of enumerate_levels, in its order and pruned by the windows
+    of `predicate`, which also filters the classes inside the workers.
     """
     emit = partial(_matching, n, predicate)
     for _, (code, adj) in enumerate_levels(
-        n, emit, jobs=jobs, allow_long=allow_long, max_alpha=max_alpha
+        n, emit, jobs=jobs, allow_long=allow_long, predicate=predicate
     ):
         yield CanonicalCode(code, n), Graph._wrap(n, adj)
 
@@ -370,15 +398,8 @@ def search_with(
     allow_long: bool = False,
 ) -> list[CanonicalCode]:
     """Canonical codes of all classes matching a registered predicate, sorted."""
-    cap = predicate.alpha_cap(n)
-    codes = [
-        code
-        for code, _ in enumerate_graphs(
-            n, jobs=jobs, allow_long=allow_long, max_alpha=cap, predicate=predicate
-        )
-    ]
-    codes.sort()
-    return codes
+    stream = enumerate_graphs(n, jobs=jobs, allow_long=allow_long, predicate=predicate)
+    return sorted(code for code, _ in stream)
 
 
 def search_tight_stable(

@@ -224,6 +224,7 @@ def all_max_independent_sets(g: Graph) -> list[int]:
 
 def is_independent(g: Graph, vertices: int) -> bool:
     """Whether a vertex set induces no edge."""
+    _check_vset(g, vertices, "vertex set")
     m = vertices
     while m:
         v = (m & -m).bit_length() - 1
@@ -257,7 +258,6 @@ def saturating_matching(g: Graph, y: int) -> Matching | None:
     smaller external neighborhood than itself.  Augmenting paths are explored
     in ascending label order, so the result is deterministic.
     """
-    _check_vset(g, y, "queried set")
     if not is_independent(g, y):
         raise ValueError("the queried set is not independent")
     ys = vset_members(y)

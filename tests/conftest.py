@@ -30,6 +30,6 @@ def jobs():
 
 @pytest.fixture(scope="session")
 def default_report(jobs):
-    """run_all at the default configuration, made once: its n = 9 uniqueness
-    search is the slowest step of the test suite."""
+    """run_all at the default configuration, made once: it runs every suite,
+    the n = 8 catalog pass and the n = 9 uniqueness search included."""
     return run_all(VerifyConfig(jobs=jobs))

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from indstab.canon import canonical
@@ -16,8 +18,12 @@ from indstab.enumeration import (
 )
 from indstab.families import cycle, figure2, kn_tight, wheel
 from indstab.graphs import build
+from indstab.mis import alpha_profile, subset_alphas
+from indstab.stability import stability_bound
 
 from _oracles import labeled_census
+
+NINE_3_0_SHA256 = "b319aaf948d4069a05b827579622abc6e15a7b1f93d53a2a28677bad6f831e0e"
 
 
 def test_counts_match_published_census():
@@ -67,15 +73,46 @@ def test_guard():
         next(enumerate_graphs(0))
 
 
-def test_max_alpha_prune_is_exact():
-    # pruned stream equals the post-filtered full stream (the cap is hereditary)
-    from indstab.mis import alpha
+def _profiles(catalog, n):
+    """(code, alpha profile) of every class on n vertices, in stream order."""
+    return [(code, alpha_profile(subset_alphas(g.adj, n))) for code, g in catalog(n)]
 
-    for n in (5, 6):
-        for cap in (2, 3):
-            pruned = {code for code, _ in enumerate_graphs(n, max_alpha=cap)}
-            full = {code for code, g in enumerate_graphs(n) if alpha(g) <= cap}
-            assert pruned == full
+
+def _tight(profiles, n, k, l):
+    a = stability_bound(n, k, l)
+    return [code for code, p in profiles if p[n] == a and p[n - k] >= a - l]
+
+
+def test_window_prune_is_exact(catalog):
+    # every windowed search equals the catalog filtered through the profile
+    for n in range(1, 8):
+        profiles = _profiles(catalog, n)
+        for v in range(n + 2):
+            expected = sorted(code for code, p in profiles if p[n] == v)
+            assert search_with(n, AlphaEquals(v)) == expected, (n, v)
+        tight = {}
+        for k in range(1, n):
+            for l in range(k):
+                tight[k, l] = _tight(profiles, n, k, l)
+                assert search_with(n, TightStable(k, l)) == sorted(tight[k, l]), (n, k, l)
+        if n >= 3:
+            both = sorted(set(tight[1, 0]) & set(tight[2, 0]))
+            assert search_with(n, TightStable(1, 0) & TightStable(2, 0)) == both, n
+
+
+def test_window_prune_is_exact_at_eight(catalog):
+    # the pruned stream is the catalog's stream order, filtered
+    profiles = _profiles(catalog, 8)
+    for k, l in [(k, 0) for k in range(1, 8)] + [(2, 1)]:
+        stream = [code for code, _ in enumerate_graphs(8, predicate=TightStable(k, l))]
+        assert stream == _tight(profiles, 8, k, l), (k, l)
+
+
+def test_search_tight_stable_9_3_0_pinned():
+    # three classes; the digest was computed by the search without windows
+    found = search_tight_stable(9, 3, 0)
+    digest = hashlib.sha256(b"".join(c.code for c in found)).hexdigest()
+    assert len(found) == 3 and digest == NINE_3_0_SHA256
 
 
 def test_search_tight_stable_uniqueness_small():

@@ -182,6 +182,12 @@ def test_matching_rejects_out_of_range_set():
             saturating_matching(build(3, []), y)
 
 
+def test_is_independent_rejects_out_of_range_set():
+    for s in (1 << 5, -1):
+        with pytest.raises(ValueError, match="not a subset of the 3 vertex labels"):
+            is_independent(build(3, []), s)
+
+
 def test_matching_pairs_are_disjoint_edges():
     rng = random.Random(71)
     for _ in range(80):
