@@ -86,8 +86,9 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_erdos_rogers(args) -> int:
     if args.table:
+        rows = er_table(args.n, jobs=args.jobs)  # validates n before any output
         print("s,t,predicted,computed,match")
-        for r in er_table(args.n, jobs=args.jobs):
+        for r in rows:
             pred = "-" if r.predicted is None else str(r.predicted)
             match = "-" if r.match is None else ("yes" if r.match else "no")
             print(f"{r.s},{r.t},{pred},{r.computed},{match}")

@@ -1,20 +1,21 @@
 """Isomorph-free generation of all n-vertex graphs, with pluggable filters.
 
 Generation is by canonical augmentation: graphs grow one vertex at a time,
-every attachment subset is tried, and a child is kept only when its newest
-vertex lies in the automorphism orbit of the canonical deletion vertex (the
-vertex at the last canonical position among minimum-degree vertices).
-Attachment subsets are first deduplicated per parent by automorphism orbits,
-so each isomorphism class is produced exactly once and workers owning
-disjoint parents never need cross-worker deduplication.
+and a child is kept only when its newest vertex lies in the automorphism orbit
+of the canonical deletion vertex (the last minimum-degree vertex in canonical
+order).  The parent decides which attachment sets T can pass: with d its
+minimum degree, |T| <= d, or |T| = d + 1 and T holds every vertex of degree d.
+Those sets are deduplicated per parent by automorphism orbits, so each class
+is produced exactly once and workers owning disjoint parents never need
+cross-worker deduplication.
 
 A search for one predicate prunes every level by the predicate's window: the
 range of alpha, and the (k, 0)-stability, that every induced subgraph of a
 matching graph on that many vertices must have.  Canonical parents are induced
 subgraphs, so every matching class still has its whole chain of ancestors, and
 since the window is isomorphism-invariant, a child is tested before its
-canonical search.  The vertex count is guarded at 10; n = 11 runs only behind
-an explicit long-run flag.
+canonical search; its alpha is read from the parent's.  The vertex count is
+guarded at 10; n = 11 runs only behind an explicit long-run flag.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import signal
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
+from itertools import combinations
 from typing import Any, Callable, Iterable, Iterator
 
 from indstab.canon import CanonicalCode, _pack, _search
@@ -205,77 +207,64 @@ def _unpack_entry(n: int, blob: bytes):
     return adj, gens
 
 
-def _subset_orbit_reps(n: int, gens: list[list[int]]) -> Iterable[int]:
-    """Minimum representatives of attachment subsets under the parent's group."""
-    total = 1 << n
-    if not gens:
-        return range(total)
-    reps = []
-    seen = bytearray(total)
-    for m in range(total):
-        if seen[m]:
+def _attachments(n: int, adj: tuple[int, ...], gens: list[list[int]]) -> list[int]:
+    """Orbit-least attachment sets T under the parent's group, ascending.
+
+    The new vertex must end up of minimum degree: |T| <= d, or |T| = d + 1 and
+    T holds every vertex of the parent's minimum degree d.  The rule is
+    automorphism-invariant, so only the allowed sets are orbit-closed.
+    """
+    degs = [row.bit_count() for row in adj]
+    d = min(degs)
+    low = sum(1 << v for v in range(n) if degs[v] == d)
+    bits = [1 << v for v in range(n)]
+    allowed = [sum(c) for size in range(d + 1) for c in combinations(bits, size)]
+    if low.bit_count() <= d + 1:
+        rest = [b for b in bits if not b & low]
+        allowed += [low + sum(c) for c in combinations(rest, d + 1 - low.bit_count())]
+    allowed.sort()
+    reps, seen = [], set()
+    for t in allowed:
+        if t in seen:
             continue
-        orbit = [m]
-        seen[m] = 1
-        i = 0
-        while i < len(orbit):
-            cur = orbit[i]
-            i += 1
+        reps.append(t)  # the first set of each orbit is its least
+        seen.add(t)
+        orbit = [t]
+        for cur in orbit:
             for g in gens:
                 img = 0
-                t = cur
-                while t:
-                    b = t & -t
+                m = cur
+                while m:
+                    b = m & -m
                     img |= 1 << g[b.bit_length() - 1]
-                    t ^= b
-                if not seen[img]:
-                    seen[img] = 1
+                    m ^= b
+                if img not in seen:
+                    seen.add(img)
                     orbit.append(img)
-        reps.append(m)  # subsets are visited in increasing order
     return reps
-
-
-def _in_window(g: Graph, window: tuple[int, int, int]) -> bool:
-    lo, hi, ks = window
-    return (
-        not alpha_at_least(g.adj, g.vertex_mask, hi + 1)
-        and alpha_at_least(g.adj, g.vertex_mask, lo)
-        and (ks == 0 or is_stable(g, ks, 0))
-    )
 
 
 def _expand(n: int, adj: tuple[int, ...], gens: list[list[int]], window):
     """Accepted children of one parent inside `window` (None: all), as
     (adj, gens, code_int) triples."""
     out = []
-    degs = [row.bit_count() for row in adj]
-    mind_parent = min(degs)
-    for tmask in _subset_orbit_reps(n, gens):
-        tsize = tmask.bit_count()
-        # the new vertex must end up with minimum degree, else it cannot be
-        # the canonical deletion vertex
-        if tsize > mind_parent + 1:
-            continue
-        ok = True
-        for v in range(n):
-            if degs[v] + ((tmask >> v) & 1) < tsize:
-                ok = False
-                break
-        if not ok:
-            continue
-        cadj = tuple(
-            row | (1 << n) if (tmask >> v) & 1 else row for v, row in enumerate(adj)
-        ) + (tmask,)
-        if window is not None and not _in_window(Graph._wrap(n + 1, cadj), window):
+    full = (1 << n) - 1
+    if window is not None:
+        lo, hi, ks = window
+        a = alpha_mask(adj, full)
+    for t in _attachments(n, adj, gens):
+        # the child's alpha is the parent's a, or a + 1 when an a-set avoids T;
+        # both lie in the window when lo <= a < hi
+        if window is not None and not lo <= a < hi:
+            if not lo <= a + alpha_at_least(adj, full & ~t, a) <= hi:
+                continue
+        cadj = tuple(row | (1 << n) if (t >> v) & 1 else row for v, row in enumerate(adj)) + (t,)
+        if window is not None and ks and not is_stable(Graph._wrap(n + 1, cadj), ks, 0):
             continue
         code_int, perm, orbit_id, cgens = _search(n + 1, cadj)
-        cdegs = [row.bit_count() for row in cadj]
-        dmin = min(cdegs)
-        f = -1
-        for pos in range(n, -1, -1):
-            if cdegs[perm[pos]] == dmin:
-                f = perm[pos]
-                break
+        # the canonical deletion vertex: the last minimum-degree vertex in
+        # canonical order; the child's minimum degree is |T|
+        f = next(v for v in reversed(perm) if cadj[v].bit_count() == t.bit_count())
         if orbit_id[f] == orbit_id[n]:
             out.append((cadj, cgens, code_int))
     return out

@@ -17,10 +17,11 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from indstab.enumeration import enumerate_graphs
+from indstab.enumeration import enumerate_levels
 from indstab.graphs import Graph, vset
 from indstab.mis import alpha_mask, alpha_profile, subset_alphas
 
@@ -79,9 +80,13 @@ def er_table(n: int, *, jobs: int = 1) -> list[ErRow]:
     """The full (s, t) grid at fixed n, one catalog pass for all cells."""
     if not 1 <= n <= ER_MAX_N:
         raise ValueError(f"table needs 1 <= n <= {ER_MAX_N}, got {n}")
-    return er_grid(
-        n, (alpha_profile(subset_alphas(g.adj, n)) for _, g in enumerate_graphs(n, jobs=jobs))
-    )
+    profiles = enumerate_levels(n, partial(_profile, n), jobs=jobs)
+    return er_grid(n, (p for _, p in profiles))
+
+
+def _profile(n: int, g: Graph, code) -> list[int] | None:
+    """The emit of er_table: an n-vertex class's alpha profile, in its worker."""
+    return alpha_profile(subset_alphas(g.adj, n)) if g.n == n else None
 
 
 def er_grid(n: int, profiles: Iterable[Sequence[int]]) -> list[ErRow]:

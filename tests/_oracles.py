@@ -3,7 +3,9 @@
 Everything here deliberately avoids the package's own algorithms: the
 independence oracle scans every one of the 2^n vertex subsets with vectorized
 edge tests, the isomorphism oracle minimizes the adjacency code over all n!
-permutations, and the census oracle deduplicates every labeled graph.
+permutations, and the census oracle deduplicates every labeled graph.  The
+attachment oracle takes the automorphism group from the package's canonical
+search, but walks every one of the 2^n attachment sets.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
+from indstab.canon import automorphism_generators
 from indstab.graphs import Graph
 
 
@@ -67,6 +70,30 @@ def min_code_all_perms(g: Graph) -> int:
     weights = (np.uint64(1) << np.arange(nbits - 1, -1, -1, dtype=np.uint64))
     codes = bits @ weights
     return int(codes.min())
+
+
+def attachment_sets_brute(g: Graph) -> list[int]:
+    """The attachment sets T a canonical augmentation step of g tries, ascending:
+    every mask that is least in its orbit under g's automorphism group, kept
+    iff every vertex v has deg v + [v in T] >= |T| once the new vertex is
+    joined to T."""
+    gens = automorphism_generators(g)
+    out = []
+    for t in range(1 << g.n):
+        orbit, frontier = {t}, [t]
+        while frontier:
+            cur = frontier.pop()
+            for p in gens:
+                img = sum(1 << p[v] for v in range(g.n) if (cur >> v) & 1)
+                if img not in orbit:
+                    orbit.add(img)
+                    frontier.append(img)
+        size = t.bit_count()
+        if t == min(orbit) and all(
+            g.degree(v) + ((t >> v) & 1) >= size for v in range(g.n)
+        ):
+            out.append(t)
+    return out
 
 
 def labeled_census(n: int) -> int:

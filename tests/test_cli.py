@@ -270,6 +270,14 @@ def test_erdos_rogers_table(capsys):
     assert any(line.endswith(",yes") for line in lines[1:])
 
 
+@pytest.mark.parametrize("n", ["9", "0"])
+def test_erdos_rogers_table_bad_n_writes_nothing(capsys, n):
+    # n is validated before the header reaches stdout
+    code, out, err = run(capsys, "erdos-rogers", "--n", n, "--table", "--jobs", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_erdos_rogers_needs_st_or_table(capsys):
     code, _, err = run(capsys, "erdos-rogers", "--n", "5", "--jobs", "1")
     assert code == 2 and "--table" in err

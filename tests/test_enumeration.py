@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from indstab.canon import canonical
+from indstab.canon import automorphism_generators, canonical
 from indstab.enumeration import (
     And,
     AlphaEquals,
@@ -10,8 +10,10 @@ from indstab.enumeration import (
     EdgeCountRange,
     Stable,
     TightStable,
+    _attachments,
     count_graphs,
     enumerate_graphs,
+    enumerate_levels,
     parse_predicate,
     search_tight_stable,
     search_with,
@@ -21,9 +23,10 @@ from indstab.graphs import build
 from indstab.mis import alpha_profile, subset_alphas
 from indstab.stability import stability_bound
 
-from _oracles import labeled_census
+from _oracles import attachment_sets_brute, labeled_census
 
 NINE_3_0_SHA256 = "b319aaf948d4069a05b827579622abc6e15a7b1f93d53a2a28677bad6f831e0e"
+EIGHT_STREAM_SHA256 = "84870251016d774e5edb93ef9f0934efbb57bdb0a2b196b4f4c49f48cd8f6591"
 
 
 def test_counts_match_published_census():
@@ -58,6 +61,23 @@ def test_worker_count_independence():
         assert {code for code, _ in enumerate_graphs(7, jobs=jobs)} == base
 
 
+def test_stream_order_pinned():
+    # the unfiltered n = 8 stream, in order; the digest was computed by the
+    # orbit walk over all 2^n attachment sets
+    for jobs in (1, 2):
+        codes = b"".join(code.code for code, _ in enumerate_graphs(8, jobs=jobs))
+        assert hashlib.sha256(codes).hexdigest() == EIGHT_STREAM_SHA256, jobs
+
+
+def test_attachments_match_oracle(catalog):
+    # every class as a parent, in stream order, against the 2^n orbit walk
+    # filtered by the per-vertex degree test
+    for n in range(1, 8):
+        for code, g in catalog(n):
+            found = _attachments(n, g.adj, automorphism_generators(g))
+            assert found == attachment_sets_brute(g), code
+
+
 def test_single_worker_order_deterministic():
     a = [code for code, _ in enumerate_graphs(6, jobs=1)]
     b = [code for code, _ in enumerate_graphs(6, jobs=1)]
@@ -83,6 +103,12 @@ def _tight(profiles, n, k, l):
     return [code for code, p in profiles if p[n] == a and p[n - k] >= a - l]
 
 
+def _top_level(n, predicate):
+    """The level-n classes the windows of `predicate` let through, unfiltered."""
+    stream = enumerate_levels(n, lambda g, code: code, predicate=predicate)
+    return [code for m, code in stream if m == n]
+
+
 def test_window_prune_is_exact(catalog):
     # every windowed search equals the catalog filtered through the profile
     for n in range(1, 8):
@@ -90,11 +116,22 @@ def test_window_prune_is_exact(catalog):
         for v in range(n + 2):
             expected = sorted(code for code, p in profiles if p[n] == v)
             assert search_with(n, AlphaEquals(v)) == expected, (n, v)
+            # lo > hi at level n: the windows alone must let no class through
+            # (level 1 is never pruned)
+            if n > 1:
+                assert _top_level(n, AlphaEquals(v) & AlphaEquals(v + 1)) == [], (n, v)
         tight = {}
         for k in range(1, n):
             for l in range(k):
                 tight[k, l] = _tight(profiles, n, k, l)
                 assert search_with(n, TightStable(k, l)) == sorted(tight[k, l]), (n, k, l)
+                a = stability_bound(n, k, l)
+                for v in (a - 1, a, a + 1):
+                    expected = sorted(
+                        code for code, p in profiles if p[n] == v and code in tight[k, l]
+                    )
+                    found = search_with(n, AlphaEquals(v) & TightStable(k, l))
+                    assert found == expected, (n, v, k, l)
         if n >= 3:
             both = sorted(set(tight[1, 0]) & set(tight[2, 0]))
             assert search_with(n, TightStable(1, 0) & TightStable(2, 0)) == both, n
