@@ -4,11 +4,14 @@ The canonical code of a graph is the lexicographically least upper-triangle
 adjacency bit string over the leaf labelings of the refinement tree: starting
 from the degree partition, cells are split by neighbor counts until stable,
 then a vertex of the first non-singleton cell is individualized and the
-process recurses.  Discovered automorphisms prune branches that can only
-replay an explored subtree, which keeps highly symmetric graphs (complete,
-empty, circulant) tractable; the discovered set generates the full
-automorphism group, so the orbit partition reported alongside the code is
-exact.
+process recurses.  Each refinement round counts neighbors only in the cells
+the previous round split (at first the whole vertex set, or the new
+singleton): a cell already has one count in each cell left whole, so the
+partitions are those of counting in every cell.  Discovered automorphisms
+prune branches that can only replay an explored subtree, which keeps highly
+symmetric graphs (complete, empty, circulant) tractable; the discovered set
+generates the full automorphism group, so the orbit partition reported
+alongside the code is exact.
 
 Two graphs receive equal codes iff they are isomorphic: the code itself spells
 out an adjacency matrix, so equal codes decode to the same labeled graph, and
@@ -35,40 +38,46 @@ class CanonicalCode:
         return f"CanonicalCode(n={self.n}, {self.code.hex()})"
 
 
-def _refine(n: int, adj: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
+def _refine(adj: tuple[int, ...], cells: list[list[int]], fresh: list[int]) -> list[list[int]]:
     """Equitable refinement of an ordered partition.
 
-    Repeatedly splits cells by the count vector of neighbors in every current
-    cell; sub-cells are ordered by ascending count vector, so the procedure
-    commutes with graph isomorphisms.
+    Splits cells by their count vector of neighbors in the fresh cells (those
+    indexed by `fresh`, then the pieces of each cell the last round split),
+    sub-cells by ascending vector, so the procedure commutes with isomorphisms.
+    Counting in every cell gives the same partition: a cell's vertices share
+    their count in each cell left whole.  This holds from the start for a root
+    call on one cell, and for an individualization of an equitable partition
+    passing [v], whose count fixes the next cell's, the rest of v's old cell.
     """
-    while True:
+    while fresh:
         masks = []
-        for c in cells:
+        for i in fresh:
             m = 0
-            for v in c:
+            for v in cells[i]:
                 m |= 1 << v
             masks.append(m)
         new_cells: list[list[int]] = []
-        changed = False
+        fresh = []
         for c in cells:
             if len(c) == 1:
                 new_cells.append(c)
                 continue
-            sigs: dict[tuple[int, ...], list[int]] = {}
-            for v in c:
-                row = adj[v]
-                sig = tuple((row & m).bit_count() for m in masks)
-                sigs.setdefault(sig, []).append(v)
+            sigs: dict = {}
+            if len(masks) == 1:
+                m = masks[0]
+                for v in c:
+                    sigs.setdefault((adj[v] & m).bit_count(), []).append(v)
+            else:
+                for v in c:
+                    sigs.setdefault(tuple((adj[v] & m).bit_count() for m in masks), []).append(v)
             if len(sigs) == 1:
                 new_cells.append(c)
             else:
-                changed = True
                 for sig in sorted(sigs):
+                    fresh.append(len(new_cells))
                     new_cells.append(sigs[sig])
-        if not changed:
-            return new_cells
         cells = new_cells
+    return cells
 
 
 def _leaf_code(n: int, adj: tuple[int, ...], perm: list[int]) -> int:
@@ -81,16 +90,13 @@ def _leaf_code(n: int, adj: tuple[int, ...], perm: list[int]) -> int:
     return code
 
 
-def _search(n: int, adj: tuple[int, ...]):
-    """Full refinement search.
+def _search(n: int, adj: tuple[int, ...], root: list[list[int]] | None = None):
+    """Full refinement search, from the refined one-cell partition `root` if given.
 
     Returns (code_int, canonical_perm, orbit_id_per_vertex, generators) where
     canonical_perm maps positions to original vertices and generators is a
     list of automorphisms (as vertex maps) generating the full group.
     """
-    if n == 1:
-        return 0, [0], [0], []
-
     best_code: int | None = None
     best_perm: list[int] | None = None
     first_code: int | None = None
@@ -129,7 +135,7 @@ def _search(n: int, adj: tuple[int, ...]):
         while cand:
             v = cand.pop(0)
             rest = [u for u in cells[target] if u != v]
-            search(_refine(n, adj, prefix + [[v], rest] + suffix), fixed + [v])
+            search(_refine(adj, prefix + [[v], rest] + suffix, [target]), fixed + [v])
             done.append(v)
             if gens and cand:
                 fixing = [s for s in gens if all(s[p] == p for p in fixed)]
@@ -146,7 +152,7 @@ def _search(n: int, adj: tuple[int, ...]):
                                 frontier.append(w)
                     cand = [u for u in cand if u not in orbit]
 
-    search(_refine(n, adj, [list(range(n))]), [])
+    search(root or _refine(adj, [list(range(n))], [0]), [])
     # the closure refers to itself through its cell; unbinding it here lets
     # reference counting free it instead of the cyclic collector
     del search

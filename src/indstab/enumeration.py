@@ -1,13 +1,16 @@
 """Isomorph-free generation of all n-vertex graphs, with pluggable filters.
 
-Generation is by canonical augmentation: graphs grow one vertex at a time,
-and a child is kept only when its newest vertex lies in the automorphism orbit
-of the canonical deletion vertex (the last minimum-degree vertex in canonical
+Generation is by canonical augmentation: graphs grow one vertex at a time, and
+a child is kept only when its newest vertex lies in the automorphism orbit of
+the canonical deletion vertex (the last minimum-degree vertex in canonical
 order).  The parent decides which attachment sets T can pass: with d its
 minimum degree, |T| <= d, or |T| = d + 1 and T holds every vertex of degree d.
 Those sets are deduplicated per parent by automorphism orbits, so each class
 is produced exactly once and workers owning disjoint parents never need
-cross-worker deduplication.
+cross-worker deduplication.  The search's leaves keep the cell order of the
+refined root partition and automorphisms fix its cells, so a child whose new
+vertex lies outside its last minimum-degree root cell is rejected before the
+search, which then starts from that partition.
 
 A search for one predicate prunes every level by the predicate's window: the
 range of alpha, and the (k, 0)-stability, that every induced subgraph of a
@@ -28,10 +31,10 @@ from functools import partial
 from itertools import combinations
 from typing import Any, Callable, Iterable, Iterator
 
-from indstab.canon import CanonicalCode, _pack, _search
+from indstab.canon import CanonicalCode, _pack, _refine, _search
 from indstab.graphs import Graph
 from indstab.mis import alpha_at_least, alpha_mask
-from indstab.stability import is_stable, is_tight_stable, stability_bound
+from indstab.stability import _worst_drop, is_stable, is_tight_stable, stability_bound
 
 HARD_GUARD = 10
 LONG_RUN_MAX = 11
@@ -244,6 +247,11 @@ def _attachments(n: int, adj: tuple[int, ...], gens: list[list[int]]) -> list[in
     return reps
 
 
+def _deletion_cell(cadj: tuple[int, ...], root: list[list[int]], d: int) -> list[int]:
+    """The cell of the deletion vertex's orbit: the last root cell of degree d."""
+    return next(c for c in reversed(root) if cadj[c[0]].bit_count() == d)
+
+
 def _expand(n: int, adj: tuple[int, ...], gens: list[list[int]], window):
     """Accepted children of one parent inside `window` (None: all), as
     (adj, gens, code_int) triples."""
@@ -259,11 +267,13 @@ def _expand(n: int, adj: tuple[int, ...], gens: list[list[int]], window):
             if not lo <= a + alpha_at_least(adj, full & ~t, a) <= hi:
                 continue
         cadj = tuple(row | (1 << n) if (t >> v) & 1 else row for v, row in enumerate(adj)) + (t,)
-        if window is not None and ks and not is_stable(Graph._wrap(n + 1, cadj), ks, 0):
+        # ks > 0 only where lo >= hi, so the probe above put the child's alpha at hi
+        if window is not None and ks and _worst_drop(Graph._wrap(n + 1, cadj), ks, hi, 1):
             continue
-        code_int, perm, orbit_id, cgens = _search(n + 1, cadj)
-        # the canonical deletion vertex: the last minimum-degree vertex in
-        # canonical order; the child's minimum degree is |T|
+        root = _refine(cadj, [list(range(n + 1))], [0])
+        if n not in _deletion_cell(cadj, root, t.bit_count()):  # |T|: the least degree
+            continue
+        code_int, perm, orbit_id, cgens = _search(n + 1, cadj, root)
         f = next(v for v in reversed(perm) if cadj[v].bit_count() == t.bit_count())
         if orbit_id[f] == orbit_id[n]:
             out.append((cadj, cgens, code_int))

@@ -122,16 +122,15 @@ def alpha_mask(adj: tuple[int, ...], mask: int) -> int:
 def subset_alphas(adj: tuple[int, ...], n: int) -> list[int]:
     """The independence number of every induced subgraph, indexed by vertex mask.
 
-    One sweep over all 2^n masks: a mask's value is that of the mask without
-    its lowest vertex v, or one more than that of the mask without v's closed
-    neighborhood, whichever is larger.  Meant for n <= 8, the catalog range.
+    Built one vertex at a time: the masks whose highest vertex is v extend
+    the table of the masks below v, each taking the value of the mask without
+    v, or one more than that of the mask without v and its neighbors,
+    whichever is larger.  Meant for n <= 8, the catalog range.
     """
-    table = [0] * (1 << n)
-    for mask in range(1, 1 << n):
-        v = (mask & -mask).bit_length() - 1
-        a = table[mask & (mask - 1)]
-        with_v = 1 + table[mask & ~(adj[v] | (1 << v))]
-        table[mask] = with_v if with_v > a else a
+    table = [0]
+    for v in range(n):
+        keep = ~adj[v] & ((1 << v) - 1)  # the non-neighbors of v below it
+        table += [a if a > table[m & keep] else 1 + table[m & keep] for m, a in enumerate(table)]
     return table
 
 

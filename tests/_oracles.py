@@ -5,7 +5,8 @@ independence oracle scans every one of the 2^n vertex subsets with vectorized
 edge tests, the isomorphism oracle minimizes the adjacency code over all n!
 permutations, and the census oracle deduplicates every labeled graph.  The
 attachment oracle takes the automorphism group from the package's canonical
-search, but walks every one of the 2^n attachment sets.
+search, but walks every one of the 2^n attachment sets.  The refinement
+oracle recomputes every cell's count vector in every round.
 """
 
 from __future__ import annotations
@@ -70,6 +71,41 @@ def min_code_all_perms(g: Graph) -> int:
     weights = (np.uint64(1) << np.arange(nbits - 1, -1, -1, dtype=np.uint64))
     codes = bits @ weights
     return int(codes.min())
+
+
+def refine_full(n: int, adj: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
+    """Equitable refinement of an ordered partition, counting in every cell.
+
+    Repeatedly splits cells by the count vector of neighbors in every current
+    cell; sub-cells are ordered by ascending count vector.
+    """
+    while True:
+        masks = []
+        for c in cells:
+            m = 0
+            for v in c:
+                m |= 1 << v
+            masks.append(m)
+        new_cells: list[list[int]] = []
+        changed = False
+        for c in cells:
+            if len(c) == 1:
+                new_cells.append(c)
+                continue
+            sigs: dict[tuple[int, ...], list[int]] = {}
+            for v in c:
+                row = adj[v]
+                sig = tuple((row & m).bit_count() for m in masks)
+                sigs.setdefault(sig, []).append(v)
+            if len(sigs) == 1:
+                new_cells.append(c)
+            else:
+                changed = True
+                for sig in sorted(sigs):
+                    new_cells.append(sigs[sig])
+        if not changed:
+            return new_cells
+        cells = new_cells
 
 
 def attachment_sets_brute(g: Graph) -> list[int]:

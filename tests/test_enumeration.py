@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from indstab.canon import automorphism_generators, canonical
+from indstab.canon import _refine, _search, automorphism_generators, canonical
 from indstab.enumeration import (
     And,
     AlphaEquals,
@@ -11,6 +11,7 @@ from indstab.enumeration import (
     Stable,
     TightStable,
     _attachments,
+    _deletion_cell,
     count_graphs,
     enumerate_graphs,
     enumerate_levels,
@@ -76,6 +77,26 @@ def test_attachments_match_oracle(catalog):
         for code, g in catalog(n):
             found = _attachments(n, g.adj, automorphism_generators(g))
             assert found == attachment_sets_brute(g), code
+
+
+def test_deletion_cell_pretest_is_exact(catalog):
+    # every class with n <= 6 as a parent: the canonical deletion vertex's
+    # orbit lies in the pre-test's cell, so a child rejected by the pre-test
+    # is one the full canonical search rejects
+    rejected = 0
+    for n in range(1, 7):
+        for code, g in catalog(n):
+            for t in _attachments(n, g.adj, automorphism_generators(g)):
+                cadj = tuple(row | (1 << n) if (t >> v) & 1 else row for v, row in enumerate(g.adj))
+                cadj += (t,)
+                cell = _deletion_cell(cadj, _refine(cadj, [list(range(n + 1))], [0]), t.bit_count())
+                _, perm, orbit_id, _ = _search(n + 1, cadj)
+                f = next(v for v in reversed(perm) if cadj[v].bit_count() == t.bit_count())
+                assert {v for v in range(n + 1) if orbit_id[v] == orbit_id[f]} <= set(cell), code
+                if n not in cell:
+                    assert orbit_id[f] != orbit_id[n], code
+                    rejected += 1
+    assert rejected > 0
 
 
 def test_single_worker_order_deterministic():

@@ -69,11 +69,14 @@ def test_alpha_matches_brute_force_small():
 
 
 def test_subset_alphas_match_solver(catalog):
-    # the 2^n sweep behind verify's facts against the branch and bound
-    for n in range(1, 7):
-        for _, g in catalog(n):
-            table = subset_alphas(g.adj, n)
-            assert table == [alpha_mask(g.adj, mask) for mask in range(1 << n)]
+    # the 2^n sweep behind verify's facts against the branch and bound, on the
+    # small catalogs and on random graphs up to past the lift check's n + 1 = 8
+    rng = random.Random(67)
+    graphs = [g for n in range(1, 7) for _, g in catalog(n)]
+    graphs += [random_graph(rng.randint(1, 10), rng.random(), rng) for _ in range(200)]
+    for g in graphs:
+        table = subset_alphas(g.adj, g.n)
+        assert table == [alpha_mask(g.adj, mask) for mask in range(1 << g.n)]
 
 
 def test_alpha_profile_steps_by_zero_or_one(catalog):
