@@ -62,7 +62,7 @@ def _refine(adj: tuple[int, ...], cells: list[list[int]], fresh: list[int]) -> l
             if len(c) == 1:
                 new_cells.append(c)
                 continue
-            sigs: dict = {}
+            sigs: dict[int | tuple[int, ...], list[int]] = {}
             if len(masks) == 1:
                 m = masks[0]
                 for v in c:

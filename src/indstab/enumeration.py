@@ -271,7 +271,7 @@ def _expand(n: int, adj: tuple[int, ...], gens: list[list[int]], window):
         if window is not None and ks and _worst_drop(Graph._wrap(n + 1, cadj), ks, hi, 1):
             continue
         root = _refine(cadj, [list(range(n + 1))], [0])
-        if n not in _deletion_cell(cadj, root, t.bit_count()):  # |T|: the least degree
+        if n not in _deletion_cell(cadj, root, t.bit_count()):  # |T|, the child's least degree
             continue
         code_int, perm, orbit_id, cgens = _search(n + 1, cadj, root)
         f = next(v for v in reversed(perm) if cadj[v].bit_count() == t.bit_count())

@@ -87,9 +87,10 @@ def test_deletion_cell_pretest_is_exact(catalog):
     for n in range(1, 7):
         for code, g in catalog(n):
             for t in _attachments(n, g.adj, automorphism_generators(g)):
-                cadj = tuple(row | (1 << n) if (t >> v) & 1 else row for v, row in enumerate(g.adj))
+                cadj = tuple(row | (1 << n) if t >> v & 1 else row for v, row in enumerate(g.adj))
                 cadj += (t,)
-                cell = _deletion_cell(cadj, _refine(cadj, [list(range(n + 1))], [0]), t.bit_count())
+                root = _refine(cadj, [list(range(n + 1))], [0])
+                cell = _deletion_cell(cadj, root, t.bit_count())
                 _, perm, orbit_id, _ = _search(n + 1, cadj)
                 f = next(v for v in reversed(perm) if cadj[v].bit_count() == t.bit_count())
                 assert {v for v in range(n + 1) if orbit_id[v] == orbit_id[f]} <= set(cell), code
