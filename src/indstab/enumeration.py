@@ -334,6 +334,8 @@ def enumerate_levels(
     of the unpruned one.
     """
     _check_guard(n, allow_long)
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     # computed before any level is built, so bad parameters fail at once
     windows = [None if predicate is None else predicate.window(n, m) for m in range(n + 1)]
     item = emit(Graph._wrap(1, (0,)), CanonicalCode(_pack(0, 1), 1))

@@ -17,11 +17,9 @@ scan extends a prefix only by vertices of that witness.
 Every scan searches for the worst drop.  A prefix that no witness of
 alpha - drop vertices avoids raises the drop found by one (supersets of the
 prefix only lower alpha further), and the scan stops once the drop reaches its
-cut-off: l + 1 for is_stable, min(k, alpha) for alpha_drop.  A prefix whose
-optimistic completion (each further removal lowers alpha by at most 1) cannot
-beat the drop found is skipped; that question is asked only when its target
-is at most alpha, since above alpha it could only fail, at the cost of a full
-refutation.
+cut-off: l + 1 for is_stable, min(k, alpha) for alpha_drop.  No other bound
+is tried: an optimistic completion asks for more vertices than the scan needs
+and mostly fails.  stable_vertex_count probes each vertex through a pool too.
 """
 
 from __future__ import annotations
@@ -37,14 +35,8 @@ def stability_bound(n: int, k: int, l: int) -> int:
     return (n - k + 1) // 2 + l
 
 
-def _check_k(g: Graph, k: int) -> None:
-    if not 1 <= k < g.n:
-        raise ValueError(f"k must be in [1, n), got k={k} with n={g.n}")
-
-
 class _RemovalScan:
-    """One worst-drop scan over the k-vertex removals of a graph, with its
-    witness pool."""
+    """One worst-drop scan over a graph's k-vertex removals, with its witness pool."""
 
     def __init__(self, g: Graph, k: int, a: int, stop: int):
         self.adj = g.adj
@@ -70,11 +62,6 @@ class _RemovalScan:
 
         Returns True once the drop reaches `stop`.
         """
-        left = self.k - depth
-        # optimistic completion, asked only when its target is at most alpha
-        if left and self.best >= left:
-            if self.witness(removed, self.a - self.best + left) is not None:
-                return False
         w = self.witness(removed, self.a - self.best)
         while w is None:
             # no independent set of a - best vertices avoids `removed`
@@ -82,6 +69,7 @@ class _RemovalScan:
             if self.best >= self.stop:
                 return True
             w = self.witness(removed, self.a - self.best)
+        left = self.k - depth
         if not left:
             return False
         free = self.full & ~(removed | banned)
@@ -107,41 +95,30 @@ def _worst_drop(g: Graph, k: int, a: int, stop: int) -> int:
 
 def alpha_drop(g: Graph, k: int) -> int:
     """Worst-case drop of the independence number over all k-vertex removals."""
-    _check_k(g, k)
+    stability_bound(g.n, k, 0)
     a = alpha_mask(g.adj, g.vertex_mask)
     return _worst_drop(g, k, a, min(k, a))
 
 
 def is_stable(g: Graph, k: int, l: int) -> bool:
     """Whether every k-vertex removal lowers alpha by at most l."""
-    _check_k(g, k)
-    if not 0 <= l < k:
-        raise ValueError(f"l must satisfy 0 <= l < k, got l={l} with k={k}")
+    stability_bound(g.n, k, l)
     return _worst_drop(g, k, alpha_mask(g.adj, g.vertex_mask), l + 1) <= l
 
 
 def is_tight_stable(g: Graph, k: int, l: int) -> bool:
     """(k, l)-stable and attaining the stability bound exactly."""
+    bound = stability_bound(g.n, k, l)
     a = alpha_mask(g.adj, g.vertex_mask)
-    if a != stability_bound(g.n, k, l):
-        return False
-    return _worst_drop(g, k, a, l + 1) <= l
+    return a == bound and _worst_drop(g, k, a, l + 1) <= l
 
 
 def stable_vertex_count(g: Graph) -> int:
     """Number of vertices whose removal leaves the independence number unchanged."""
     if g.n < 2:
         raise ValueError("stable_vertex_count needs at least 2 vertices")
-    adj = g.adj
-    full = g.vertex_mask
-    a = alpha_mask(adj, full)
-    certified = 0  # vertices missed by a maximum independent set found so far
-    for v in range(g.n):
-        if not (certified >> v) & 1:
-            w = independent_set_at_least(adj, full & ~(1 << v), a)
-            if w is not None:
-                certified |= full & ~w
-    return certified.bit_count()
+    s = _RemovalScan(g, 1, alpha_mask(g.adj, g.vertex_mask), 1)
+    return sum(1 for v in range(g.n) if s.witness(1 << v, s.a) is not None)
 
 
 def check_stable_vertex_bound(g: Graph) -> bool:

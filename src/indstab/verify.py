@@ -427,8 +427,6 @@ def suite_uniqueness(
     for n in ns:
         if n not in (3, 5, 7, 9, 11):
             raise ValueError(f"uniqueness runs at odd n in 3..11, got {n}")
-        if n == 11 and not allow_long:
-            raise ValueError("n = 11 uniqueness needs allow_long")
         found = search_tight_stable(n, 2, 0, jobs=jobs, allow_long=allow_long)
         good = found == [canonical(families.cycle(n))]
         rec.check(

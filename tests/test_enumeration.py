@@ -19,10 +19,12 @@ from indstab.enumeration import (
     search_tight_stable,
     search_with,
 )
+from indstab.erdos_rogers import er_table
 from indstab.families import cycle, figure2, kn_tight, wheel
 from indstab.graphs import build
 from indstab.mis import alpha_profile, subset_alphas
 from indstab.stability import stability_bound
+from indstab.verify import VerifyConfig, run_all
 
 from _oracles import attachment_sets_brute, labeled_census
 
@@ -113,6 +115,21 @@ def test_guard():
         next(enumerate_graphs(12, allow_long=True))
     with pytest.raises(ValueError):
         next(enumerate_graphs(0))
+
+
+@pytest.mark.parametrize(
+    "call, jobs",
+    [
+        (lambda: count_graphs(5, jobs=0), 0),
+        (lambda: count_graphs(5, jobs=-4), -4),
+        (lambda: er_table(4, jobs=0), 0),
+        (lambda: run_all(VerifyConfig(max_n=3, jobs=0, suites=("hall",))), 0),
+    ],
+    ids=["count_graphs-0", "count_graphs-negative", "er_table", "run_all"],
+)
+def test_library_rejects_jobs_below_one(call, jobs):
+    with pytest.raises(ValueError, match=f"^jobs must be at least 1, got {jobs}$"):
+        call()
 
 
 def _profiles(catalog, n):

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from indstab import stability
 from indstab.families import (
     cycle,
     figure2,
@@ -39,6 +40,12 @@ def alpha_drop_plain(g, k):
         sub = alpha(remove_vertices(g, vset(members)))
         worst = max(worst, a - sub)
     return worst
+
+
+def stable_vertex_count_plain(g):
+    """Reference count: one alpha computation per removed vertex."""
+    a = alpha(g)
+    return sum(1 for v in range(g.n) if alpha(remove_vertices(g, 1 << v)) == a)
 
 
 def test_drop_c5_pairs():
@@ -81,6 +88,20 @@ def test_stable_complete_any_k():
 
 def test_p4_not_20_stable():
     assert not is_stable(path(4), 2, 0)
+
+
+def test_parameters_checked_before_any_solver_call(monkeypatch):
+    def fail(*args):
+        raise AssertionError("alpha computed before the parameters were checked")
+
+    monkeypatch.setattr(stability, "alpha_mask", fail)
+    g = cycle(6)
+    with pytest.raises(ValueError, match="n > k > l >= 0"):
+        is_tight_stable(g, g.n, 0)
+    with pytest.raises(ValueError, match="n > k > l >= 0"):
+        is_stable(g, 2, 2)
+    with pytest.raises(ValueError, match="n > k > l >= 0"):
+        alpha_drop(g, 0)
 
 
 def test_stable_rejects_bad_parameters():
@@ -201,16 +222,32 @@ def test_scans_match_plain_scan_full_catalog(catalog):
     # every class with n <= 7, every k < n and l < k, against the plain scan
     for n in range(2, 8):
         for _, g in catalog(n):
-            a = alpha(g)
-            plain_stable = sum(
-                1 for v in range(n) if alpha(remove_vertices(g, 1 << v)) == a
-            )
-            assert stable_vertex_count(g) == plain_stable
+            assert stable_vertex_count(g) == stable_vertex_count_plain(g)
             for k in range(1, n):
                 worst = alpha_drop_plain(g, k)
                 assert alpha_drop(g, k) == worst
                 for l in range(k):
                     assert is_stable(g, k, l) == (worst <= l)
+
+
+def test_scans_match_plain_scan_random_beyond_catalog():
+    # n = 9..12, where prefixes that already drop alpha are common
+    rng = random.Random(101)
+    checked = 0
+    for n in range(9, 13):
+        for p in (0.3, 0.5):
+            for _ in range(8):
+                g = random_graph(n, p, rng)
+                worst = {k: alpha_drop_plain(g, k) for k in range(1, 5)}
+                if not any(worst.values()):
+                    continue
+                checked += 1
+                assert stable_vertex_count(g) == stable_vertex_count_plain(g)
+                for k, drop in worst.items():
+                    assert alpha_drop(g, k) == drop
+                    for l in range(k):
+                        assert is_stable(g, k, l) == (drop <= l)
+    assert checked >= 50
 
 
 def test_paper_circulants_beyond_verify_range():
