@@ -10,8 +10,8 @@ singleton): a cell already has one count in each cell left whole, so the
 partitions are those of counting in every cell.  Discovered automorphisms
 prune branches that can only replay an explored subtree, which keeps highly
 symmetric graphs (complete, empty, circulant) tractable; the discovered set
-generates the full automorphism group, so the orbit partition reported
-alongside the code is exact.
+generates the full automorphism group, so the orbits reported alongside the
+code, the closures of each vertex under the discovered generators, are exact.
 
 Two graphs receive equal codes iff they are isomorphic: the code itself spells
 out an adjacency matrix, so equal codes decode to the same labeled graph, and
@@ -90,92 +90,79 @@ def _leaf_code(n: int, adj: tuple[int, ...], perm: list[int]) -> int:
     return code
 
 
+def _orbit(points: list[int], gens: list[list[int]]) -> set[int]:
+    """Closure of `points` under the vertex maps in `gens`."""
+    orbit = set(points)
+    frontier = list(points)
+    while frontier:
+        u = frontier.pop()
+        for s in gens:
+            w = s[u]
+            if w not in orbit:
+                orbit.add(w)
+                frontier.append(w)
+    return orbit
+
+
+def _descend(n: int, adj: tuple[int, ...], cells: list[list[int]], fixed: list[int], leaves, gens):
+    """Search the refinement tree below `cells`, reached by individualizing `fixed`.
+
+    `leaves` holds the first and the least leaf found so far, each as
+    (code, perm); `gens` collects, as vertex maps, the automorphisms found
+    between leaves of equal code.
+    """
+    target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
+    if target is None:
+        perm = [c[0] for c in cells]
+        code = _leaf_code(n, adj, perm)
+        if not leaves:
+            leaves += [(code, perm)] * 2
+            return
+        for ref_code, ref_perm in leaves:
+            if code == ref_code and perm != ref_perm:
+                sigma = [0] * n
+                for i in range(n):
+                    sigma[ref_perm[i]] = perm[i]
+                gens.append(sigma)
+                break
+        if code < leaves[1][0]:
+            leaves[1] = (code, perm)
+        return
+
+    cell = cells[target]
+    cand = list(cell)
+    done: list[int] = []
+    while cand:
+        v = cand.pop(0)
+        split = cells[:target] + [[v], [u for u in cell if u != v]] + cells[target + 1:]
+        _descend(n, adj, _refine(adj, split, [target]), fixed + [v], leaves, gens)
+        done.append(v)
+        if gens and cand:
+            # a candidate that an automorphism fixing `fixed` maps into the
+            # processed ones can only replay an explored subtree
+            orbit = _orbit(done, [s for s in gens if all(s[p] == p for p in fixed)])
+            cand = [u for u in cand if u not in orbit]
+
+
 def _search(n: int, adj: tuple[int, ...], root: list[list[int]] | None = None):
     """Full refinement search, from the refined one-cell partition `root` if given.
 
     Returns (code_int, canonical_perm, orbit_id_per_vertex, generators) where
-    canonical_perm maps positions to original vertices and generators is a
-    list of automorphisms (as vertex maps) generating the full group.
+    canonical_perm maps positions to original vertices, generators is a list
+    of automorphisms (as vertex maps) generating the full group, and orbit ids
+    are numbered by least member.
     """
-    best_code: int | None = None
-    best_perm: list[int] | None = None
-    first_code: int | None = None
-    first_perm: list[int] | None = None
+    leaves: list[tuple[int, list[int]]] = []
     gens: list[list[int]] = []
-
-    def search(cells: list[list[int]], fixed: list[int]) -> None:
-        nonlocal best_code, best_perm, first_code, first_perm
-        target = -1
-        for idx, c in enumerate(cells):
-            if len(c) > 1:
-                target = idx
-                break
-        if target < 0:
-            perm = [c[0] for c in cells]
-            code = _leaf_code(n, adj, perm)
-            if first_code is None:
-                first_code, first_perm = code, perm
-                best_code, best_perm = code, perm
-                return
-            for ref_code, ref_perm in ((first_code, first_perm), (best_code, best_perm)):
-                if code == ref_code and perm != ref_perm:
-                    sigma = [0] * n
-                    for i in range(n):
-                        sigma[ref_perm[i]] = perm[i]
-                    gens.append(sigma)
-                    break
-            if code < best_code:
-                best_code, best_perm = code, perm
-            return
-
-        cand = list(cells[target])
-        prefix = cells[:target]
-        suffix = cells[target + 1:]
-        done: list[int] = []
-        while cand:
-            v = cand.pop(0)
-            rest = [u for u in cells[target] if u != v]
-            search(_refine(adj, prefix + [[v], rest] + suffix, [target]), fixed + [v])
-            done.append(v)
-            if gens and cand:
-                fixing = [s for s in gens if all(s[p] == p for p in fixed)]
-                if fixing:
-                    # orbit closure of the processed candidates
-                    orbit = set(done)
-                    frontier = list(done)
-                    while frontier:
-                        u = frontier.pop()
-                        for s in fixing:
-                            w = s[u]
-                            if w not in orbit:
-                                orbit.add(w)
-                                frontier.append(w)
-                    cand = [u for u in cand if u not in orbit]
-
-    search(root or _refine(adj, [list(range(n))], [0]), [])
-    # the closure refers to itself through its cell; unbinding it here lets
-    # reference counting free it instead of the cyclic collector
-    del search
-
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for s in gens:
-        for v in range(n):
-            a, b = find(v), find(s[v])
-            if a != b:
-                parent[a] = b
-    reps: dict[int, int] = {}
-    orbit_id = [0] * n
+    _descend(n, adj, root or _refine(adj, [list(range(n))], [0]), [], leaves, gens)
+    orbit_id = [-1] * n
+    count = 0
     for v in range(n):
-        r = find(v)
-        orbit_id[v] = reps.setdefault(r, len(reps))
-    return best_code, best_perm, orbit_id, gens
+        if orbit_id[v] < 0:
+            for u in _orbit([v], gens):
+                orbit_id[u] = count
+            count += 1
+    return (*leaves[1], orbit_id, gens)
 
 
 def _pack(code_int: int, n: int) -> bytes:

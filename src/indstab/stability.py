@@ -113,18 +113,22 @@ def is_tight_stable(g: Graph, k: int, l: int) -> bool:
     return a == bound and _worst_drop(g, k, a, l + 1) <= l
 
 
+def _stable_vertices(g: Graph, a: int) -> int:
+    """Number of vertices whose removal leaves alpha = `a` unchanged."""
+    s = _RemovalScan(g, 1, a, 1)
+    return sum(1 for v in range(g.n) if s.witness(1 << v, a) is not None)
+
+
 def stable_vertex_count(g: Graph) -> int:
     """Number of vertices whose removal leaves the independence number unchanged."""
     if g.n < 2:
         raise ValueError("stable_vertex_count needs at least 2 vertices")
-    s = _RemovalScan(g, 1, alpha_mask(g.adj, g.vertex_mask), 1)
-    return sum(1 for v in range(g.n) if s.witness(1 << v, s.a) is not None)
+    return _stable_vertices(g, alpha_mask(g.adj, g.vertex_mask))
 
 
 def check_stable_vertex_bound(g: Graph) -> bool:
     """alpha(G) <= floor(n - m/2) with m the stable vertex count; expected True."""
     if g.n < 2:
         raise ValueError("check needs at least 2 vertices")
-    m = stable_vertex_count(g)
     a = alpha_mask(g.adj, g.vertex_mask)
-    return a <= (2 * g.n - m) // 2
+    return a <= (2 * g.n - _stable_vertices(g, a)) // 2

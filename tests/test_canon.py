@@ -93,11 +93,13 @@ def test_orbits_of_symmetric_graphs():
     assert vertex_orbits(star) == [[0], [1, 2, 3]]
 
 
-def test_orbits_match_brute_force():
-    # orbit of v = set of images of v over all automorphisms
+def test_orbits_match_brute_force(catalog):
+    # orbit of v = set of images of v over all automorphisms, on random graphs
+    # and on every class with n <= 6
     rng = random.Random(41)
-    for _ in range(40):
-        g = random_graph(rng.randint(2, 6), rng.choice([0.3, 0.7]), rng)
+    graphs = [random_graph(rng.randint(2, 6), rng.choice([0.3, 0.7]), rng) for _ in range(40)]
+    graphs += [g for n in range(1, 7) for _, g in catalog(n)]
+    for g in graphs:
         autos = [
             p
             for p in permutations(range(g.n))

@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+from indstab import canon, enumeration
 from indstab.canon import _refine, _search, automorphism_generators, canonical
 from indstab.enumeration import (
     And,
@@ -70,6 +71,30 @@ def test_stream_order_pinned():
     for jobs in (1, 2):
         codes = b"".join(code.code for code, _ in enumerate_graphs(8, jobs=jobs))
         assert hashlib.sha256(codes).hexdigest() == EIGHT_STREAM_SHA256, jobs
+
+
+def test_canonical_search_work_bounded(monkeypatch):
+    # upper bounds on the canonical searches, refinements and leaves of the
+    # serial n = 7 catalog pass; more work than this is a regression
+    counts = {"_search": 0, "_refine": 0, "_leaf_code": 0}
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def call(*args):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, call)
+
+    count(enumeration, "_search")
+    count(enumeration, "_refine")
+    count(canon, "_refine")
+    count(canon, "_leaf_code")
+    assert count_graphs(7) == 1044
+    assert counts["_search"] <= 1253
+    assert counts["_refine"] <= 8558
+    assert counts["_leaf_code"] <= 3998
 
 
 def test_attachments_match_oracle(catalog):

@@ -174,6 +174,19 @@ def test_corollary_on_samples():
         assert check_stable_vertex_bound(g)
 
 
+def test_check_stable_vertex_bound_computes_alpha_once(monkeypatch):
+    calls = []
+    real = stability.alpha_mask
+
+    def counting(adj, mask):
+        calls.append(mask)
+        return real(adj, mask)
+
+    monkeypatch.setattr(stability, "alpha_mask", counting)
+    assert check_stable_vertex_bound(cycle(9))
+    assert len(calls) == 1
+
+
 def test_corollary_equality_witness():
     # balanced bipartite part plus isolated vertices meets the bound exactly
     for m in (2, 4, 6):
