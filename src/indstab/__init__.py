@@ -46,7 +46,7 @@ from indstab.enumeration import (
     search_tight_stable,
     search_with,
 )
-from indstab.erdos_rogers import er_f, er_predicted, er_table, max_subset_alpha_below
+from indstab.erdos_rogers import er_f, er_predicted, er_table
 from indstab.verify import VerificationReport, VerifyConfig, run_all
 
 __version__ = "0.1.0"

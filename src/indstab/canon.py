@@ -155,11 +155,13 @@ def _search(n: int, adj: tuple[int, ...], root: list[list[int]] | None = None):
     leaves: list[tuple[int, list[int]]] = []
     gens: list[list[int]] = []
     _descend(n, adj, root or _refine(adj, [list(range(n))], [0]), [], leaves, gens)
+    # a vertex that no generator moves is an orbit of its own
+    moved = {v for s in gens for v, w in enumerate(s) if v != w}
     orbit_id = [-1] * n
     count = 0
     for v in range(n):
         if orbit_id[v] < 0:
-            for u in _orbit([v], gens):
+            for u in _orbit([v], gens) if v in moved else (v,):
                 orbit_id[u] = count
             count += 1
     return (*leaves[1], orbit_id, gens)

@@ -18,32 +18,13 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from indstab.enumeration import enumerate_levels
-from indstab.graphs import Graph, vset
-from indstab.mis import alpha_mask, alpha_profile, subset_alphas
+from indstab.graphs import Graph
+from indstab.mis import alpha_profile, subset_alphas
 
 ER_MAX_N = 8
-
-
-def max_subset_alpha_below(g: Graph, s: int) -> int:
-    """Largest |S| whose induced subgraph has independence number <= s - 1.
-
-    Scans subset sizes downward and stops at the first size with a qualifying
-    subset; smaller sizes cannot do better.  Size s - 1 always qualifies, so
-    the result is at least min(n, s - 1).
-    """
-    if s < 1:
-        raise ValueError(f"s must be at least 1, got {s}")
-    limit = s - 1
-    for q in range(g.n, 0, -1):
-        for members in combinations(range(g.n), q):
-            mask = vset(members)
-            if alpha_mask(g.adj, mask) <= limit:
-                return q
-    return 0
 
 
 def er_predicted(n: int, s: int, t: int) -> int | None:

@@ -7,6 +7,12 @@ are reproducible.  One search body serves every query: it improves an
 incumbent and returns once the incumbent reaches a cut-off, so the maximum
 runs from a greedy incumbent with no cut-off and the threshold query ("an
 independent set of at least t vertices") from t - 1 with cut-off t.
+Each node tests the bound before it picks a branch vertex, and the cover
+stops counting as soon as it has more cliques than the node can still gain;
+only the nodes that survive pay for the degree pass.  The bound does not
+shape the witness: a prune drops only subtrees holding no set larger than the
+incumbent, and the branch vertex depends on the residual subgraph alone, so
+any valid bound reaches the same incumbents in the same order.
 Low-level helpers operate directly on adjacency rows and a vertex mask, which
 lets the stability scans query induced subgraphs without rebuilding Graph
 values.  For the small catalog classes, subset_alphas instead sweeps all 2^n
@@ -36,40 +42,29 @@ class Matching:
     pairs: tuple[tuple[int, int], ...]
 
 
-def _cover_bound(adj: tuple[int, ...], mask: int) -> int:
-    """Greedy clique cover size of the subgraph on `mask`.
+def _cover_exceeds(adj: tuple[int, ...], sub: int, room: int) -> bool:
+    """Whether the greedy clique cover of the subgraph on `sub` has more than
+    `room` cliques.
 
-    Any independent set meets each clique at most once, so the cover size
-    bounds the independence number from above.
+    Any independent set meets each clique at most once, so a cover of at most
+    `room` cliques bounds the independence number by `room`.  Each clique
+    grows from the lowest remaining label by its lowest common neighbor, so
+    the cover depends on `sub` alone.  Counting stops at clique room + 1.  On
+    an independent `sub` the cover has one clique per vertex.
     """
-    k = 0
-    m = mask
+    m = sub
     while m:
-        v = (m & -m).bit_length() - 1
-        clique = 1 << v
-        cand = adj[v] & m
+        if room <= 0:
+            return True
+        clique = m & -m
+        cand = adj[clique.bit_length() - 1] & m
         while cand:
-            u = (cand & -cand).bit_length() - 1
-            clique |= 1 << u
-            cand &= adj[u]
-        m &= ~clique
-        k += 1
-    return k
-
-
-def _max_degree_vertex(adj: tuple[int, ...], mask: int) -> tuple[int, int]:
-    """Vertex of maximum residual degree in `mask`, lowest label on ties."""
-    best_v = -1
-    best_d = -1
-    m = mask
-    while m:
-        v = (m & -m).bit_length() - 1
-        d = (adj[v] & mask).bit_count()
-        if d > best_d:
-            best_d = d
-            best_v = v
-        m &= m - 1
-    return best_v, best_d
+            low = cand & -cand
+            clique |= low
+            cand &= adj[low.bit_length() - 1]
+        m ^= clique
+        room -= 1
+    return room < 0
 
 
 def _grow(
@@ -81,23 +76,32 @@ def _grow(
     `chosen` (of `size` vertices) is independent and has no neighbor in
     `sub`.  Returns the incumbent (`best`, `best_set`) unless a strictly
     larger set is found, and returns as soon as the incumbent reaches `stop`.
-    Include is tried before exclude, so the first optimum reached wins.
+    Include is tried before exclude, so the first optimum reached wins.  Each
+    pass of the loop is one node: the include branch recurses, the exclude
+    branch is the next pass.
     """
-    v, d = _max_degree_vertex(adj, sub)
-    if d <= 0:
-        total = size + sub.bit_count()
-        if total > best:
-            return total, chosen | sub
-        return best, best_set
-    if size + _cover_bound(adj, sub) <= best:
-        return best, best_set
-    best, best_set = _grow(
-        adj, sub & ~(adj[v] | (1 << v)), chosen | (1 << v), size + 1,
-        best, best_set, stop,
-    )
-    if best >= stop:
-        return best, best_set
-    return _grow(adj, sub & ~(1 << v), chosen, size, best, best_set, stop)
+    while _cover_exceeds(adj, sub, best - size):
+        # branch on a vertex of maximum residual degree, lowest label on ties
+        bit = top = 0
+        m = sub
+        while m:
+            low = m & -m
+            m ^= low
+            d = (adj[low.bit_length() - 1] & sub).bit_count()
+            if d > top:
+                top = d
+                bit = low
+        if not top:
+            # `sub` is independent, and the bound let it past: it beats `best`
+            return size + sub.bit_count(), chosen | sub
+        best, best_set = _grow(
+            adj, sub & ~(adj[bit.bit_length() - 1] | bit), chosen | bit, size + 1,
+            best, best_set, stop,
+        )
+        if best >= stop:
+            break
+        sub ^= bit
+    return best, best_set
 
 
 def _greedy(adj: tuple[int, ...], mask: int, stop: int) -> tuple[int, int]:
@@ -196,7 +200,7 @@ def _walk(
 ) -> None:
     """Append to `out` every independent set of `target` vertices: `chosen`
     plus part of `sub`."""
-    if size + _cover_bound(adj, sub) < target:
+    if not _cover_exceeds(adj, sub, target - size - 1):
         return
     if size == target:
         out.append(chosen)

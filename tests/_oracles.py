@@ -6,7 +6,11 @@ edge tests, the isomorphism oracle minimizes the adjacency code over all n!
 permutations, and the census oracle deduplicates every labeled graph.  The
 attachment oracle takes the automorphism group from the package's canonical
 search, but walks every one of the 2^n attachment sets.  The refinement
-oracle recomputes every cell's count vector in every round.
+oracle recomputes every cell's count vector in every round.  The plain
+branch-and-bound is the solver as it stood before its bound was tested first:
+every node recomputes each residual degree and the whole greedy clique cover,
+and recurses on both branches, so its witnesses pin the package solver's.  The
+Erdos-Rogers subset oracle scans vertex subsets from the largest size down.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from indstab.canon import automorphism_generators
-from indstab.graphs import Graph
+from indstab.graphs import Graph, vset
 
 
 def alpha_brute(g: Graph) -> int:
@@ -43,6 +47,110 @@ def max_clique_brute(g: Graph) -> int:
             if all(g.has_edge(u, v) for u, v in combinations(members, 2)):
                 return size
     return best
+
+
+def _cover_bound(adj: tuple[int, ...], mask: int) -> int:
+    """Greedy clique cover size of the subgraph on `mask`."""
+    k = 0
+    m = mask
+    while m:
+        v = (m & -m).bit_length() - 1
+        clique = 1 << v
+        cand = adj[v] & m
+        while cand:
+            u = (cand & -cand).bit_length() - 1
+            clique |= 1 << u
+            cand &= adj[u]
+        m &= ~clique
+        k += 1
+    return k
+
+
+def _max_degree_vertex(adj: tuple[int, ...], mask: int) -> tuple[int, int]:
+    """Vertex of maximum residual degree in `mask`, lowest label on ties."""
+    best_v = -1
+    best_d = -1
+    m = mask
+    while m:
+        v = (m & -m).bit_length() - 1
+        d = (adj[v] & mask).bit_count()
+        if d > best_d:
+            best_d = d
+            best_v = v
+        m &= m - 1
+    return best_v, best_d
+
+
+def _plain_grow(
+    adj: tuple[int, ...], sub: int, chosen: int, size: int,
+    best: int, best_set: int, stop: int,
+) -> tuple[int, int]:
+    """The plain branch-and-bound: include the maximum-degree vertex, then
+    exclude it, bounding each node by its full greedy clique cover."""
+    v, d = _max_degree_vertex(adj, sub)
+    if d <= 0:
+        total = size + sub.bit_count()
+        if total > best:
+            return total, chosen | sub
+        return best, best_set
+    if size + _cover_bound(adj, sub) <= best:
+        return best, best_set
+    best, best_set = _plain_grow(
+        adj, sub & ~(adj[v] | (1 << v)), chosen | (1 << v), size + 1,
+        best, best_set, stop,
+    )
+    if best >= stop:
+        return best, best_set
+    return _plain_grow(adj, sub & ~(1 << v), chosen, size, best, best_set, stop)
+
+
+def _plain_greedy(adj: tuple[int, ...], mask: int, stop: int) -> tuple[int, int]:
+    """Greedy independent set in `mask`, lowest label first, cut off at `stop`."""
+    size = 0
+    chosen = 0
+    m = mask
+    while m and size < stop:
+        v = (m & -m).bit_length() - 1
+        chosen |= 1 << v
+        size += 1
+        m &= ~(adj[v] | (1 << v))
+    return size, chosen
+
+
+def plain_alpha_mask(adj: tuple[int, ...], mask: int) -> int:
+    """The plain solver's answer to mis.alpha_mask."""
+    best, best_set = _plain_greedy(adj, mask, mask.bit_count())
+    return _plain_grow(adj, mask, 0, 0, best, best_set, mask.bit_count())[0]
+
+
+def plain_set_at_least(adj: tuple[int, ...], mask: int, target: int) -> int | None:
+    """The plain solver's answer to mis.independent_set_at_least."""
+    if target <= 0:
+        return 0
+    size, chosen = _plain_greedy(adj, mask, target)
+    if size >= target:
+        return chosen
+    size, chosen = _plain_grow(adj, mask, 0, 0, target - 1, 0, target)
+    return chosen if size >= target else None
+
+
+def plain_max_independent_set(g: Graph) -> tuple[int, int]:
+    """The plain solver's (alpha, witness) for mis.max_independent_set."""
+    mask = g.vertex_mask
+    return _plain_grow(g.adj, mask, 0, 0, 0, 0, mask.bit_count())
+
+
+def max_subset_alpha_below(g: Graph, s: int) -> int:
+    """Largest |S| whose induced subgraph has independence number <= s - 1.
+
+    Scans subset sizes downward and stops at the first size with a qualifying
+    subset; smaller sizes cannot do better.
+    """
+    for q in range(g.n, 0, -1):
+        for members in combinations(range(g.n), q):
+            if plain_alpha_mask(g.adj, vset(members)) <= s - 1:
+                return q
+    return 0
 
 
 _PERM_CACHE: dict[int, np.ndarray] = {}

@@ -2,18 +2,12 @@ import random
 
 import pytest
 
-from indstab.erdos_rogers import (
-    er_f,
-    er_grid,
-    er_predicted,
-    er_table,
-    max_subset_alpha_below,
-)
+from indstab.erdos_rogers import er_f, er_grid, er_predicted, er_table
 from indstab.families import cycle, path
 from indstab.graphs import build, complement
 from indstab.mis import alpha_profile, subset_alphas
 
-from _oracles import random_graph
+from _oracles import max_subset_alpha_below, random_graph
 
 
 def test_mbelow_c5():

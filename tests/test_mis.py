@@ -16,7 +16,14 @@ from indstab.mis import (
     subset_alphas,
 )
 
-from _oracles import alpha_brute, max_clique_brute, random_graph
+from _oracles import (
+    alpha_brute,
+    max_clique_brute,
+    plain_alpha_mask,
+    plain_max_independent_set,
+    plain_set_at_least,
+    random_graph,
+)
 
 
 def complete(n):
@@ -101,6 +108,29 @@ def test_independent_set_at_least_returns_a_witness_inside_the_mask():
             else:
                 assert w is not None and not w & ~mask
                 assert is_independent(g, w) and w.bit_count() >= target
+
+
+def test_solver_matches_plain_branch_and_bound():
+    # the bound-first search visits the plain search's nodes in its order, so
+    # every answer and every witness is the plain solver's, at every target
+    # from 0 to one above alpha
+    rng = random.Random(71)
+    cases = [(complete(6), complete(6).vertex_mask), (complete(6), 0)]
+    for n, diffs in ((24, {3, 4}), (32, {1, 5, 8}), (40, {2, 7, 11})):
+        g = circulant(n, diffs)
+        cases += [(g, g.vertex_mask), (g, rng.getrandbits(n))]
+    for _ in range(300):
+        g = random_graph(rng.randint(1, 40), rng.choice((0.1, 0.2, 0.3, 0.5, 0.8)), rng)
+        cases += [(g, g.vertex_mask), (g, rng.getrandbits(g.n))]
+    for g, mask in cases:
+        if mask == g.vertex_mask:
+            r = max_independent_set(g)
+            assert (r.alpha, r.witness) == plain_max_independent_set(g)
+        a = alpha_mask(g.adj, mask)
+        assert a == plain_alpha_mask(g.adj, mask)
+        for target in range(a + 2):
+            w = independent_set_at_least(g.adj, mask, target)
+            assert w == plain_set_at_least(g.adj, mask, target)
 
 
 def test_alpha_monotone_under_removal():

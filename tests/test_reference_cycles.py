@@ -39,7 +39,6 @@ ENTRY_POINTS = {
     "search_tight_stable": lambda: I.search_tight_stable(6, 2, 0),
     "er_f": lambda: I.er_f(5, 3, 2),
     "er_table": lambda: I.er_table(5),
-    "max_subset_alpha_below": lambda: I.max_subset_alpha_below(C7, 2),
     "graph6": lambda: I.g6_decode(I.g6_encode(S3)),
     "run_all": lambda: I.run_all(
         I.VerifyConfig(max_n=4, jobs=1, suites=("stability_bound", "hall", "edge_bounds"))

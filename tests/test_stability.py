@@ -187,6 +187,32 @@ def test_check_stable_vertex_bound_computes_alpha_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_scan_solver_calls_pinned(monkeypatch):
+    # the five scans of the benchmark's `scans` workload, 325 solver calls in
+    # all, as with the plain branch-and-bound: equal witnesses give equal
+    # witness pools, so a drift here means the solver's search tree changed
+    calls = []
+    real = stability.independent_set_at_least
+
+    def counting(adj, mask, target):
+        calls.append(mask)
+        return real(adj, mask, target)
+
+    monkeypatch.setattr(stability, "independent_set_at_least", counting)
+    s3_3, s3_4, s4_3 = stable3_circulant(3), stable3_circulant(4), stable4_circulant(3)
+    scans = (
+        (lambda: is_stable(s3_3, 3, 0), True, 31),
+        (lambda: is_stable(s3_4, 3, 0), True, 49),
+        (lambda: alpha_drop(s3_4, 3), 0, 49),
+        (lambda: is_stable(s4_3, 4, 0), True, 98),
+        (lambda: alpha_drop(s4_3, 4), 0, 98),
+    )
+    for scan, answer, count in scans:
+        calls.clear()
+        assert scan() == answer
+        assert len(calls) == count
+
+
 def test_corollary_equality_witness():
     # balanced bipartite part plus isolated vertices meets the bound exactly
     for m in (2, 4, 6):
