@@ -10,9 +10,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import partial
 
 from indstab import families
-from indstab.enumeration import And, enumerate_graphs, parse_predicate
+from indstab.enumeration import And, _match, enumerate_levels, parse_predicate
 from indstab.erdos_rogers import er_f, er_table
 from indstab.graph6 import g6_decode, g6_encode, read_graph6
 from indstab.graphs import Graph, vset_members
@@ -73,14 +74,16 @@ def _cmd_enumerate(args) -> int:
     if args.filter:
         parts = [parse_predicate(f) for f in args.filter]
         predicate = parts[0] if len(parts) == 1 else And(tuple(parts))
-    stream = enumerate_graphs(
-        args.n, jobs=args.jobs, allow_long=args.allow_long, predicate=predicate
+    # enumerate_graphs' stream without the codes, which are never printed
+    stream = enumerate_levels(
+        args.n, partial(_match, args.n, predicate),
+        jobs=args.jobs, allow_long=args.allow_long, predicate=predicate,
     )
     if args.count_only:
         print(sum(1 for _ in stream))
     else:
-        for _, g in stream:
-            print(g6_encode(g))
+        for _, adj in stream:
+            print(g6_encode(Graph._wrap(args.n, adj)))
     return 0
 
 

@@ -10,7 +10,11 @@ is produced exactly once and workers owning disjoint parents never need
 cross-worker deduplication.  The search's leaves keep the cell order of the
 refined root partition and automorphisms fix its cells, so a child whose new
 vertex lies outside its last minimum-degree root cell is rejected before the
-search, which then starts from that partition.
+search, which then starts from that partition.  A child whose new vertex is
+that cell alone is accepted without a search; it is searched only for the
+generators its own children need, or when a caller asks for its code, which
+emits receive as a zero-argument callable.  So most classes of the top level,
+on which nothing is built, are never searched.
 
 A search for one predicate prunes every level by the predicate's window: the
 range of alpha, and the (k, 0)-stability, that every induced subgraph of a
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 import multiprocessing
 import signal
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
@@ -254,7 +258,9 @@ def _deletion_cell(cadj: tuple[int, ...], root: list[list[int]], d: int) -> list
 
 def _expand(n: int, adj: tuple[int, ...], gens: list[list[int]], window):
     """Accepted children of one parent inside `window` (None: all), as
-    (adj, gens, code_int) triples."""
+    (adj, root, found) triples: `root` is the child's refined root partition
+    and `found` its _search result, or None when the child was accepted
+    without a search."""
     out = []
     full = (1 << n) - 1
     if window is not None:
@@ -271,28 +277,41 @@ def _expand(n: int, adj: tuple[int, ...], gens: list[list[int]], window):
         if window is not None and ks and _worst_drop(Graph._wrap(n + 1, cadj), ks, hi, 1):
             continue
         root = _refine(cadj, [list(range(n + 1))], [0])
-        if n not in _deletion_cell(cadj, root, t.bit_count()):  # |T|, the child's least degree
+        cell = _deletion_cell(cadj, root, t.bit_count())  # |T|, the child's least degree
+        if n not in cell:
             continue
-        code_int, perm, orbit_id, cgens = _search(n + 1, cadj, root)
+        if len(cell) == 1:  # the new vertex is the canonical deletion vertex
+            out.append((cadj, root, None))
+            continue
+        found = _search(n + 1, cadj, root)
+        _, perm, orbit_id, _ = found
         f = next(v for v in reversed(perm) if cadj[v].bit_count() == t.bit_count())
         if orbit_id[f] == orbit_id[n]:
-            out.append((cadj, cgens, code_int))
+            out.append((cadj, root, found))
     return out
+
+
+def _code(n: int, adj: tuple[int, ...], root: list[list[int]], found) -> CanonicalCode:
+    """The canonical code of an accepted child, searched for if `found` is None."""
+    code_int = (found or _search(n, adj, root))[0]
+    return CanonicalCode(_pack(code_int, n), n)
 
 
 def _expand_chunk(args):
     """Worker task: the children of packed parents, as packed entries (none
     at the top level n), and the non-None results of emit on them."""
     size, blobs, window, emit, n = args
+    m = size + 1
     entries = []
     items = []
     for blob in blobs:
         adj, gens = _unpack_entry(size, blob)
-        for cadj, cgens, code_int in _expand(size, adj, gens, window):
-            if size + 1 < n:
-                entries.append(_pack_entry(size + 1, cadj, cgens))
-            code = CanonicalCode(_pack(code_int, size + 1), size + 1)
-            item = emit(Graph._wrap(size + 1, cadj), code)
+        for cadj, root, found in _expand(size, adj, gens, window):
+            if m < n:
+                # the next level is built from this child's generators
+                found = found or _search(m, cadj, root)
+                entries.append(_pack_entry(m, cadj, found[3]))
+            item = emit(Graph._wrap(m, cadj), partial(_code, m, cadj, root, found))
             if item is not None:
                 items.append(item)
     return entries, items
@@ -315,9 +334,35 @@ def _check_guard(n: int, allow_long: bool) -> None:
         )
 
 
+@contextmanager
+def _pool(jobs: int):
+    """The worker pool of one enumerate_levels call, None for jobs = 1.
+
+    Ctrl-C reaches the whole process group: the workers ignore it, and the
+    parent raises it inside the block, whose exit terminates them.  SIGINT
+    is blocked while Pool() starts the workers, since an interrupt there can
+    leave one running unrecorded; a Ctrl-C held back is raised as the block
+    is entered.  The pool's threads inherit the block.
+    """
+    if jobs == 1:
+        yield None
+        return
+    held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        pool = multiprocessing.Pool(
+            jobs, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN)
+        )
+    except BaseException:
+        signal.pthread_sigmask(signal.SIG_SETMASK, held)
+        raise
+    with pool:
+        signal.pthread_sigmask(signal.SIG_SETMASK, held)
+        yield pool
+
+
 def enumerate_levels(
     n: int,
-    emit: Callable[[Graph, CanonicalCode], Any],
+    emit: Callable[[Graph, Callable[[], CanonicalCode]], Any],
     *,
     jobs: int = 1,
     allow_long: bool = False,
@@ -327,7 +372,10 @@ def enumerate_levels(
 
     Each level is built once, from the one below; jobs > 1 runs one worker pool
     for the whole call, and `emit` runs in the worker that produced the class.
-    None results are dropped.  The order is fixed for a fixed jobs count.
+    `code` is a zero-argument callable returning g's CanonicalCode: most
+    level-n classes are accepted without a canonical search, and calling it
+    runs that search.  None results are dropped.  The order is fixed for a
+    fixed jobs count.
     With a `predicate`, levels 2..n keep only the classes inside its window
     at their level (and whose ancestors were kept): every class that matches
     at level n is still produced, and each level's stream is a subsequence
@@ -338,17 +386,11 @@ def enumerate_levels(
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     # computed before any level is built, so bad parameters fail at once
     windows = [None if predicate is None else predicate.window(n, m) for m in range(n + 1)]
-    item = emit(Graph._wrap(1, (0,)), CanonicalCode(_pack(0, 1), 1))
+    item = emit(Graph._wrap(1, (0,)), partial(CanonicalCode, _pack(0, 1), 1))
     if item is not None:
         yield 1, item
     level = [_pack_entry(1, (0,), ())]
-    # Ctrl-C reaches the whole process group: the workers ignore it, the
-    # parent handles it, and leaving the block terminates the workers
-    ignore_sigint = (signal.SIGINT, signal.SIG_IGN)
-    with (
-        multiprocessing.Pool(jobs, initializer=signal.signal, initargs=ignore_sigint)
-        if jobs > 1 else nullcontext()
-    ) as pool:
+    with _pool(jobs) as pool:
         run = pool.imap if pool else map
         for size in range(1, n):
             tasks = ((size, c, windows[size + 1], emit, n) for c in _chunked(level, _CHUNK))
@@ -359,12 +401,19 @@ def enumerate_levels(
                     yield size + 1, item
 
 
-def _matching(n: int, predicate: Predicate | None, g: Graph, code: CanonicalCode):
-    """The emit of enumerate_graphs: level-n classes that satisfy the predicate,
-    as (code bytes, adjacency), which cross processes cheaply."""
+def _match(n: int, predicate: Predicate | None, g: Graph, code):
+    """The emit of count_graphs and `indstab enumerate`: level-n classes that
+    satisfy the predicate, as adjacency tuples; reads no code."""
     if g.n == n and (predicate is None or predicate.matches(g)):
-        return code.code, g.adj
+        return g.adj
     return None
+
+
+def _matching(n: int, predicate: Predicate | None, g: Graph, code):
+    """The emit of enumerate_graphs: _match's classes as (code bytes,
+    adjacency), which cross processes cheaply."""
+    adj = _match(n, predicate, g, code)
+    return None if adj is None else (code().code, adj)
 
 
 def enumerate_graphs(
@@ -388,7 +437,8 @@ def enumerate_graphs(
 
 def count_graphs(n: int, *, jobs: int = 1, allow_long: bool = False) -> int:
     """Number of isomorphism classes on n vertices."""
-    return sum(1 for _ in enumerate_graphs(n, jobs=jobs, allow_long=allow_long))
+    emit = partial(_match, n, None)
+    return sum(1 for _ in enumerate_levels(n, emit, jobs=jobs, allow_long=allow_long))
 
 
 def search_with(

@@ -199,9 +199,10 @@ LIFT_MAX_N = 7  # the lift check covers n = 2..7
 STABLE_VERTEX_MAX_N = 8  # the stable-vertex-count bound covers n = 2..8
 
 
-def _class_facts(suites, max_n: int, g: Graph, code: CanonicalCode) -> Facts | None:
+def _class_facts(suites, max_n: int, g: Graph, code) -> Facts | None:
     """The Facts of one class, computed in the worker that produced it from
-    the class's subset_alphas table; the table is dropped on return."""
+    the class's subset_alphas table; the table is dropped on return.  The
+    canonical code is asked of `code()` only for tight (1, 0) classes."""
     n = g.n
     if n < 2:
         return None
@@ -235,7 +236,7 @@ def _class_facts(suites, max_n: int, g: Graph, code: CanonicalCode) -> Facts | N
         missing = sum(saturating_matching(g, y) is None for y in sets)
         hall = (len(sets) - missing, missing)
     if "edge_bounds" in wants and profile[n - 1] == a == stability_bound(n, 1, 0):
-        edges, tight_code = g.edge_count(), code
+        edges, tight_code = g.edge_count(), code()
     return Facts(a, profile, stable, hall, lifts, edges, tight_code)
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import glob
 import json
 import os
@@ -201,15 +202,20 @@ def _running(pid):
         return False
 
 
-def test_interrupt_during_pool_run_exits_2_and_leaves_no_workers():
+def _enumerate_nine(**kwargs):
+    """`indstab enumerate --n 9 --count-only --jobs 2`, started in the background."""
     src = os.path.dirname(os.path.dirname(indstab.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.Popen(
+    return subprocess.Popen(
         [sys.executable, "-m", "indstab.cli", "enumerate", "--n", "9", "--count-only",
          "--jobs", "2"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=dict(os.environ, PYTHONPATH=path), **kwargs,
     )
+
+
+def test_interrupt_during_pool_run_exits_2_and_leaves_no_workers():
+    proc = _enumerate_nine()
     try:
         time.sleep(1)
         deadline = time.monotonic() + 30
@@ -224,6 +230,26 @@ def test_interrupt_during_pool_run_exits_2_and_leaves_no_workers():
     assert proc.returncode == 2
     assert out == b"" and err == b"error: interrupted\n"
     assert not [pid for pid in workers if _running(pid)]
+
+
+def test_interrupt_while_pool_starts_exits_2_and_leaves_no_workers():
+    # SIGINT as soon as the first worker exists mostly lands while the pool
+    # is still starting.  A worker left alive keeps the pipes open, so the
+    # reads time out; killing the process group then removes it.
+    for _ in range(5):
+        proc = _enumerate_nine(start_new_session=True)
+        try:
+            deadline = time.monotonic() + 30
+            while not _children(proc.pid) and time.monotonic() < deadline:
+                time.sleep(0.001)
+            proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate(timeout=30)
+        finally:
+            with contextlib.suppress(ProcessLookupError):  # no process left
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+        assert proc.returncode == 2
+        assert out == b"" and err == b"error: interrupted\n"
 
 
 def test_jobs_default_follows_cpu_affinity(monkeypatch):

@@ -1,4 +1,5 @@
 import hashlib
+from functools import partial
 
 import pytest
 
@@ -25,7 +26,7 @@ from indstab.families import cycle, figure2, kn_tight, wheel
 from indstab.graphs import build
 from indstab.mis import alpha_profile, subset_alphas
 from indstab.stability import stability_bound
-from indstab.verify import VerifyConfig, run_all
+from indstab.verify import SUITE_ORDER, VerifyConfig, catalog_facts, run_all
 
 from _oracles import attachment_sets_brute, labeled_census
 
@@ -92,9 +93,45 @@ def test_canonical_search_work_bounded(monkeypatch):
     count(canon, "_refine")
     count(canon, "_leaf_code")
     assert count_graphs(7) == 1044
-    assert counts["_search"] <= 1253
-    assert counts["_refine"] <= 8558
-    assert counts["_leaf_code"] <= 3998
+    assert counts["_search"] <= 542
+    assert counts["_refine"] <= 5930
+    assert counts["_leaf_code"] <= 2181
+
+
+def test_catalog_pass_search_count_bounded(monkeypatch):
+    # the canonical searches of one serial catalog pass of the verify run
+    # without the uniqueness suite at max_n = 7 (levels 1..8); tight (1, 0)
+    # classes are the only top-level classes whose codes it reads
+    searches = []
+    real = enumeration._search
+
+    def call(*args):
+        searches.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(enumeration, "_search", call)
+    suites = tuple(s for s in SUITE_ORDER if s != "uniqueness")
+    facts = catalog_facts(VerifyConfig(max_n=7, jobs=1, suites=suites))
+    assert len(facts[8]) == 12346
+    assert len(searches) <= 3695
+
+
+def _codes_both_ways(n, g, code):
+    """The emit of the top-level oracle: a level-n class's code as the
+    enumeration gives it, and from a fresh canonical search."""
+    return (code(), canonical(g)) if g.n == n else None
+
+
+def test_top_level_codes_match_canonical(catalog):
+    # most top-level classes are accepted without a search, and code() runs
+    # it on demand: in stream order, every code is the class's canonical code
+    # and the one the catalog holds
+    for n in range(2, 8):
+        for jobs in (1, 2) if n == 7 else (1,):
+            stream = enumerate_levels(n, partial(_codes_both_ways, n), jobs=jobs)
+            found, fresh = zip(*(pair for _, pair in stream))
+            assert found == fresh, (n, jobs)
+            assert list(found) == [code for code, _ in catalog(n)], (n, jobs)
 
 
 def test_attachments_match_oracle(catalog):
@@ -169,7 +206,7 @@ def _tight(profiles, n, k, l):
 
 def _top_level(n, predicate):
     """The level-n classes the windows of `predicate` let through, unfiltered."""
-    stream = enumerate_levels(n, lambda g, code: code, predicate=predicate)
+    stream = enumerate_levels(n, lambda g, code: code(), predicate=predicate)
     return [code for m, code in stream if m == n]
 
 

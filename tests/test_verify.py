@@ -60,7 +60,7 @@ def test_class_facts_match_scans(catalog):
                 (len(pairs), sum(not is_tight_stable(lifted, k + 1, l + 1) for k, l in pairs)),
                 edges, tight_code,
             )
-            assert _class_facts(five, 7, g, code) == want
+            assert _class_facts(five, 7, g, lambda: code) == want
 
 
 def test_theorem_suite_small():
