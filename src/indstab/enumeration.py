@@ -17,12 +17,12 @@ emits receive as a zero-argument callable.  So most classes of the top level,
 on which nothing is built, are never searched.
 
 A search for one predicate prunes every level by the predicate's window: the
-range of alpha, and the (k, 0)-stability, that every induced subgraph of a
-matching graph on that many vertices must have.  Canonical parents are induced
-subgraphs, so every matching class still has its whole chain of ancestors, and
-since the window is isomorphism-invariant, a child is tested before its
-canonical search; its alpha is read from the parent's.  The vertex count is
-guarded at 10; n = 11 runs only behind an explicit long-run flag.
+range of alpha that every induced subgraph of a matching graph on that many
+vertices must have, and the floor its alpha keeps under deletions.  Canonical
+parents are induced subgraphs, so every matching class still has its whole
+chain of ancestors, and since the window is isomorphism-invariant, a child is
+tested before its canonical search; its alpha is read from the parent's.  The
+vertex count is guarded at 10; n = 11 runs only behind the long-run flag.
 """
 
 from __future__ import annotations
@@ -59,10 +59,11 @@ class Predicate:
     def matches(self, g: Graph) -> bool:
         raise NotImplementedError
 
-    def window(self, n: int, m: int) -> tuple[int, int, int] | None:
-        """(lo, hi, ks) such that every m-vertex induced subgraph of every
-        matching n-vertex graph has lo <= alpha <= hi and is (ks, 0)-stable
-        (ks = 0: no stability asked), or None.
+    def window(self, n: int, m: int) -> tuple[int, int, int, int] | None:
+        """(lo, hi, ks, floor) such that every m-vertex induced subgraph of
+        every matching n-vertex graph has lo <= alpha <= hi, and keeps
+        alpha >= floor after any ks of its vertices are deleted (ks = 0: no
+        deletion asked), or None.  Wherever ks > 0, floor <= lo.
 
         Used as a hereditary generation prune; must be sound by definition of
         the predicate alone.  Raises ValueError when the predicate's
@@ -107,42 +108,32 @@ class AlphaEquals(Predicate):
     def matches(self, g: Graph) -> bool:
         return alpha_mask(g.adj, g.vertex_mask) == self.value
 
-    def window(self, n: int, m: int) -> tuple[int, int, int] | None:
+    def window(self, n: int, m: int) -> tuple[int, int, int, int] | None:
         # deleting a vertex lowers alpha by at most one
-        return self.value - (n - m), self.value, 0
+        return self.value - (n - m), self.value, 0, 0
 
 
 @dataclass(frozen=True)
 class Stable(Predicate):
+    """(k, l)-stability; `tight` also asks for alpha = the stability bound."""
+
     k: int
     l: int
+    tight: bool = False
     cost = 3
 
     def matches(self, g: Graph) -> bool:
-        return is_stable(g, self.k, self.l)
+        return (is_tight_stable if self.tight else is_stable)(g, self.k, self.l)
 
-    def window(self, n: int, m: int) -> tuple[int, int, int] | None:
-        stability_bound(n, self.k, self.l)  # validates n > k > l >= 0
-        return None
-
-
-@dataclass(frozen=True)
-class TightStable(Predicate):
-    k: int
-    l: int
-    cost = 3
-
-    def matches(self, g: Graph) -> bool:
-        return is_tight_stable(g, self.k, self.l)
-
-    def window(self, n: int, m: int) -> tuple[int, int, int] | None:
+    def window(self, n: int, m: int) -> tuple[int, int, int, int] | None:
         # tight graphs attain the bound a; deleting k vertices lowers alpha by
-        # at most l, and each further one by at most one.  With l = 0, every
-        # deletion of up to k vertices keeps alpha = a, so a subgraph missing
-        # n - m <= k vertices is (k - (n - m), 0)-stable
-        a = stability_bound(n, self.k, self.l)
-        ks = 0 if self.l else max(0, self.k - (n - m))
-        return a - self.l - max(0, n - self.k - m), a, ks
+        # at most l, and each further one by at most one.  Deleting
+        # k - (n - m) more vertices from an m-vertex induced subgraph deletes
+        # k in all, which leaves alpha >= a - l
+        a = stability_bound(n, self.k, self.l)  # validates n > k > l >= 0
+        if not self.tight:
+            return None
+        return a - self.l - max(0, n - self.k - m), a, max(0, self.k - (n - m)), a - self.l
 
 
 @dataclass(frozen=True)
@@ -152,13 +143,13 @@ class And(Predicate):
     def matches(self, g: Graph) -> bool:
         return all(p.matches(g) for p in sorted(self.parts, key=lambda p: p.cost))
 
-    def window(self, n: int, m: int) -> tuple[int, int, int] | None:
-        # (k, 0)-stable graphs are (k', 0)-stable for every k' <= k
+    def window(self, n: int, m: int) -> tuple[int, int, int, int] | None:
+        # every part's (ks, floor) holds for a match; one is kept
         ws = [w for p in self.parts if (w := p.window(n, m)) is not None]
         if not ws:
             return None
-        los, his, kss = zip(*ws)
-        return max(los), min(his), max(kss)
+        los, his, kss, floors = zip(*ws)
+        return (max(los), min(his), *max(zip(kss, floors)))
 
 
 _REGISTRY = {
@@ -166,7 +157,7 @@ _REGISTRY = {
     "contains-triangle": (ContainsTriangle, 0),
     "alpha-equals": (AlphaEquals, 1),
     "stable": (Stable, 2),
-    "tight-stable": (TightStable, 2),
+    "tight-stable": (partial(Stable, tight=True), 2),
 }
 
 
@@ -264,18 +255,21 @@ def _expand(n: int, adj: tuple[int, ...], gens: list[list[int]], window):
     out = []
     full = (1 << n) - 1
     if window is not None:
-        lo, hi, ks = window
+        lo, hi, ks, floor = window
         a = alpha_mask(adj, full)
     for t in _attachments(n, adj, gens):
-        # the child's alpha is the parent's a, or a + 1 when an a-set avoids T;
-        # both lie in the window when lo <= a < hi
-        if window is not None and not lo <= a < hi:
-            if not lo <= a + alpha_at_least(adj, full & ~t, a) <= hi:
+        # the child's alpha c is the parent's a, or a + 1 when an a-set avoids
+        # T; both lie in the window when lo <= a < hi, so c is probed only
+        # outside that or for the deletion test
+        if window is not None and (ks or not lo <= a < hi):
+            c = a + alpha_at_least(adj, full & ~t, a)
+            if not lo <= c <= hi:
                 continue
         cadj = tuple(row | (1 << n) if (t >> v) & 1 else row for v, row in enumerate(adj)) + (t,)
-        # ks > 0 only where lo >= hi, so the probe above put the child's alpha at hi
-        if window is not None and ks and _worst_drop(Graph._wrap(n + 1, cadj), ks, hi, 1):
-            continue
+        # no ks-vertex deletion may take alpha below floor; c >= lo >= floor
+        if window is not None and ks:
+            if _worst_drop(Graph._wrap(n + 1, cadj), ks, c, c - floor + 1) > c - floor:
+                continue
         root = _refine(cadj, [list(range(n + 1))], [0])
         cell = _deletion_cell(cadj, root, t.bit_count())  # |T|, the child's least degree
         if n not in cell:
@@ -457,4 +451,4 @@ def search_tight_stable(
     n: int, k: int, l: int, *, jobs: int = 1, allow_long: bool = False
 ) -> list[CanonicalCode]:
     """Canonical codes of all tight (k, l)-stable classes on n vertices, sorted."""
-    return search_with(n, TightStable(k, l), jobs=jobs, allow_long=allow_long)
+    return search_with(n, Stable(k, l, tight=True), jobs=jobs, allow_long=allow_long)

@@ -1,5 +1,6 @@
 import hashlib
 from functools import partial
+from itertools import combinations
 
 import pytest
 
@@ -11,7 +12,6 @@ from indstab.enumeration import (
     ContainsTriangle,
     EdgeCountRange,
     Stable,
-    TightStable,
     _attachments,
     _deletion_cell,
     count_graphs,
@@ -74,24 +74,25 @@ def test_stream_order_pinned():
         assert hashlib.sha256(codes).hexdigest() == EIGHT_STREAM_SHA256, jobs
 
 
+def _count_calls(monkeypatch, counts, module, name):
+    """Rebind module.name to count its calls in counts[name]."""
+    real = getattr(module, name)
+
+    def call(*args):
+        counts[name] += 1
+        return real(*args)
+
+    monkeypatch.setattr(module, name, call)
+
+
 def test_canonical_search_work_bounded(monkeypatch):
     # upper bounds on the canonical searches, refinements and leaves of the
     # serial n = 7 catalog pass; more work than this is a regression
     counts = {"_search": 0, "_refine": 0, "_leaf_code": 0}
-
-    def count(module, name):
-        real = getattr(module, name)
-
-        def call(*args):
-            counts[name] += 1
-            return real(*args)
-
-        monkeypatch.setattr(module, name, call)
-
-    count(enumeration, "_search")
-    count(enumeration, "_refine")
-    count(canon, "_refine")
-    count(canon, "_leaf_code")
+    _count_calls(monkeypatch, counts, enumeration, "_search")
+    _count_calls(monkeypatch, counts, enumeration, "_refine")
+    _count_calls(monkeypatch, counts, canon, "_refine")
+    _count_calls(monkeypatch, counts, canon, "_leaf_code")
     assert count_graphs(7) == 1044
     assert counts["_search"] <= 542
     assert counts["_refine"] <= 5930
@@ -225,25 +226,55 @@ def test_window_prune_is_exact(catalog):
         for k in range(1, n):
             for l in range(k):
                 tight[k, l] = _tight(profiles, n, k, l)
-                assert search_with(n, TightStable(k, l)) == sorted(tight[k, l]), (n, k, l)
+                assert search_with(n, Stable(k, l, tight=True)) == sorted(tight[k, l]), (n, k, l)
                 a = stability_bound(n, k, l)
                 for v in (a - 1, a, a + 1):
                     expected = sorted(
                         code for code, p in profiles if p[n] == v and code in tight[k, l]
                     )
-                    found = search_with(n, AlphaEquals(v) & TightStable(k, l))
+                    found = search_with(n, AlphaEquals(v) & Stable(k, l, tight=True))
                     assert found == expected, (n, v, k, l)
         if n >= 3:
             both = sorted(set(tight[1, 0]) & set(tight[2, 0]))
-            assert search_with(n, TightStable(1, 0) & TightStable(2, 0)) == both, n
+            assert search_with(n, Stable(1, 0, tight=True) & Stable(2, 0, tight=True)) == both, n
 
 
 def test_window_prune_is_exact_at_eight(catalog):
     # the pruned stream is the catalog's stream order, filtered
     profiles = _profiles(catalog, 8)
-    for k, l in [(k, 0) for k in range(1, 8)] + [(2, 1)]:
-        stream = [code for code, _ in enumerate_graphs(8, predicate=TightStable(k, l))]
+    for k, l in [(k, 0) for k in range(1, 8)] + [(2, 1), (3, 1), (3, 2)]:
+        stream = [code for code, _ in enumerate_graphs(8, predicate=Stable(k, l, tight=True))]
         assert stream == _tight(profiles, 8, k, l), (k, l)
+
+
+def test_tight_search_work_pinned(monkeypatch):
+    # the calls _expand makes: upper bounds for tight (3, 1) at n = 8, which
+    # its removal floor prunes, and exact counts for tight (2, 0), the search
+    # of the tight8 benchmark workload
+    counts = dict.fromkeys(("_search", "_refine", "alpha_at_least", "_worst_drop"), 0)
+    for name in counts:
+        _count_calls(monkeypatch, counts, enumeration, name)
+    assert len(search_tight_stable(8, 3, 1)) == 100
+    assert counts["_search"] <= 233
+    assert counts["_refine"] <= 307
+    counts.update(dict.fromkeys(counts, 0))
+    assert len(search_tight_stable(8, 2, 0)) == 75
+    assert counts == {"_search": 375, "_refine": 558, "alpha_at_least": 3957, "_worst_drop": 1241}
+
+
+def test_tight_window_floor_is_its_lo():
+    # wherever a tight window asks for deletions its floor is its lo, and an
+    # And keeps the largest lo, so a child inside the alpha range is never
+    # below the floor: _expand tests the deletions alone
+    for n in range(2, 12):
+        tight = [Stable(k, l, tight=True) for k in range(1, n) for l in range(k)]
+        for m in range(n + 1):
+            for p in tight:
+                lo, hi, ks, floor = p.window(n, m)
+                assert not ks or floor == lo <= hi, (n, m, p)
+            for p, q in combinations(tight, 2):
+                lo, _, ks, floor = (p & q).window(n, m)
+                assert not ks or floor <= lo, (n, m, p, q)
 
 
 def test_search_tight_stable_9_3_0_pinned():
@@ -272,7 +303,7 @@ def test_search_with_alpha_equals():
 
 
 def test_search_with_composite_finds_figure2():
-    found = search_with(6, TightStable(1, 0) & ContainsTriangle())
+    found = search_with(6, Stable(1, 0, tight=True) & ContainsTriangle())
     assert canonical(figure2()) in found
 
 
@@ -282,13 +313,13 @@ def test_search_with_stable_alpha3_at_6_empty():
 
 
 def test_search_results_sorted():
-    found = search_with(6, TightStable(1, 0))
+    found = search_with(6, Stable(1, 0, tight=True))
     assert found == sorted(found)
 
 
 def test_search_with_rejects_invalid_stability_parameters():
     # k must be below n: a 4-vertex graph has no 5-vertex removals
-    for predicate in (TightStable(5, 0), Stable(5, 0), Stable(2, 2) & AlphaEquals(2)):
+    for predicate in (Stable(5, 0, tight=True), Stable(5, 0), Stable(2, 2) & AlphaEquals(2)):
         with pytest.raises(ValueError):
             search_with(4, predicate)
 
@@ -300,7 +331,8 @@ def test_search_with_edge_range():
 
 
 def test_parse_predicate():
-    assert parse_predicate("tight-stable:2,0") == TightStable(2, 0)
+    assert parse_predicate("tight-stable:2,0") == Stable(2, 0, tight=True)
+    assert parse_predicate("stable:2,1") == Stable(2, 1)
     assert parse_predicate("alpha-equals:3") == AlphaEquals(3)
     assert parse_predicate("contains-triangle") == ContainsTriangle()
     assert parse_predicate("edge-count-range:2,5") == EdgeCountRange(2, 5)
