@@ -33,7 +33,8 @@ def _graphs_from_arg(arg: str) -> list[Graph]:
 
 def _add_jobs(p: argparse.ArgumentParser) -> None:
     p.add_argument(
-        "--jobs", type=int, default=len(os.sched_getaffinity(0)),
+        "--jobs", type=int,
+        default=len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1,
         help="worker count (default: the CPUs this process may run on)",
     )
 

@@ -368,8 +368,8 @@ def enumerate_levels(
     for the whole call, and `emit` runs in the worker that produced the class.
     `code` is a zero-argument callable returning g's CanonicalCode: most
     level-n classes are accepted without a canonical search, and calling it
-    runs that search.  None results are dropped.  The order is fixed for a
-    fixed jobs count.
+    runs that search.  None results are dropped.  The order does not depend
+    on jobs: the pool's results are taken in task order.
     With a `predicate`, levels 2..n keep only the classes inside its window
     at their level (and whose ancestors were kept): every class that matches
     at level n is still produced, and each level's stream is a subsequence

@@ -3,17 +3,20 @@
 Vertices are labeled 0..n-1 with n <= 64, so one machine word holds a row of
 the adjacency matrix and a vertex subset alike.  Vertex sets are plain ints
 throughout the package: bit v set means vertex v is in the set.  Graphs are
-values; no operation mutates its inputs, so instances are safe to share
-between worker processes.
+values: no operation mutates its inputs, and assigning or deleting an
+attribute raises AttributeError, so instances are safe to share between
+worker processes.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable
 
 MAX_VERTICES = 64
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class Graph:
     """Simple undirected graph on labels 0..n-1, adjacency as per-vertex bitmasks.
 
@@ -21,7 +24,11 @@ class Graph:
     construct them through :func:`build` or the transformer functions.
     """
 
+    # slots declared by hand: with slots=True, Python 3.11 raises TypeError,
+    # not FrozenInstanceError, on assigning or deleting an unknown attribute
     __slots__ = ("n", "adj")
+    n: int
+    adj: tuple[int, ...]
 
     def __init__(self, n: int, adj: Iterable[int]):
         adj = tuple(adj)
@@ -53,11 +60,9 @@ class Graph:
         object.__setattr__(g, "adj", adj)
         return g
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Graph is immutable")
-
     def __reduce__(self):
-        return (_unpickle_graph, (self.n, self.adj))
+        # the default would restore the slots through the frozen __setattr__
+        return (self._wrap, (self.n, self.adj))
 
     @property
     def vertex_mask(self) -> int:
@@ -87,20 +92,8 @@ class Graph:
                 m &= m - 1
         return out
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.adj))
-
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edges()})"
-
-
-def _unpickle_graph(n: int, adj: tuple[int, ...]) -> Graph:
-    return Graph._wrap(n, adj)
 
 
 def vset(vertices: Iterable[int]) -> int:

@@ -25,7 +25,9 @@ def catalog():
 
 @pytest.fixture(scope="session")
 def jobs():
-    return len(os.sched_getaffinity(0))
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @pytest.fixture(scope="session")

@@ -258,6 +258,14 @@ def test_jobs_default_follows_cpu_affinity(monkeypatch):
     assert args.jobs == 3
 
 
+def test_jobs_default_without_cpu_affinity(monkeypatch, capsys):
+    # platforms without sched_getaffinity (macOS, Windows) fall back to cpu_count
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert run(capsys, "alpha", "A_") == (0, "1\n", "")
+    args = _build_parser().parse_args(["enumerate", "--n", "3"])
+    assert args.jobs == os.cpu_count()
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_jobs_below_one_is_usage_error(capsys, jobs):
     for argv in (

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -61,6 +63,21 @@ def test_graph_immutable():
     g = build(2, [(0, 1)])
     with pytest.raises(AttributeError):
         g.n = 5
+    with pytest.raises(AttributeError):
+        del g.adj
+    with pytest.raises(AttributeError):
+        del g.n
+    with pytest.raises(AttributeError):
+        g.label = "x"
+    assert (g.n, g.adj) == (2, (0b10, 0b01))
+
+
+def test_graph_pickle_and_deepcopy_round_trip():
+    for g in (build(1, []), cycle(5), kn_tight(6), build(64, [(0, 63)])):
+        for h in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
+            assert type(h) is Graph
+            assert h == g and hash(h) == hash(g) == hash((g.n, g.adj))
+        assert g != (g.n, g.adj)
 
 
 def test_remove_vertex_from_cycle_gives_path():
