@@ -9,9 +9,9 @@ the previous round split (at first the whole vertex set, or the new
 singleton): a cell already has one count in each cell left whole, so the
 partitions are those of counting in every cell.  Discovered automorphisms
 prune branches that can only replay an explored subtree, which keeps highly
-symmetric graphs (complete, empty, circulant) tractable; the discovered set
-generates the full automorphism group, so the orbits reported alongside the
-code, the closures of each vertex under the discovered generators, are exact.
+symmetric graphs (complete, empty, circulant) tractable.  The discovered set
+generates the full automorphism group, so it is returned with the code and its
+labeling, and a vertex's orbit is its closure under those generators.
 
 Two graphs receive equal codes iff they are isomorphic: the code itself spells
 out an adjacency matrix, so equal codes decode to the same labeled graph, and
@@ -147,24 +147,15 @@ def _descend(n: int, adj: tuple[int, ...], cells: list[list[int]], fixed: list[i
 def _search(n: int, adj: tuple[int, ...], root: list[list[int]] | None = None):
     """Full refinement search, from the refined one-cell partition `root` if given.
 
-    Returns (code_int, canonical_perm, orbit_id_per_vertex, generators) where
-    canonical_perm maps positions to original vertices, generators is a list
-    of automorphisms (as vertex maps) generating the full group, and orbit ids
-    are numbered by least member.
+    Returns (code, canonical_perm, generators): the CanonicalCode, the leaf
+    labeling that spells it (positions to original vertices), and
+    automorphisms, as vertex maps, that generate the full group.
     """
     leaves: list[tuple[int, list[int]]] = []
     gens: list[list[int]] = []
     _descend(n, adj, root or _refine(adj, [list(range(n))], [0]), [], leaves, gens)
-    # a vertex that no generator moves is an orbit of its own
-    moved = {v for s in gens for v, w in enumerate(s) if v != w}
-    orbit_id = [-1] * n
-    count = 0
-    for v in range(n):
-        if orbit_id[v] < 0:
-            for u in _orbit([v], gens) if v in moved else (v,):
-                orbit_id[u] = count
-            count += 1
-    return (*leaves[1], orbit_id, gens)
+    code_int, perm = leaves[1]
+    return CanonicalCode(_pack(code_int, n), n), perm, gens
 
 
 def _pack(code_int: int, n: int) -> bytes:
@@ -174,26 +165,24 @@ def _pack(code_int: int, n: int) -> bytes:
 
 def canonical(g: Graph) -> CanonicalCode:
     """Canonical code of a graph; equal across all relabelings."""
-    code_int, _, _, _ = _search(g.n, g.adj)
-    return CanonicalCode(_pack(code_int, g.n), g.n)
+    return _search(g.n, g.adj)[0]
 
 
 def canonical_labeling(g: Graph) -> tuple[int, ...]:
     """A labeling achieving the canonical code: position -> original vertex."""
-    _, perm, _, _ = _search(g.n, g.adj)
-    return tuple(perm)
+    return tuple(_search(g.n, g.adj)[1])
 
 
 def vertex_orbits(g: Graph) -> list[list[int]]:
     """Orbits of the automorphism group on vertices, each sorted, by least member."""
-    _, _, orbit_id, _ = _search(g.n, g.adj)
-    groups: dict[int, list[int]] = {}
+    gens = _search(g.n, g.adj)[2]
+    orbits: list[list[int]] = []
     for v in range(g.n):
-        groups.setdefault(orbit_id[v], []).append(v)
-    return sorted(groups.values())
+        if not any(v in o for o in orbits):
+            orbits.append(sorted(_orbit([v], gens)))
+    return orbits
 
 
 def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
     """Vertex maps generating the automorphism group (possibly empty)."""
-    _, _, _, gens = _search(g.n, g.adj)
-    return [tuple(s) for s in gens]
+    return [tuple(s) for s in _search(g.n, g.adj)[2]]

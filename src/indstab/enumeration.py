@@ -35,7 +35,7 @@ from functools import partial
 from itertools import combinations
 from typing import Any, Callable, Iterable, Iterator
 
-from indstab.canon import CanonicalCode, _pack, _refine, _search
+from indstab.canon import CanonicalCode, _orbit, _refine, _search
 from indstab.graphs import Graph
 from indstab.mis import alpha_at_least, alpha_mask
 from indstab.stability import _worst_drop, is_stable, is_tight_stable, stability_bound
@@ -170,10 +170,14 @@ def parse_predicate(text: str) -> Predicate:
             f"unknown predicate {name!r}; known: {', '.join(sorted(_REGISTRY))}"
         )
     cls, nargs = _REGISTRY[name]
-    args = [a for a in argstr.split(",") if a.strip()] if argstr else []
-    if len(args) != nargs:
-        raise ValueError(f"predicate {name} takes {nargs} arguments, got {len(args)}")
-    return cls(*[int(a) for a in args])
+    args = argstr.split(",") if argstr.strip() else []
+    try:
+        values = [int(a) for a in args]
+    except ValueError:
+        raise ValueError(f"predicate {name} takes integer arguments, got {argstr!r}") from None
+    if len(values) != nargs:
+        raise ValueError(f"predicate {name} takes {nargs} arguments, got {len(values)}")
+    return cls(*values)
 
 
 # ---------------------------------------------------------------------------
@@ -278,17 +282,15 @@ def _expand(n: int, adj: tuple[int, ...], gens: list[list[int]], window):
             out.append((cadj, root, None))
             continue
         found = _search(n + 1, cadj, root)
-        _, perm, orbit_id, _ = found
-        f = next(v for v in reversed(perm) if cadj[v].bit_count() == t.bit_count())
-        if orbit_id[f] == orbit_id[n]:
+        f = next(v for v in reversed(found[1]) if cadj[v].bit_count() == t.bit_count())
+        if n in _orbit([f], found[2]):
             out.append((cadj, root, found))
     return out
 
 
 def _code(n: int, adj: tuple[int, ...], root: list[list[int]], found) -> CanonicalCode:
     """The canonical code of an accepted child, searched for if `found` is None."""
-    code_int = (found or _search(n, adj, root))[0]
-    return CanonicalCode(_pack(code_int, n), n)
+    return (found or _search(n, adj, root))[0]
 
 
 def _expand_chunk(args):
@@ -304,7 +306,7 @@ def _expand_chunk(args):
             if m < n:
                 # the next level is built from this child's generators
                 found = found or _search(m, cadj, root)
-                entries.append(_pack_entry(m, cadj, found[3]))
+                entries.append(_pack_entry(m, cadj, found[2]))
             item = emit(Graph._wrap(m, cadj), partial(_code, m, cadj, root, found))
             if item is not None:
                 items.append(item)
@@ -336,21 +338,26 @@ def _pool(jobs: int):
     parent raises it inside the block, whose exit terminates them.  SIGINT
     is blocked while Pool() starts the workers, since an interrupt there can
     leave one running unrecorded; a Ctrl-C held back is raised as the block
-    is entered.  The pool's threads inherit the block.
+    is entered.  The pool's threads inherit the block.  Signal masks exist on
+    POSIX only: elsewhere (Windows) Pool() starts unblocked, and that one
+    guarantee does not hold.
     """
     if jobs == 1:
         yield None
         return
-    held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    unblock = lambda: None
+    if hasattr(signal, "pthread_sigmask"):
+        held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        unblock = partial(signal.pthread_sigmask, signal.SIG_SETMASK, held)
     try:
         pool = multiprocessing.Pool(
             jobs, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN)
         )
     except BaseException:
-        signal.pthread_sigmask(signal.SIG_SETMASK, held)
+        unblock()
         raise
     with pool:
-        signal.pthread_sigmask(signal.SIG_SETMASK, held)
+        unblock()
         yield pool
 
 
@@ -380,7 +387,7 @@ def enumerate_levels(
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     # computed before any level is built, so bad parameters fail at once
     windows = [None if predicate is None else predicate.window(n, m) for m in range(n + 1)]
-    item = emit(Graph._wrap(1, (0,)), partial(CanonicalCode, _pack(0, 1), 1))
+    item = emit(Graph._wrap(1, (0,)), partial(_code, 1, (0,), None, None))
     if item is not None:
         yield 1, item
     level = [_pack_entry(1, (0,), ())]

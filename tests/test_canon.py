@@ -8,7 +8,7 @@ from indstab.canon import (
     canonical_labeling,
     vertex_orbits,
 )
-from indstab.families import circulant, cycle, kn_tight, path
+from indstab.families import circulant, cycle, kn_tight, lift, path, stable3_circulant, wheel
 from indstab.graphs import build
 
 from _oracles import min_code_all_perms, random_graph, refine_full, relabeled
@@ -91,6 +91,11 @@ def test_orbits_of_symmetric_graphs():
     assert vertex_orbits(kn_tight(6)) == [[0, 1, 2, 3, 4, 5]]
     star = build(4, [(0, 1), (0, 2), (0, 3)])
     assert vertex_orbits(star) == [[0], [1, 2, 3]]
+    # beyond the brute-force range, fixed and moved vertices mixed
+    assert vertex_orbits(lift(stable3_circulant(3), 2)) == [list(range(24)), [24, 25]]
+    assert vertex_orbits(wheel(9)) == [list(range(8)), [8]]
+    assert vertex_orbits(path(7)) == [[0, 6], [1, 5], [2, 4], [3]]
+    assert vertex_orbits(circulant(64, {1, 5, 17})) == [list(range(64))]
 
 
 def test_orbits_match_brute_force(catalog):

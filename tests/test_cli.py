@@ -11,6 +11,7 @@ import pytest
 
 import indstab
 from indstab.cli import _build_parser, main
+from indstab.enumeration import count_graphs
 from indstab.graph6 import g6_decode, g6_encode
 from indstab.families import cycle, kn_tight, stable3_circulant
 from indstab.mis import alpha
@@ -266,6 +267,13 @@ def test_jobs_default_without_cpu_affinity(monkeypatch, capsys):
     assert args.jobs == os.cpu_count()
 
 
+def test_pool_runs_without_signal_masks(monkeypatch, capsys):
+    # platforms without pthread_sigmask (Windows) start the pool unblocked
+    monkeypatch.delattr(signal, "pthread_sigmask")
+    assert count_graphs(6, jobs=2) == 156
+    assert run(capsys, "enumerate", "--n", "5", "--count-only", "--jobs", "2") == (0, "34\n", "")
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_jobs_below_one_is_usage_error(capsys, jobs):
     for argv in (
@@ -281,6 +289,14 @@ def test_jobs_below_one_is_usage_error(capsys, jobs):
 def test_enumerate_filter_rejects_invalid_parameters(capsys):
     code, out, err = run(capsys, "enumerate", "--n", "4", "--filter", "tight-stable:5,0")
     assert code == 2 and out == "" and "n > k > l >= 0" in err
+
+
+@pytest.mark.parametrize("spec", ["stable:1,,0", "stable:,2,1", "alpha-equals:3,", "stable:x,1"])
+def test_enumerate_filter_rejects_malformed_arguments(capsys, spec):
+    code, out, err = run(capsys, "enumerate", "--n", "5", "--filter", spec)
+    name, _, args = spec.partition(":")
+    assert (code, out) == (2, "")
+    assert err == f"error: predicate {name} takes integer arguments, got {args!r}\n"
 
 
 def test_enumerate_guard(capsys):

@@ -1,4 +1,5 @@
 import hashlib
+import re
 from functools import partial
 from itertools import combinations
 
@@ -157,11 +158,12 @@ def test_deletion_cell_pretest_is_exact(catalog):
                 cadj += (t,)
                 root = _refine(cadj, [list(range(n + 1))], [0])
                 cell = _deletion_cell(cadj, root, t.bit_count())
-                _, perm, orbit_id, _ = _search(n + 1, cadj)
+                _, perm, gens = _search(n + 1, cadj)
                 f = next(v for v in reversed(perm) if cadj[v].bit_count() == t.bit_count())
-                assert {v for v in range(n + 1) if orbit_id[v] == orbit_id[f]} <= set(cell), code
+                orbit = canon._orbit([f], gens)
+                assert orbit <= set(cell), code
                 if n not in cell:
-                    assert orbit_id[f] != orbit_id[n], code
+                    assert n not in orbit, code
                     rejected += 1
     assert rejected > 0
 
@@ -241,11 +243,15 @@ def test_window_prune_is_exact(catalog):
 
 
 def test_window_prune_is_exact_at_eight(catalog):
-    # the pruned stream is the catalog's stream order, filtered
+    # the pruned stream is the catalog's stream order, filtered; windows with
+    # a removal floor and l > 0 also travel inside the worker tasks
     profiles = _profiles(catalog, 8)
-    for k, l in [(k, 0) for k in range(1, 8)] + [(2, 1), (3, 1), (3, 2)]:
-        stream = [code for code, _ in enumerate_graphs(8, predicate=Stable(k, l, tight=True))]
-        assert stream == _tight(profiles, 8, k, l), (k, l)
+    cases = [(k, 0, 1) for k in range(1, 8)]
+    cases += [(k, l, jobs) for k, l in [(2, 1), (3, 1), (3, 2)] for jobs in (1, 2)]
+    for k, l, jobs in cases:
+        pred = Stable(k, l, tight=True)
+        stream = [code for code, _ in enumerate_graphs(8, jobs=jobs, predicate=pred)]
+        assert stream == _tight(profiles, 8, k, l), (k, l, jobs)
 
 
 def test_tight_search_work_pinned(monkeypatch):
@@ -342,8 +348,13 @@ def test_parse_predicate():
 def test_parse_predicate_rejects_unknown():
     with pytest.raises(ValueError, match="unknown predicate"):
         parse_predicate("girth:5")
-    with pytest.raises(ValueError, match="arguments"):
+    with pytest.raises(ValueError, match="takes 2 arguments, got 1"):
         parse_predicate("stable:1")
+    for text in ("stable:1,,0", "stable:,2,1", "alpha-equals:3,", "stable:x,1"):
+        name, _, args = text.partition(":")
+        message = f"predicate {name} takes integer arguments, got {args!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_predicate(text)
 
 
 def test_and_evaluates_all_parts():
