@@ -37,7 +37,7 @@ from typing import Any, Callable, Iterable, Iterator
 
 from indstab.canon import CanonicalCode, _orbit, _refine, _search
 from indstab.graphs import Graph
-from indstab.mis import alpha_at_least, alpha_mask
+from indstab.mis import _alpha_set, alpha_mask, independent_set_at_least
 from indstab.stability import _worst_drop, is_stable, is_tight_stable, stability_bound
 
 HARD_GUARD = 10
@@ -255,24 +255,36 @@ def _expand(n: int, adj: tuple[int, ...], gens: list[list[int]], window):
     """Accepted children of one parent inside `window` (None: all), as
     (adj, root, found) triples: `root` is the child's refined root partition
     and `found` its _search result, or None when the child was accepted
-    without a search."""
+    without a search.
+
+    A child's removal scan starts from its own maximum independent set and
+    from every set that its earlier siblings' scans found without the new
+    vertex n: those lie in the parent's graph, so they are independent in
+    every child.
+    """
     out = []
     full = (1 << n) - 1
     if window is not None:
         lo, hi, ks, floor = window
-        a = alpha_mask(adj, full)
+        a, top = _alpha_set(adj, full)
+        shared: list[int] = []  # the siblings' witnesses without vertex n
     for t in _attachments(n, adj, gens):
         # the child's alpha c is the parent's a, or a + 1 when an a-set avoids
         # T; both lie in the window when lo <= a < hi, so c is probed only
         # outside that or for the deletion test
         if window is not None and (ks or not lo <= a < hi):
-            c = a + alpha_at_least(adj, full & ~t, a)
+            w = independent_set_at_least(adj, full & ~t, a)
+            c, seed = (a, top) if w is None else (a + 1, w | 1 << n)
             if not lo <= c <= hi:
                 continue
         cadj = tuple(row | (1 << n) if (t >> v) & 1 else row for v, row in enumerate(adj)) + (t,)
         # no ks-vertex deletion may take alpha below floor; c >= lo >= floor
         if window is not None and ks:
-            if _worst_drop(Graph._wrap(n + 1, cadj), ks, c, c - floor + 1) > c - floor:
+            pool = [seed, *shared]
+            start = len(pool)
+            drop = _worst_drop(Graph._wrap(n + 1, cadj), ks, c, c - floor + 1, pool)
+            shared += [w for w in pool[start:] if not w >> n & 1]
+            if drop > c - floor:
                 continue
         root = _refine(cadj, [list(range(n + 1))], [0])
         cell = _deletion_cell(cadj, root, t.bit_count())  # |T|, the child's least degree

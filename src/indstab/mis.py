@@ -6,7 +6,8 @@ clique cover, and break every tie toward the lowest vertex label so witnesses
 are reproducible.  One search body serves every query: it improves an
 incumbent and returns once the incumbent reaches a cut-off, so the maximum
 runs from a greedy incumbent with no cut-off and the threshold query ("an
-independent set of at least t vertices") from t - 1 with cut-off t.
+independent set of at least t vertices") from t - 1 with cut-off t.  The
+maximum's set is kept for the removal scans, which start from it.
 Each node tests the bound before it picks a branch vertex, and the cover
 stops counting as soon as it has more cliques than the node can still gain;
 only the nodes that survive pay for the degree pass.  The bound does not
@@ -117,10 +118,15 @@ def _greedy(adj: tuple[int, ...], mask: int, stop: int) -> tuple[int, int]:
     return size, chosen
 
 
+def _alpha_set(adj: tuple[int, ...], mask: int) -> tuple[int, int]:
+    """(alpha, a maximum independent set) of the induced subgraph on `mask`."""
+    best, best_set = _greedy(adj, mask, mask.bit_count())
+    return _grow(adj, mask, 0, 0, best, best_set, mask.bit_count())
+
+
 def alpha_mask(adj: tuple[int, ...], mask: int) -> int:
     """Exact independence number of the induced subgraph on `mask`."""
-    best, best_set = _greedy(adj, mask, mask.bit_count())
-    return _grow(adj, mask, 0, 0, best, best_set, mask.bit_count())[0]
+    return _alpha_set(adj, mask)[0]
 
 
 def subset_alphas(adj: tuple[int, ...], n: int) -> list[int]:
@@ -173,11 +179,6 @@ def independent_set_at_least(
     return chosen if size >= target else None
 
 
-def alpha_at_least(adj: tuple[int, ...], mask: int, target: int) -> bool:
-    """Whether the subgraph on `mask` has an independent set of size >= target."""
-    return independent_set_at_least(adj, mask, target) is not None
-
-
 def alpha(g: Graph) -> int:
     """The independence number."""
     return alpha_mask(g.adj, g.vertex_mask)
@@ -192,37 +193,6 @@ def max_independent_set(g: Graph) -> MisResult:
     """
     mask = g.vertex_mask
     return MisResult(*_grow(g.adj, mask, 0, 0, 0, 0, mask.bit_count()))
-
-
-def _walk(
-    adj: tuple[int, ...], sub: int, chosen: int, size: int, target: int,
-    out: list[int],
-) -> None:
-    """Append to `out` every independent set of `target` vertices: `chosen`
-    plus part of `sub`."""
-    if not _cover_exceeds(adj, sub, target - size - 1):
-        return
-    if size == target:
-        out.append(chosen)
-        return
-    if not sub:
-        return
-    v = (sub & -sub).bit_length() - 1
-    _walk(adj, sub & ~(adj[v] | (1 << v)), chosen | (1 << v), size + 1, target, out)
-    _walk(adj, sub & ~(1 << v), chosen, size, target, out)
-
-
-def all_max_independent_sets(g: Graph) -> list[int]:
-    """Every maximum independent set, as bitmasks sorted by value.
-
-    Guarded to n <= 32 because the output can be exponential.
-    """
-    if g.n > 32:
-        raise ValueError(f"all_max_independent_sets is limited to n <= 32, got {g.n}")
-    out: list[int] = []
-    _walk(g.adj, g.vertex_mask, 0, 0, alpha(g), out)
-    out.sort()
-    return out
 
 
 def is_independent(g: Graph, vertices: int) -> bool:

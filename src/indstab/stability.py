@@ -12,7 +12,12 @@ removal set S certifies S, so each scan keeps a pool of the witnesses found
 so far: a pooled witness disjoint from S answers the check, the solver runs
 only when none is, and every witness it returns joins the pool.  A removal
 set that misses the witness certifying its prefix is certified too, so the
-scan extends a prefix only by vertices of that witness.
+scan extends a prefix only by vertices of that witness.  A pool may start
+with any independent sets of the graph: the entry points start it with the
+maximum independent set their alpha solve found, and enumeration's window
+test with the child's maximum set and those of its siblings' scans that the
+parent's graph holds.  The drop found is exact whatever the pool holds; the
+pool changes only how often the solver runs.
 
 Every scan searches for the worst drop.  A prefix that no witness of
 alpha - drop vertices avoids raises the drop found by one (supersets of the
@@ -25,7 +30,7 @@ and mostly fails.  stable_vertex_count probes each vertex through a pool too.
 from __future__ import annotations
 
 from indstab.graphs import Graph
-from indstab.mis import alpha_mask, independent_set_at_least
+from indstab.mis import _alpha_set, independent_set_at_least
 
 
 def stability_bound(n: int, k: int, l: int) -> int:
@@ -38,14 +43,14 @@ def stability_bound(n: int, k: int, l: int) -> int:
 class _RemovalScan:
     """One worst-drop scan over a graph's k-vertex removals, with its witness pool."""
 
-    def __init__(self, g: Graph, k: int, a: int, stop: int):
+    def __init__(self, g: Graph, k: int, a: int, stop: int, pool: list[int]):
         self.adj = g.adj
         self.full = g.vertex_mask
         self.k = k
         self.a = a
         self.stop = stop
         self.best = 0  # largest drop certified so far
-        self.pool: list[int] = []
+        self.pool = pool  # independent sets of g; the scan appends its own
 
     def witness(self, removed: int, size: int) -> int | None:
         """An independent set of >= size vertices avoiding `removed`, or None."""
@@ -85,10 +90,10 @@ class _RemovalScan:
         return False
 
 
-def _worst_drop(g: Graph, k: int, a: int, stop: int) -> int:
+def _worst_drop(g: Graph, k: int, a: int, stop: int, pool: list[int]) -> int:
     """The worst drop of alpha = `a` over k-vertex removals, or a value >= stop
-    as soon as one is found."""
-    s = _RemovalScan(g, k, a, stop)
+    as soon as one is found; the scan starts from `pool` and appends to it."""
+    s = _RemovalScan(g, k, a, stop, pool)
     s.scan(0, 0, 0)
     return s.best
 
@@ -96,39 +101,28 @@ def _worst_drop(g: Graph, k: int, a: int, stop: int) -> int:
 def alpha_drop(g: Graph, k: int) -> int:
     """Worst-case drop of the independence number over all k-vertex removals."""
     stability_bound(g.n, k, 0)
-    a = alpha_mask(g.adj, g.vertex_mask)
-    return _worst_drop(g, k, a, min(k, a))
+    a, w = _alpha_set(g.adj, g.vertex_mask)
+    return _worst_drop(g, k, a, min(k, a), [w])
 
 
 def is_stable(g: Graph, k: int, l: int) -> bool:
     """Whether every k-vertex removal lowers alpha by at most l."""
     stability_bound(g.n, k, l)
-    return _worst_drop(g, k, alpha_mask(g.adj, g.vertex_mask), l + 1) <= l
+    a, w = _alpha_set(g.adj, g.vertex_mask)
+    return _worst_drop(g, k, a, l + 1, [w]) <= l
 
 
 def is_tight_stable(g: Graph, k: int, l: int) -> bool:
     """(k, l)-stable and attaining the stability bound exactly."""
     bound = stability_bound(g.n, k, l)
-    a = alpha_mask(g.adj, g.vertex_mask)
-    return a == bound and _worst_drop(g, k, a, l + 1) <= l
-
-
-def _stable_vertices(g: Graph, a: int) -> int:
-    """Number of vertices whose removal leaves alpha = `a` unchanged."""
-    s = _RemovalScan(g, 1, a, 1)
-    return sum(1 for v in range(g.n) if s.witness(1 << v, a) is not None)
+    a, w = _alpha_set(g.adj, g.vertex_mask)
+    return a == bound and _worst_drop(g, k, a, l + 1, [w]) <= l
 
 
 def stable_vertex_count(g: Graph) -> int:
     """Number of vertices whose removal leaves the independence number unchanged."""
     if g.n < 2:
         raise ValueError("stable_vertex_count needs at least 2 vertices")
-    return _stable_vertices(g, alpha_mask(g.adj, g.vertex_mask))
-
-
-def check_stable_vertex_bound(g: Graph) -> bool:
-    """alpha(G) <= floor(n - m/2) with m the stable vertex count; expected True."""
-    if g.n < 2:
-        raise ValueError("check needs at least 2 vertices")
-    a = alpha_mask(g.adj, g.vertex_mask)
-    return a <= (2 * g.n - _stable_vertices(g, a)) // 2
+    a, w = _alpha_set(g.adj, g.vertex_mask)
+    s = _RemovalScan(g, 1, a, 1, [w])
+    return sum(1 for v in range(g.n) if s.witness(1 << v, a) is not None)

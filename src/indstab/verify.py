@@ -223,8 +223,10 @@ def _class_facts(suites, max_n: int, g: Graph, code) -> Facts | None:
         ]
         bad = 0
         if pairs:
-            # the lifted graph's own profile: is_tight_stable(lifted, k + 1, l + 1)
-            lifted = alpha_profile(subset_alphas(families.lift(g, 1).adj, n + 1))
+            # is_tight_stable(lifted, k + 1, l + 1) from the lift's profile: a
+            # q-subset of the lift leaves out the isolated vertex or adds it
+            # to a (q - 1)-subset of g
+            lifted = [0] + [min(p, r + 1) for p, r in zip(profile[1:], profile)] + [a + 1]
             la = lifted[-1]
             bad = sum(
                 la != stability_bound(n + 1, k + 1, l + 1) or lifted[n - k] < la - l - 1

@@ -10,6 +10,8 @@ oracle recomputes every cell's count vector in every round.  The plain
 branch-and-bound is the solver as it stood before its bound was tested first:
 every node recomputes each residual degree and the whole greedy clique cover,
 and recurses on both branches, so its witnesses pin the package solver's.  The
+maximum-set walk lists every maximum independent set under the plain solver's
+alpha, and the stable-vertex check solves every one-vertex removal.  The
 Erdos-Rogers subset oracle scans vertex subsets from the largest size down.
 """
 
@@ -138,6 +140,51 @@ def plain_max_independent_set(g: Graph) -> tuple[int, int]:
     """The plain solver's (alpha, witness) for mis.max_independent_set."""
     mask = g.vertex_mask
     return _plain_grow(g.adj, mask, 0, 0, 0, 0, mask.bit_count())
+
+
+def _walk(
+    adj: tuple[int, ...], sub: int, chosen: int, size: int, target: int,
+    out: list[int],
+) -> None:
+    """Append to `out` every independent set of `target` vertices: `chosen`
+    plus part of `sub`."""
+    if _cover_bound(adj, sub) <= target - size - 1:
+        return
+    if size == target:
+        out.append(chosen)
+        return
+    if not sub:
+        return
+    v = (sub & -sub).bit_length() - 1
+    _walk(adj, sub & ~(adj[v] | (1 << v)), chosen | (1 << v), size + 1, target, out)
+    _walk(adj, sub & ~(1 << v), chosen, size, target, out)
+
+
+def all_max_independent_sets(g: Graph) -> list[int]:
+    """Every maximum independent set, as bitmasks sorted by value.
+
+    Guarded to n <= 32 because the output can be exponential.
+    """
+    if g.n > 32:
+        raise ValueError(f"all_max_independent_sets is limited to n <= 32, got {g.n}")
+    out: list[int] = []
+    _walk(g.adj, g.vertex_mask, 0, 0, plain_alpha_mask(g.adj, g.vertex_mask), out)
+    out.sort()
+    return out
+
+
+def check_stable_vertex_bound(g: Graph) -> bool:
+    """alpha(G) <= floor(n - m/2) with m the stable vertex count; expected True.
+
+    A vertex is stable when its removal leaves alpha unchanged; each removal
+    is solved afresh.
+    """
+    if g.n < 2:
+        raise ValueError("check needs at least 2 vertices")
+    full = g.vertex_mask
+    a = plain_alpha_mask(g.adj, full)
+    m = sum(plain_alpha_mask(g.adj, full & ~(1 << v)) == a for v in range(g.n))
+    return a <= (2 * g.n - m) // 2
 
 
 def max_subset_alpha_below(g: Graph, s: int) -> int:

@@ -28,7 +28,6 @@ from indstab.graph6 import g6_decode, g6_encode
 from indstab.mis import alpha
 from indstab.stability import (
     alpha_drop,
-    check_stable_vertex_bound,
     is_stable,
     is_tight_stable,
     stability_bound,
@@ -43,7 +42,13 @@ from indstab.verify import (
     suite_stability_bound,
 )
 
-from _oracles import alpha_brute, min_code_all_perms, random_graph, relabeled
+from _oracles import (
+    alpha_brute,
+    check_stable_vertex_bound,
+    min_code_all_perms,
+    random_graph,
+    relabeled,
+)
 
 
 def _report(num: int, ok: bool, text: str) -> None:

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from indstab import canon, enumeration
+from indstab import canon, enumeration, stability
 from indstab.canon import _refine, _search, automorphism_generators, canonical
 from indstab.enumeration import (
     And,
@@ -25,7 +25,7 @@ from indstab.enumeration import (
 from indstab.erdos_rogers import er_table
 from indstab.families import cycle, figure2, kn_tight, wheel
 from indstab.graphs import build
-from indstab.mis import alpha_profile, subset_alphas
+from indstab.mis import alpha_profile, is_independent, subset_alphas
 from indstab.stability import stability_bound
 from indstab.verify import SUITE_ORDER, VerifyConfig, catalog_facts, run_all
 
@@ -258,7 +258,7 @@ def test_tight_search_work_pinned(monkeypatch):
     # the calls _expand makes: upper bounds for tight (3, 1) at n = 8, which
     # its removal floor prunes, and exact counts for tight (2, 0), the search
     # of the tight8 benchmark workload
-    counts = dict.fromkeys(("_search", "_refine", "alpha_at_least", "_worst_drop"), 0)
+    counts = dict.fromkeys(("_search", "_refine", "independent_set_at_least", "_worst_drop"), 0)
     for name in counts:
         _count_calls(monkeypatch, counts, enumeration, name)
     assert len(search_tight_stable(8, 3, 1)) == 100
@@ -266,7 +266,40 @@ def test_tight_search_work_pinned(monkeypatch):
     assert counts["_refine"] <= 307
     counts.update(dict.fromkeys(counts, 0))
     assert len(search_tight_stable(8, 2, 0)) == 75
-    assert counts == {"_search": 375, "_refine": 558, "alpha_at_least": 3957, "_worst_drop": 1241}
+    assert counts == {
+        "_search": 375, "_refine": 558, "independent_set_at_least": 3957, "_worst_drop": 1241,
+    }
+
+
+def test_tight_search_scan_solver_calls_pinned(monkeypatch):
+    # the solver calls of every removal scan in tight (2, 0) at n = 8, those
+    # of _expand's window tests and of the level-n re-check: each pool starts
+    # with the child's maximum set and its earlier siblings' sets
+    counts = {"independent_set_at_least": 0}
+    _count_calls(monkeypatch, counts, stability, "independent_set_at_least")
+    assert len(search_tight_stable(8, 2, 0)) == 75
+    assert counts["independent_set_at_least"] == 2915
+
+
+def test_expand_scan_pools_hold_independent_sets(monkeypatch):
+    # every set _expand starts a child's scan from is independent in that
+    # child, and the scan finds the drop a scan from an empty pool finds
+    real = enumeration._worst_drop
+    seen = []
+
+    def checked(g, k, a, stop, pool):
+        assert pool and all(is_independent(g, w) for w in pool)
+        seen.append(len(pool))
+        drop = real(g, k, a, stop, pool)
+        assert drop == real(g, k, a, stop, [])
+        return drop
+
+    monkeypatch.setattr(enumeration, "_worst_drop", checked)
+    for n in range(2, 8):
+        for k in range(1, n):
+            for l in range(k):
+                search_tight_stable(n, k, l)
+    assert max(seen) > 1  # siblings' sets reached later children
 
 
 def test_tight_window_floor_is_its_lo():

@@ -5,7 +5,6 @@ import pytest
 from indstab.families import circulant, cycle, figure2, kn_tight, mn_matching
 from indstab.graphs import build, complement, remove_vertices, vset, vset_members
 from indstab.mis import (
-    all_max_independent_sets,
     alpha,
     alpha_mask,
     alpha_profile,
@@ -17,6 +16,7 @@ from indstab.mis import (
 )
 
 from _oracles import (
+    all_max_independent_sets,
     alpha_brute,
     max_clique_brute,
     plain_alpha_mask,

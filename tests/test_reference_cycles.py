@@ -22,7 +22,6 @@ S3 = families.stable3_circulant(3)
 ENTRY_POINTS = {
     "alpha": lambda: I.alpha(S3),
     "max_independent_set": lambda: I.max_independent_set(S3),
-    "all_max_independent_sets": lambda: I.all_max_independent_sets(C7),
     "saturating_matching": lambda: I.saturating_matching(families.kn_tight(6), 0b111),
     "canonical": lambda: I.canonical(S3),
     "canonical_labeling": lambda: canonical_labeling(S3),
@@ -32,7 +31,6 @@ ENTRY_POINTS = {
     "alpha_drop": lambda: I.alpha_drop(C7, 3),
     "is_tight_stable": lambda: I.is_tight_stable(C7, 2, 0),
     "stable_vertex_count": lambda: I.stable_vertex_count(C7),
-    "check_stable_vertex_bound": lambda: I.check_stable_vertex_bound(C7),
     "enumerate_graphs": lambda: list(I.enumerate_graphs(5)),
     "count_graphs": lambda: I.count_graphs(5),
     "search_with": lambda: I.search_with(6, Stable(2, 0, tight=True)),

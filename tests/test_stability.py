@@ -17,15 +17,15 @@ from indstab.families import (
 from indstab.graphs import build, remove_vertices, vset
 from indstab.mis import alpha
 from indstab.stability import (
+    _worst_drop,
     alpha_drop,
-    check_stable_vertex_bound,
     is_stable,
     is_tight_stable,
     stability_bound,
     stable_vertex_count,
 )
 
-from _oracles import random_graph
+from _oracles import all_max_independent_sets, check_stable_vertex_bound, random_graph
 
 
 def complete(n):
@@ -94,7 +94,7 @@ def test_parameters_checked_before_any_solver_call(monkeypatch):
     def fail(*args):
         raise AssertionError("alpha computed before the parameters were checked")
 
-    monkeypatch.setattr(stability, "alpha_mask", fail)
+    monkeypatch.setattr(stability, "_alpha_set", fail)
     g = cycle(6)
     with pytest.raises(ValueError, match="n > k > l >= 0"):
         is_tight_stable(g, g.n, 0)
@@ -174,23 +174,25 @@ def test_corollary_on_samples():
         assert check_stable_vertex_bound(g)
 
 
-def test_check_stable_vertex_bound_computes_alpha_once(monkeypatch):
+def test_stable_vertex_count_computes_alpha_once(monkeypatch):
     calls = []
-    real = stability.alpha_mask
+    real = stability._alpha_set
 
     def counting(adj, mask):
         calls.append(mask)
         return real(adj, mask)
 
-    monkeypatch.setattr(stability, "alpha_mask", counting)
-    assert check_stable_vertex_bound(cycle(9))
+    monkeypatch.setattr(stability, "_alpha_set", counting)
+    assert stable_vertex_count(cycle(9)) == 9
     assert len(calls) == 1
 
 
 def test_scan_solver_calls_pinned(monkeypatch):
-    # the five scans of the benchmark's `scans` workload, 325 solver calls in
+    # the five scans of the benchmark's `scans` workload, 320 solver calls in
     # all, as with the plain branch-and-bound: equal witnesses give equal
-    # witness pools, so a drift here means the solver's search tree changed
+    # witness pools, so a drift here means the solver's search tree changed.
+    # Each pool starts with the alpha solve's maximum set, which saves the
+    # scan's first call
     calls = []
     real = stability.independent_set_at_least
 
@@ -201,11 +203,11 @@ def test_scan_solver_calls_pinned(monkeypatch):
     monkeypatch.setattr(stability, "independent_set_at_least", counting)
     s3_3, s3_4, s4_3 = stable3_circulant(3), stable3_circulant(4), stable4_circulant(3)
     scans = (
-        (lambda: is_stable(s3_3, 3, 0), True, 31),
-        (lambda: is_stable(s3_4, 3, 0), True, 49),
-        (lambda: alpha_drop(s3_4, 3), 0, 49),
-        (lambda: is_stable(s4_3, 4, 0), True, 98),
-        (lambda: alpha_drop(s4_3, 4), 0, 98),
+        (lambda: is_stable(s3_3, 3, 0), True, 30),
+        (lambda: is_stable(s3_4, 3, 0), True, 48),
+        (lambda: alpha_drop(s3_4, 3), 0, 48),
+        (lambda: is_stable(s4_3, 4, 0), True, 97),
+        (lambda: alpha_drop(s4_3, 4), 0, 97),
     )
     for scan, answer, count in scans:
         calls.clear()
@@ -267,6 +269,19 @@ def test_scans_match_plain_scan_full_catalog(catalog):
                 assert alpha_drop(g, k) == worst
                 for l in range(k):
                     assert is_stable(g, k, l) == (worst <= l)
+
+
+def test_scans_seeded_with_any_maximum_set_match_plain_scan(catalog):
+    # the pool may start with any maximum independent set: the drop is the
+    # plain scan's for every class with n <= 7, every k and every seed
+    for n in range(2, 8):
+        for _, g in catalog(n):
+            a = alpha(g)
+            seeds = all_max_independent_sets(g)
+            for k in range(1, n):
+                worst = alpha_drop_plain(g, k)
+                for w in seeds:
+                    assert _worst_drop(g, k, a, min(k, a), [w]) == worst
 
 
 def test_scans_match_plain_scan_random_beyond_catalog():

@@ -5,7 +5,7 @@ import pytest
 
 from indstab import verify
 from indstab.families import lift
-from indstab.mis import all_max_independent_sets, alpha, saturating_matching
+from indstab.mis import alpha, saturating_matching
 from indstab.stability import (
     alpha_drop,
     is_tight_stable,
@@ -27,6 +27,8 @@ from indstab.verify import (
     suite_stability_bound,
     suite_uniqueness,
 )
+
+from _oracles import all_max_independent_sets
 
 
 def _facts(max_n, *suites):
