@@ -6,15 +6,18 @@ the canonical deletion vertex (the last minimum-degree vertex in canonical
 order).  The parent decides which attachment sets T can pass: with d its
 minimum degree, |T| <= d, or |T| = d + 1 and T holds every vertex of degree d.
 Those sets are deduplicated per parent by automorphism orbits, so each class
-is produced exactly once and workers owning disjoint parents never need
-cross-worker deduplication.  The search's leaves keep the cell order of the
-refined root partition and automorphisms fix its cells, so a child whose new
-vertex lies outside its last minimum-degree root cell is rejected before the
-search, which then starts from that partition.  A child whose new vertex is
-that cell alone is accepted without a search; it is searched only for the
-generators its own children need, or when a caller asks for its code, which
-emits receive as a zero-argument callable.  So most classes of the top level,
-on which nothing is built, are never searched.
+is produced exactly once, and the children of one parent depend on no other
+parent.  The tree is walked depth first (McKay, "Isomorph-free exhaustive
+generation", J. Algorithms 26, 1998): the caller walks it down to level
+n - 2, and each class there roots one subtree task, which workers take in
+order and need never deduplicate across.  The search's leaves keep the cell
+order of the refined root partition and automorphisms fix its cells, so a
+child whose new vertex lies outside its last minimum-degree root cell is
+rejected before the search, which then starts from that partition.  A child
+whose new vertex is that cell alone is accepted without a search; it is
+searched only for the generators its own children need, or when a caller asks
+for its code, which emits receive as a zero-argument callable.  So most
+classes of the top level, on which nothing is built, are never searched.
 
 A search for one predicate prunes every level by the predicate's window: the
 range of alpha that every induced subgraph of a matching graph on that many
@@ -33,7 +36,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterator
 
 from indstab.canon import CanonicalCode, _orbit, _refine, _search
 from indstab.graphs import Graph
@@ -42,8 +45,6 @@ from indstab.stability import _worst_drop, is_stable, is_tight_stable, stability
 
 HARD_GUARD = 10
 LONG_RUN_MAX = 11
-
-_CHUNK = 64  # parents per worker task
 
 
 # ---------------------------------------------------------------------------
@@ -183,32 +184,6 @@ def parse_predicate(text: str) -> Predicate:
 # ---------------------------------------------------------------------------
 # canonical augmentation core
 
-# level entries travel between processes as packed bytes:
-#   n rows of the adjacency matrix, row_bytes each, then automorphism
-#   generators as n-byte vertex maps.
-
-
-def _row_bytes(n: int) -> int:
-    return (n + 7) // 8
-
-
-def _pack_entry(n: int, adj: Iterable[int], gens: Iterable[Iterable[int]]) -> bytes:
-    rb = _row_bytes(n)
-    parts = [row.to_bytes(rb, "little") for row in adj]
-    parts += [bytes(s) for s in gens]
-    return b"".join(parts)
-
-
-def _unpack_entry(n: int, blob: bytes):
-    rb = _row_bytes(n)
-    adj = tuple(
-        int.from_bytes(blob[i * rb:(i + 1) * rb], "little") for i in range(n)
-    )
-    rest = blob[n * rb:]
-    gens = [list(rest[i * n:(i + 1) * n]) for i in range(len(rest) // n)]
-    return adj, gens
-
-
 def _attachments(n: int, adj: tuple[int, ...], gens: list[list[int]]) -> list[int]:
     """Orbit-least attachment sets T under the parent's group, ascending.
 
@@ -305,29 +280,29 @@ def _code(n: int, adj: tuple[int, ...], root: list[list[int]], found) -> Canonic
     return (found or _search(n, adj, root))[0]
 
 
-def _expand_chunk(args):
-    """Worker task: the children of packed parents, as packed entries (none
-    at the top level n), and the non-None results of emit on them."""
-    size, blobs, window, emit, n = args
+def _walk(size: int, adj: tuple[int, ...], gens: list[list[int]], windows, emit, n: int,
+          roots: list | None = None) -> Iterator[tuple[int, Any]]:
+    """Yield (m, item) for the non-None emits on every accepted descendant of
+    one class on `size` vertices, up to level n, depth first: each child is
+    emitted, then walked.  With `roots`, the walk stops at level n - 2 and
+    appends those classes to it as (m, adj, gens)."""
     m = size + 1
-    entries = []
-    items = []
-    for blob in blobs:
-        adj, gens = _unpack_entry(size, blob)
-        for cadj, root, found in _expand(size, adj, gens, window):
-            if m < n:
-                # the next level is built from this child's generators
-                found = found or _search(m, cadj, root)
-                entries.append(_pack_entry(m, cadj, found[2]))
-            item = emit(Graph._wrap(m, cadj), partial(_code, m, cadj, root, found))
-            if item is not None:
-                items.append(item)
-    return entries, items
+    for cadj, root, found in _expand(size, adj, gens, windows[m]):
+        if m < n:
+            # the child's own children are built from its generators
+            found = found or _search(m, cadj, root)
+        item = emit(Graph._wrap(m, cadj), partial(_code, m, cadj, root, found))
+        if item is not None:
+            yield m, item
+        if roots is not None and m == n - 2:
+            roots.append((m, cadj, found[2]))
+        elif m < n:
+            yield from _walk(m, cadj, found[2], windows, emit, n, roots)
 
 
-def _chunked(items: list, size: int) -> Iterator[list]:
-    for i in range(0, len(items), size):
-        yield items[i:i + size]
+def _subtree(windows, emit, n: int, root) -> list[tuple[int, Any]]:
+    """Worker task: _walk's stream below one level-(n - 2) class."""
+    return list(_walk(*root, windows, emit, n))
 
 
 def _check_guard(n: int, allow_long: bool) -> None:
@@ -383,12 +358,17 @@ def enumerate_levels(
 ) -> Iterator[tuple[int, Any]]:
     """Stream (g.n, emit(g, code)) for every class g on 1..n vertices.
 
-    Each level is built once, from the one below; jobs > 1 runs one worker pool
-    for the whole call, and `emit` runs in the worker that produced the class.
-    `code` is a zero-argument callable returning g's CanonicalCode: most
-    level-n classes are accepted without a canonical search, and calling it
-    runs that search.  None results are dropped.  The order does not depend
-    on jobs: the pool's results are taken in task order.
+    Classes come depth first, each right after its parent, so the levels
+    interleave; each level's own subsequence is in the order of a
+    level-by-level build, since each parent's children come in order.  The
+    caller walks levels 2..n - 2 and runs `emit` on them itself; each class
+    on n - 2 vertices roots a subtree task, whose levels n - 1 and n are
+    walked and emitted in one worker (jobs > 1, one pool for the whole call)
+    or in the caller (jobs = 1).  `code` is a zero-argument callable
+    returning g's CanonicalCode: most level-n classes are accepted without a
+    canonical search, and calling it runs that search.  None results are
+    dropped.  The order does not depend on jobs: the split level is n - 2
+    whatever jobs is, and the pool's results are taken in task order.
     With a `predicate`, levels 2..n keep only the classes inside its window
     at their level (and whose ancestors were kept): every class that matches
     at level n is still produced, and each level's stream is a subsequence
@@ -402,16 +382,14 @@ def enumerate_levels(
     item = emit(Graph._wrap(1, (0,)), partial(_code, 1, (0,), None, None))
     if item is not None:
         yield 1, item
-    level = [_pack_entry(1, (0,), ())]
+    # the subtrees below level n - 2 (below level 1 when n <= 3) are the tasks
+    roots = [(1, (0,), [])] if 1 < n <= 3 else []
     with _pool(jobs) as pool:
+        if n > 3:
+            yield from _walk(1, (0,), [], windows, emit, n, roots)
         run = pool.imap if pool else map
-        for size in range(1, n):
-            tasks = ((size, c, windows[size + 1], emit, n) for c in _chunked(level, _CHUNK))
-            level = []
-            for entries, items in run(_expand_chunk, tasks):
-                level += entries
-                for item in items:
-                    yield size + 1, item
+        for items in run(partial(_subtree, windows, emit, n), roots):
+            yield from items
 
 
 def _match(n: int, predicate: Predicate | None, g: Graph, code):

@@ -7,9 +7,11 @@ pass/fail except where a documented family claim is computationally false for
 some parameters: those entries carry status "discrepancy-noted" so the
 harness neither hides the claim nor asserts a falsehood.
 
-The exhaustive suites share one catalog pass, catalog_facts: each level is
-built once, and the worker that produces a class computes the Facts that the
-selected suites read of it, up to an n set by the suites and max_n alone.
+The exhaustive suites share one catalog pass, catalog_facts: one depth-first
+walk produces each class once, and the process that produces a class computes
+the Facts that the selected suites read of it, up to a top level N set by the
+suites and max_n alone.  Levels up to N - 2 are walked in the caller; with
+jobs > 1, levels N - 1 and N are walked in the workers, one subtree per task.
 Every fact is read from one mis.subset_alphas table per class (alpha of every
 induced subgraph), most through its alpha profile p(q), the least alpha over
 the q-vertex induced subgraphs.  Each suite is a reduction over the facts.  A
@@ -200,7 +202,7 @@ STABLE_VERTEX_MAX_N = 8  # the stable-vertex-count bound covers n = 2..8
 
 
 def _class_facts(suites, max_n: int, g: Graph, code) -> Facts | None:
-    """The Facts of one class, computed in the worker that produced it from
+    """The Facts of one class, computed in the process that produced it from
     the class's subset_alphas table; the table is dropped on return.  The
     canonical code is asked of `code()` only for tight (1, 0) classes."""
     n = g.n
@@ -245,7 +247,7 @@ def _class_facts(suites, max_n: int, g: Graph, code) -> Facts | None:
 def catalog_facts(config: VerifyConfig) -> dict[int, list[Facts]]:
     """n -> the Facts of every class on n vertices, for the selected suites.
 
-    One pass builds each catalog level once.  Equal facts share one record, so
+    One pass produces each class once.  Equal facts share one record, so
     a level costs little more than a pointer per class.
     """
     if set(config.suites) <= {"uniqueness"}:

@@ -362,6 +362,15 @@ def test_verify_format_json_stdout(capsys):
     assert json.loads(out)["summary"]["fail"] == 0
 
 
+def test_verify_output_writes_what_format_json_prints(capsys, tmp_path):
+    argv = ("verify", "--suite", "hall", "--max-n", "3", "--jobs", "1", "--format", "json")
+    code, printed, _ = run(capsys, *argv)
+    assert code == 0
+    path = tmp_path / "report.json"
+    assert run(capsys, *argv, "--output", str(path)) == (0, "", "")
+    assert path.read_bytes() == printed.encode()
+
+
 def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

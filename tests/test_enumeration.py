@@ -76,6 +76,22 @@ def test_stream_order_pinned():
         assert hashlib.sha256(codes).hexdigest() == EIGHT_STREAM_SHA256, jobs
 
 
+def _code_bytes(g, code):
+    """The emit of the per-level order test: every class's code bytes."""
+    return code().code
+
+
+def test_every_level_order_pinned(catalog):
+    # the levels interleave in enumerate_levels' stream, but each level's
+    # subsequence is that level's own top-level stream, at any worker count
+    for jobs in (1, 2):
+        levels = {m: [] for m in range(1, 9)}
+        for m, code in enumerate_levels(8, _code_bytes, jobs=jobs):
+            levels[m].append(code)
+        for m, codes in levels.items():
+            assert codes == [code.code for code, _ in catalog(m)], (m, jobs)
+
+
 def _count_calls(monkeypatch, counts, module, name):
     """Rebind module.name to count its calls in counts[name]."""
     real = getattr(module, name)
@@ -300,6 +316,19 @@ def test_expand_scan_pools_hold_independent_sets(monkeypatch):
             for l in range(k):
                 search_tight_stable(n, k, l)
     assert max(seen) > 1  # siblings' sets reached later children
+
+
+def test_first_match_arrives_before_the_last_level_is_built(monkeypatch):
+    # an existence query walks one subtree at a time: the first tight (2, 0)
+    # class on 9 vertices (the 9-cycle) arrives after 187 expanded parents,
+    # where a level-by-level build expands 527 first
+    counts = {"_expand": 0}
+    _count_calls(monkeypatch, counts, enumeration, "_expand")
+    stream = enumerate_graphs(9, predicate=Stable(2, 0, tight=True))
+    _, g = next(stream)
+    stream.close()
+    assert g.edge_count() == 9
+    assert counts["_expand"] <= 187
 
 
 def test_tight_window_floor_is_its_lo():
