@@ -8,16 +8,16 @@ minimum degree, |T| <= d, or |T| = d + 1 and T holds every vertex of degree d.
 Those sets are deduplicated per parent by automorphism orbits, so each class
 is produced exactly once, and the children of one parent depend on no other
 parent.  The tree is walked depth first (McKay, "Isomorph-free exhaustive
-generation", J. Algorithms 26, 1998): the caller walks it down to level
-n - 2, and each class there roots one subtree task, which workers take in
-order and need never deduplicate across.  The search's leaves keep the cell
-order of the refined root partition and automorphisms fix its cells, so a
-child whose new vertex lies outside its last minimum-degree root cell is
-rejected before the search, which then starts from that partition.  A child
-whose new vertex is that cell alone is accepted without a search; it is
-searched only for the generators its own children need, or when a caller asks
-for its code, which emits receive as a zero-argument callable.  So most
-classes of the top level, on which nothing is built, are never searched.
+generation", J. Algorithms 26, 1998); with workers, the caller walks down
+to level n - 2 and hands the classes there to the pool as it reaches them.
+The search's leaves keep the cell order of the refined root partition and
+automorphisms fix its cells, so a child whose new vertex lies outside its
+last minimum-degree root cell is rejected before the search, which then
+starts from that partition.  A child whose new vertex is that cell alone is
+accepted without a search; it is searched only for the generators its own
+children need, or when a caller asks for its code, which emits receive as a
+zero-argument callable.  So most classes of the top level, on which nothing
+is built, are never searched.
 
 A search for one predicate prunes every level by the predicate's window: the
 range of alpha that every induced subgraph of a matching graph on that many
@@ -32,6 +32,8 @@ from __future__ import annotations
 
 import multiprocessing
 import signal
+import time
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
@@ -281,11 +283,10 @@ def _code(n: int, adj: tuple[int, ...], root: list[list[int]], found) -> Canonic
 
 
 def _walk(size: int, adj: tuple[int, ...], gens: list[list[int]], windows, emit, n: int,
-          roots: list | None = None) -> Iterator[tuple[int, Any]]:
+          split: int = 0) -> Iterator[tuple[int | None, Any]]:
     """Yield (m, item) for the non-None emits on every accepted descendant of
-    one class on `size` vertices, up to level n, depth first: each child is
-    emitted, then walked.  With `roots`, the walk stops at level n - 2 and
-    appends those classes to it as (m, adj, gens)."""
+    one class on `size` vertices, up to level n, depth first; a child on
+    `split` vertices is emitted, then yielded as (None, (split, adj, gens))."""
     m = size + 1
     for cadj, root, found in _expand(size, adj, gens, windows[m]):
         if m < n:
@@ -294,15 +295,17 @@ def _walk(size: int, adj: tuple[int, ...], gens: list[list[int]], windows, emit,
         item = emit(Graph._wrap(m, cadj), partial(_code, m, cadj, root, found))
         if item is not None:
             yield m, item
-        if roots is not None and m == n - 2:
-            roots.append((m, cadj, found[2]))
+        if m == split:
+            yield None, (m, cadj, found[2])
         elif m < n:
-            yield from _walk(m, cadj, found[2], windows, emit, n, roots)
+            yield from _walk(m, cadj, found[2], windows, emit, n, split)
 
 
-def _subtree(windows, emit, n: int, root) -> list[tuple[int, Any]]:
-    """Worker task: _walk's stream below one level-(n - 2) class."""
-    return list(_walk(*root, windows, emit, n))
+def _subtrees(windows, emit, n: int, chunk) -> tuple[float, list[tuple[int, Any]]]:
+    """Worker task: seconds per root, and each root's items, then its _walk."""
+    start = time.perf_counter()
+    out = [x for *items, (_, root) in chunk for x in (*items, *_walk(*root, windows, emit, n))]
+    return (time.perf_counter() - start) / len(chunk), out
 
 
 def _check_guard(n: int, allow_long: bool) -> None:
@@ -358,17 +361,15 @@ def enumerate_levels(
 ) -> Iterator[tuple[int, Any]]:
     """Stream (g.n, emit(g, code)) for every class g on 1..n vertices.
 
-    Classes come depth first, each right after its parent, so the levels
-    interleave; each level's own subsequence is in the order of a
-    level-by-level build, since each parent's children come in order.  The
-    caller walks levels 2..n - 2 and runs `emit` on them itself; each class
-    on n - 2 vertices roots a subtree task, whose levels n - 1 and n are
-    walked and emitted in one worker (jobs > 1, one pool for the whole call)
-    or in the caller (jobs = 1).  `code` is a zero-argument callable
-    returning g's CanonicalCode: most level-n classes are accepted without a
-    canonical search, and calling it runs that search.  None results are
-    dropped.  The order does not depend on jobs: the split level is n - 2
-    whatever jobs is, and the pool's results are taken in task order.
+    Classes come depth first, each right after its parent; each level's own
+    subsequence is in the order of a level-by-level build.  With jobs > 1
+    (one pool per call) the caller walks and emits levels 2..n - 2 only, and
+    hands the classes on n - 2 vertices to the pool as it reaches them;
+    levels n - 1 and n are walked and emitted in the workers.  A task's
+    output takes its roots' place in the walk, so the stream does not
+    depend on jobs.  `code` is a zero-argument callable returning g's
+    CanonicalCode: most level-n classes are accepted without a canonical
+    search, and calling it runs that search.  None results are dropped.
     With a `predicate`, levels 2..n keep only the classes inside its window
     at their level (and whose ancestors were kept): every class that matches
     at level n is still produced, and each level's stream is a subsequence
@@ -382,14 +383,32 @@ def enumerate_levels(
     item = emit(Graph._wrap(1, (0,)), partial(_code, 1, (0,), None, None))
     if item is not None:
         yield 1, item
-    # the subtrees below level n - 2 (below level 1 when n <= 3) are the tasks
-    roots = [(1, (0,), [])] if 1 < n <= 3 else []
+    if n == 1:
+        return
     with _pool(jobs) as pool:
-        if n > 3:
-            yield from _walk(1, (0,), [], windows, emit, n, roots)
-        run = pool.imap if pool else map
-        for items in run(partial(_subtree, windows, emit, n), roots):
-            yield from items
+        if pool is None:
+            yield from _walk(1, (0,), [], windows, emit, n)
+            return
+        # a task costs the caller ~0.6 ms (2 vCPUs), so it takes ~50 ms of
+        # roots at the last task's pace, one root more at most; 4 * jobs pend
+        before, chunk, tasks, size = [], [], deque(), 1
+        for m, x in _walk(1, (0,), [], windows, emit, n, n - 2):
+            before.append((m, x))
+            if m is None:
+                chunk.append(before)
+                before = []
+            if len(chunk) >= size:
+                tasks.append(pool.apply_async(_subtrees, (windows, emit, n, chunk)))
+                chunk = []
+                if len(tasks) > 4 * jobs:
+                    per_root, items = tasks.popleft().get()
+                    size = max(1, min(size + 1, int(0.05 / max(per_root, 1e-6))))
+                    yield from items
+        if chunk:
+            tasks.append(pool.apply_async(_subtrees, (windows, emit, n, chunk)))
+        for task in tasks:
+            yield from task.get()[1]
+        yield from before
 
 
 def _match(n: int, predicate: Predicate | None, g: Graph, code):

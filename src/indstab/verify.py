@@ -10,8 +10,8 @@ harness neither hides the claim nor asserts a falsehood.
 The exhaustive suites share one catalog pass, catalog_facts: one depth-first
 walk produces each class once, and the process that produces a class computes
 the Facts that the selected suites read of it, up to a top level N set by the
-suites and max_n alone.  Levels up to N - 2 are walked in the caller; with
-jobs > 1, levels N - 1 and N are walked in the workers, one subtree per task.
+suites and max_n alone.  The caller walks every level, or with jobs > 1 the
+levels up to N - 2, and the workers walk levels N - 1 and N below them.
 Every fact is read from one mis.subset_alphas table per class (alpha of every
 induced subgraph), most through its alpha profile p(q), the least alpha over
 the q-vertex induced subgraphs.  Each suite is a reduction over the facts.  A

@@ -33,6 +33,16 @@ from _oracles import attachment_sets_brute, labeled_census
 
 NINE_3_0_SHA256 = "b319aaf948d4069a05b827579622abc6e15a7b1f93d53a2a28677bad6f831e0e"
 EIGHT_STREAM_SHA256 = "84870251016d774e5edb93ef9f0934efbb57bdb0a2b196b4f4c49f48cd8f6591"
+LEVEL_SHA256 = {  # each level's codes in enumerate_levels(8, ...), in order
+    1: "4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a",
+    2: "e14b77bb203317724ad98b20cf058c977a65f1fbb20c40b5b71b9f063f68c64a",
+    3: "4baf3bbd7d9d9c85b869d826c8d834a5c0f4f20f80dd1e5743a3b195210fa833",
+    4: "cca913888923068c608a771f2078238db4e6df7df61ea958e24bf6e08508fa59",
+    5: "6f3481fee5febb3ed6100bf4581f78451b0c55733a89754a51dae64e816ff4ca",
+    6: "d7aeb6957e12434b85248c9ffbaf94ea1b8f7ee6e22b0529ba0d94a0d813d70d",
+    7: "287ecdb001652b8b3012ce8d769caa8533f0513b545f0f86cdd60658807bad23",
+    8: EIGHT_STREAM_SHA256,
+}
 
 
 def test_counts_match_published_census():
@@ -81,15 +91,19 @@ def _code_bytes(g, code):
     return code().code
 
 
-def test_every_level_order_pinned(catalog):
-    # the levels interleave in enumerate_levels' stream, but each level's
-    # subsequence is that level's own top-level stream, at any worker count
-    for jobs in (1, 2):
-        levels = {m: [] for m in range(1, 9)}
-        for m, code in enumerate_levels(8, _code_bytes, jobs=jobs):
-            levels[m].append(code)
-        for m, codes in levels.items():
-            assert codes == [code.code for code, _ in catalog(m)], (m, jobs)
+def test_every_level_order_pinned():
+    # the levels interleave in enumerate_levels' stream, the same at any
+    # worker count: below n = 4 the caller walks every level, and above it
+    # each task's output takes its roots' place in the walk.  Each level's
+    # subsequence at n = 8 is pinned by the digest of its codes in a
+    # level-by-level build
+    for n in range(1, 9):
+        streams = [list(enumerate_levels(n, _code_bytes, jobs=jobs)) for jobs in (1, 2)]
+        assert streams[0] == streams[1], n
+    levels = {m: hashlib.sha256() for m in LEVEL_SHA256}
+    for m, code in streams[0]:
+        levels[m].update(code)
+    assert {m: h.hexdigest() for m, h in levels.items()} == LEVEL_SHA256
 
 
 def _count_calls(monkeypatch, counts, module, name):
@@ -319,16 +333,17 @@ def test_expand_scan_pools_hold_independent_sets(monkeypatch):
 
 
 def test_first_match_arrives_before_the_last_level_is_built(monkeypatch):
-    # an existence query walks one subtree at a time: the first tight (2, 0)
-    # class on 9 vertices (the 9-cycle) arrives after 187 expanded parents,
-    # where a level-by-level build expands 527 first
+    # a serial existence query walks depth first: the first tight (2, 0)
+    # class on 9 vertices (the 9-cycle) arrives after 59 expanded parents,
+    # the part of the tree before it, where a level-by-level build expands
+    # 527 first
     counts = {"_expand": 0}
     _count_calls(monkeypatch, counts, enumeration, "_expand")
     stream = enumerate_graphs(9, predicate=Stable(2, 0, tight=True))
     _, g = next(stream)
     stream.close()
     assert g.edge_count() == 9
-    assert counts["_expand"] <= 187
+    assert counts["_expand"] <= 59
 
 
 def test_tight_window_floor_is_its_lo():
