@@ -4,10 +4,11 @@ The canonical code of a graph is the lexicographically least upper-triangle
 adjacency bit string over the leaf labelings of the refinement tree: starting
 from the degree partition, cells are split by neighbor counts until stable,
 then a vertex of the first non-singleton cell is individualized and the
-process recurses.  Each refinement round counts neighbors only in the cells
-the previous round split (at first the whole vertex set, or the new
-singleton): a cell already has one count in each cell left whole, so the
-partitions are those of counting in every cell.  Discovered automorphisms
+process recurses.  The degree partition is read from the rows' bit counts,
+with no masks.  Each later round counts neighbors only in the cells the
+previous round split (at first every degree cell, or the new singleton): a
+cell already has one count in each cell left whole, so the partitions are
+those of counting in every cell.  Discovered automorphisms
 prune branches that can only replay an explored subtree, which keeps highly
 symmetric graphs (complete, empty, circulant) tractable.  The discovered set
 generates the full automorphism group, so it is returned with the code and its
@@ -69,7 +70,8 @@ def _refine(adj: tuple[int, ...], cells: list[list[int]], fresh: list[int]) -> l
                     sigs.setdefault((adj[v] & m).bit_count(), []).append(v)
             else:
                 for v in c:
-                    sigs.setdefault(tuple((adj[v] & m).bit_count() for m in masks), []).append(v)
+                    a = adj[v]
+                    sigs.setdefault(tuple([(a & m).bit_count() for m in masks]), []).append(v)
             if len(sigs) == 1:
                 new_cells.append(c)
             else:
@@ -78,6 +80,20 @@ def _refine(adj: tuple[int, ...], cells: list[list[int]], fresh: list[int]) -> l
                     new_cells.append(sigs[sig])
         cells = new_cells
     return cells
+
+
+def _refine_root(n: int, adj: tuple[int, ...]) -> list[list[int]]:
+    """The refined one-cell partition, equal to _refine(adj, [list(range(n))], [0]).
+
+    Its first round is the degree partition, read from `bit_count` with no
+    masks, so refinement starts there with every cell fresh.
+    """
+    by_degree: dict[int, list[int]] = {}
+    for v in range(n):
+        by_degree.setdefault(adj[v].bit_count(), []).append(v)
+    if len(by_degree) == 1:
+        return list(by_degree.values())
+    return _refine(adj, [by_degree[d] for d in sorted(by_degree)], list(range(len(by_degree))))
 
 
 def _leaf_code(n: int, adj: tuple[int, ...], perm: list[int]) -> int:
@@ -153,7 +169,7 @@ def _search(n: int, adj: tuple[int, ...], root: list[list[int]] | None = None):
     """
     leaves: list[tuple[int, list[int]]] = []
     gens: list[list[int]] = []
-    _descend(n, adj, root or _refine(adj, [list(range(n))], [0]), [], leaves, gens)
+    _descend(n, adj, root or _refine_root(n, adj), [], leaves, gens)
     code_int, perm = leaves[1]
     return CanonicalCode(_pack(code_int, n), n), perm, gens
 

@@ -10,14 +10,16 @@ is produced exactly once, and the children of one parent depend on no other
 parent.  The tree is walked depth first (McKay, "Isomorph-free exhaustive
 generation", J. Algorithms 26, 1998); with workers, the caller walks down
 to level n - 2 and hands the classes there to the pool as it reaches them.
-The search's leaves keep the cell order of the refined root partition and
-automorphisms fix its cells, so a child whose new vertex lies outside its
-last minimum-degree root cell is rejected before the search, which then
-starts from that partition.  A child whose new vertex is that cell alone is
-accepted without a search; it is searched only for the generators its own
-children need, or when a caller asks for its code, which emits receive as a
-zero-argument callable.  So most classes of the top level, on which nothing
-is built, are never searched.
+A child whose new vertex is its only vertex of least degree is accepted
+before any refinement: the deletion vertex's cell is then that vertex
+alone.  Otherwise the search's leaves keep the cell order of the refined root
+partition and automorphisms fix its cells, so a child whose new vertex lies
+outside its last minimum-degree root cell is rejected before the search,
+which then starts from that partition.  A child whose new vertex is that
+cell alone is accepted without a search; it is searched only for the
+generators its own children need, or when a caller asks for its code, which
+emits receive as a zero-argument callable.  So most classes of the top
+level, on which nothing is built, are never searched.
 
 A search for one predicate prunes every level by the predicate's window: the
 range of alpha that every induced subgraph of a matching graph on that many
@@ -40,7 +42,7 @@ from functools import partial
 from itertools import combinations
 from typing import Any, Callable, Iterator
 
-from indstab.canon import CanonicalCode, _orbit, _refine, _search
+from indstab.canon import CanonicalCode, _orbit, _refine_root, _search
 from indstab.graphs import Graph
 from indstab.mis import _alpha_set, alpha_mask, independent_set_at_least
 from indstab.stability import _worst_drop, is_stable, is_tight_stable, stability_bound
@@ -186,8 +188,10 @@ def parse_predicate(text: str) -> Predicate:
 # ---------------------------------------------------------------------------
 # canonical augmentation core
 
-def _attachments(n: int, adj: tuple[int, ...], gens: list[list[int]]) -> list[int]:
-    """Orbit-least attachment sets T under the parent's group, ascending.
+def _attachments(n: int, adj: tuple[int, ...], gens: list[list[int]]) -> tuple[int, int, list]:
+    """(d, low, sets): the parent's minimum degree d, the mask `low` of its
+    vertices of degree d, and the orbit-least attachment sets T under the
+    parent's group, ascending.
 
     The new vertex must end up of minimum degree: |T| <= d, or |T| = d + 1 and
     T holds every vertex of the parent's minimum degree d.  The rule is
@@ -220,7 +224,7 @@ def _attachments(n: int, adj: tuple[int, ...], gens: list[list[int]]) -> list[in
                 if img not in seen:
                     seen.add(img)
                     orbit.append(img)
-    return reps
+    return d, low, reps
 
 
 def _deletion_cell(cadj: tuple[int, ...], root: list[list[int]], d: int) -> list[int]:
@@ -230,9 +234,9 @@ def _deletion_cell(cadj: tuple[int, ...], root: list[list[int]], d: int) -> list
 
 def _expand(n: int, adj: tuple[int, ...], gens: list[list[int]], window):
     """Accepted children of one parent inside `window` (None: all), as
-    (adj, root, found) triples: `root` is the child's refined root partition
-    and `found` its _search result, or None when the child was accepted
-    without a search.
+    (adj, root, found) triples: `root` is the child's refined root partition,
+    or None when the child was accepted on degree alone, and `found` its
+    _search result, or None when the child was accepted without a search.
 
     A child's removal scan starts from its own maximum independent set and
     from every set that its earlier siblings' scans found without the new
@@ -245,7 +249,8 @@ def _expand(n: int, adj: tuple[int, ...], gens: list[list[int]], window):
         lo, hi, ks, floor = window
         a, top = _alpha_set(adj, full)
         shared: list[int] = []  # the siblings' witnesses without vertex n
-    for t in _attachments(n, adj, gens):
+    d, low, sets = _attachments(n, adj, gens)
+    for t in sets:
         # the child's alpha c is the parent's a, or a + 1 when an a-set avoids
         # T; both lie in the window when lo <= a < hi, so c is probed only
         # outside that or for the deletion test
@@ -263,21 +268,27 @@ def _expand(n: int, adj: tuple[int, ...], gens: list[list[int]], window):
             shared += [w for w in pool[start:] if not w >> n & 1]
             if drop > c - floor:
                 continue
-        root = _refine(cadj, [list(range(n + 1))], [0])
-        cell = _deletion_cell(cadj, root, t.bit_count())  # |T|, the child's least degree
+        k = t.bit_count()  # the child's least degree
+        # the new vertex alone has degree k when every old vertex ends above
+        # it: k < d, or k = d and T gives every vertex of degree d an edge
+        if k < d or k == d and t & low == low:
+            out.append((cadj, None, None))
+            continue
+        root = _refine_root(n + 1, cadj)
+        cell = _deletion_cell(cadj, root, k)
         if n not in cell:
             continue
         if len(cell) == 1:  # the new vertex is the canonical deletion vertex
             out.append((cadj, root, None))
             continue
         found = _search(n + 1, cadj, root)
-        f = next(v for v in reversed(found[1]) if cadj[v].bit_count() == t.bit_count())
+        f = next(v for v in reversed(found[1]) if cadj[v].bit_count() == k)
         if n in _orbit([f], found[2]):
             out.append((cadj, root, found))
     return out
 
 
-def _code(n: int, adj: tuple[int, ...], root: list[list[int]], found) -> CanonicalCode:
+def _code(n: int, adj: tuple[int, ...], root: list[list[int]] | None, found) -> CanonicalCode:
     """The canonical code of an accepted child, searched for if `found` is None."""
     return (found or _search(n, adj, root))[0]
 

@@ -18,12 +18,15 @@ Low-level helpers operate directly on adjacency rows and a vertex mask, which
 lets the stability scans query induced subgraphs without rebuilding Graph
 values.  For the small catalog classes, subset_alphas instead sweeps all 2^n
 vertex masks once and tabulates every induced subgraph's independence number,
-and alpha_profile reduces that table to the least one per subgraph size.
+one byte lane per mask of a single int, and alpha_profile reduces that table
+to the least one per subgraph size.  A lane's value never exceeds n, so the
+lane arithmetic carries nothing across lanes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from indstab.graphs import Graph, _check_vset, vset_members
 
@@ -129,19 +132,44 @@ def alpha_mask(adj: tuple[int, ...], mask: int) -> int:
     return _alpha_set(adj, mask)[0]
 
 
+@cache
+def _lanes(v: int) -> tuple[int, int, int, list[int]]:
+    """Byte lanes of the 2^v masks below vertex v: 0x01, 0x7F and 0x80 in
+    each, and for each j < v, 0xFF in the lanes whose mask lacks j."""
+    ones = int.from_bytes(b"\x01" * (1 << v), "little")
+    lacks = [
+        int.from_bytes((b"\xff" * (1 << j) + bytes(1 << j)) * (1 << (v - 1 - j)), "little")
+        for j in range(v)
+    ]
+    return ones, 0x7F * ones, ones << 7, lacks
+
+
 def subset_alphas(adj: tuple[int, ...], n: int) -> list[int]:
     """The independence number of every induced subgraph, indexed by vertex mask.
 
     Built one vertex at a time: the masks whose highest vertex is v extend
     the table of the masks below v, each taking the value of the mask without
-    v, or one more than that of the mask without v and its neighbors,
-    whichever is larger.  Meant for n <= 8, the catalog range.
+    v, plus one exactly when the mask without v and its neighbors has the
+    same value (a subgraph's alpha is at most its supergraph's).  The table
+    is one int with a byte lane per mask.  The projection copies, for each
+    neighbor j of v below it, the lanes without j onto those with j, and
+    adding 0x7F to each lane of its xor with the table sets the lane's top
+    bit where the two differ.  A lane holds at most n <= 64 < 128, so no
+    carry or borrow crosses a lane.  Meant for n <= 8, the catalog range.
     """
-    table = [0]
+    table = 0
     for v in range(n):
-        keep = ~adj[v] & ((1 << v) - 1)  # the non-neighbors of v below it
-        table += [a if a > table[m & keep] else 1 + table[m & keep] for m, a in enumerate(table)]
-    return table
+        ones, low7, high, lacks = _lanes(v)
+        proj = table  # becomes each mask's value without v's neighbors
+        m = adj[v] & ((1 << v) - 1)  # the neighbors of v below it
+        while m:
+            j = (m & -m).bit_length() - 1
+            m &= m - 1
+            proj &= lacks[j]
+            proj |= proj << (8 << j)
+        differ = (((table ^ proj) + low7) & high) >> 7
+        table |= (table + ones - differ) << (8 << v)
+    return list(table.to_bytes(1 << n, "little"))
 
 
 def alpha_profile(table: list[int]) -> list[int]:

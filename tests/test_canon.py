@@ -3,6 +3,7 @@ from itertools import permutations
 
 from indstab.canon import (
     _refine,
+    _refine_root,
     automorphism_generators,
     canonical,
     canonical_labeling,
@@ -37,7 +38,8 @@ def _refine_inputs(g):
 
 def test_refine_matches_full_recompute(catalog):
     # counting only in the fresh cells gives the identical ordered partition,
-    # on the catalog graphs and at the 32- to 64-vertex sizes of one-off queries
+    # on the catalog graphs and at the 32- to 64-vertex sizes of one-off queries;
+    # the root refinement started from the degree partition is the same one
     rng = random.Random(71)
     graphs = [g for n in range(1, 8) for _, g in catalog(n)]
     graphs += [
@@ -47,6 +49,7 @@ def test_refine_matches_full_recompute(catalog):
     for g in graphs:
         for cells, fresh in _refine_inputs(g):
             assert _refine(g.adj, cells, fresh) == refine_full(g.n, g.adj, cells)
+        assert _refine_root(g.n, g.adj) == _refine(g.adj, [list(range(g.n))], [0])
 
 
 def test_c5_all_relabelings_agree():

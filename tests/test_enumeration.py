@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 
 from indstab import canon, enumeration, stability
-from indstab.canon import _refine, _search, automorphism_generators, canonical
+from indstab.canon import _refine, _refine_root, _search, automorphism_generators, canonical
 from indstab.enumeration import (
     And,
     AlphaEquals,
@@ -15,6 +15,7 @@ from indstab.enumeration import (
     Stable,
     _attachments,
     _deletion_cell,
+    _expand,
     count_graphs,
     enumerate_graphs,
     enumerate_levels,
@@ -119,15 +120,16 @@ def _count_calls(monkeypatch, counts, module, name):
 
 def test_canonical_search_work_bounded(monkeypatch):
     # upper bounds on the canonical searches, refinements and leaves of the
-    # serial n = 7 catalog pass; more work than this is a regression
+    # serial n = 7 catalog pass; more work than this is a regression.  Every
+    # refinement runs canon._refine, _expand's root refinements included,
+    # except a root with one degree class, which needs none
     counts = {"_search": 0, "_refine": 0, "_leaf_code": 0}
     _count_calls(monkeypatch, counts, enumeration, "_search")
-    _count_calls(monkeypatch, counts, enumeration, "_refine")
     _count_calls(monkeypatch, counts, canon, "_refine")
     _count_calls(monkeypatch, counts, canon, "_leaf_code")
     assert count_graphs(7) == 1044
     assert counts["_search"] <= 542
-    assert counts["_refine"] <= 5930
+    assert counts["_refine"] <= 5384
     assert counts["_leaf_code"] <= 2181
 
 
@@ -172,7 +174,7 @@ def test_attachments_match_oracle(catalog):
     # filtered by the per-vertex degree test
     for n in range(1, 8):
         for code, g in catalog(n):
-            found = _attachments(n, g.adj, automorphism_generators(g))
+            _, _, found = _attachments(n, g.adj, automorphism_generators(g))
             assert found == attachment_sets_brute(g), code
 
 
@@ -183,7 +185,7 @@ def test_deletion_cell_pretest_is_exact(catalog):
     rejected = 0
     for n in range(1, 7):
         for code, g in catalog(n):
-            for t in _attachments(n, g.adj, automorphism_generators(g)):
+            for t in _attachments(n, g.adj, automorphism_generators(g))[2]:
                 cadj = tuple(row | (1 << n) if t >> v & 1 else row for v, row in enumerate(g.adj))
                 cadj += (t,)
                 root = _refine(cadj, [list(range(n + 1))], [0])
@@ -196,6 +198,26 @@ def test_deletion_cell_pretest_is_exact(catalog):
                     assert n not in orbit, code
                     rejected += 1
     assert rejected > 0
+
+
+def test_root_path_matches_refine_on_every_child(catalog):
+    # every orbit-least attachment set of every parent with n <= 7, before the
+    # deletion test: the degree-started root is the one-cell refinement; and
+    # a child accepted on degree alone has the new vertex as its deletion cell
+    by_degree = 0
+    for n in range(1, 8):
+        for code, g in catalog(n):
+            gens = automorphism_generators(g)
+            for t in _attachments(n, g.adj, gens)[2]:
+                cadj = tuple(row | (1 << n) if t >> v & 1 else row for v, row in enumerate(g.adj))
+                cadj += (t,)
+                assert _refine_root(n + 1, cadj) == _refine(cadj, [list(range(n + 1))], [0]), code
+            for cadj, root, _ in _expand(n, g.adj, gens, None):
+                if root is None:
+                    root = _refine(cadj, [list(range(n + 1))], [0])
+                    assert _deletion_cell(cadj, root, cadj[n].bit_count()) == [n], code
+                    by_degree += 1
+    assert by_degree > 0
 
 
 def test_single_worker_order_deterministic():
@@ -288,16 +310,17 @@ def test_tight_search_work_pinned(monkeypatch):
     # the calls _expand makes: upper bounds for tight (3, 1) at n = 8, which
     # its removal floor prunes, and exact counts for tight (2, 0), the search
     # of the tight8 benchmark workload
-    counts = dict.fromkeys(("_search", "_refine", "independent_set_at_least", "_worst_drop"), 0)
+    names = ("_search", "_refine_root", "independent_set_at_least", "_worst_drop")
+    counts = dict.fromkeys(names, 0)
     for name in counts:
         _count_calls(monkeypatch, counts, enumeration, name)
     assert len(search_tight_stable(8, 3, 1)) == 100
     assert counts["_search"] <= 233
-    assert counts["_refine"] <= 307
+    assert counts["_refine_root"] <= 230
     counts.update(dict.fromkeys(counts, 0))
     assert len(search_tight_stable(8, 2, 0)) == 75
     assert counts == {
-        "_search": 375, "_refine": 558, "independent_set_at_least": 3957, "_worst_drop": 1241,
+        "_search": 375, "_refine_root": 419, "independent_set_at_least": 3957, "_worst_drop": 1241,
     }
 
 

@@ -86,6 +86,20 @@ def test_subset_alphas_match_solver(catalog):
         assert table == [alpha_mask(g.adj, mask) for mask in range(1 << g.n)]
 
 
+def test_subset_alphas_byte_lanes_match_solver(catalog):
+    # the byte-lane table at its extremes: every lane of the empty graph at
+    # its top value, popcount(mask), and the complete graph's at one (zero
+    # for the empty mask); then every class at n = 7
+    cases = []
+    for n in range(11):
+        full = (1 << n) - 1
+        cases.append(((0,) * n, n))
+        cases.append((tuple(full & ~(1 << v) for v in range(n)), n))
+    cases += [(g.adj, 7) for _, g in catalog(7)]
+    for adj, n in cases:
+        assert subset_alphas(adj, n) == [alpha_mask(adj, m) for m in range(1 << n)], (adj, n)
+
+
 def test_alpha_profile_steps_by_zero_or_one(catalog):
     # er_grid bisects the profile, which needs it never to decrease
     for n in range(1, 8):
