@@ -2,10 +2,8 @@
 
     python bench/dfs.py PARENT_SRC [--pairs 5] [--long-pairs 1] [--out BENCH_dfs.json]
 
-PARENT_SRC is the src/ directory of a checkout of the commit to compare
-against; this checkout's src/ is the change.  Every measurement runs in a
-fresh interpreter, once per side per pair, and the side that runs first
-alternates from pair to pair.  Measured:
+PARENT_SRC is the src/ directory of the commit to compare against; the
+pairs, gates and summaries are bench/pairs.py's.  Measured:
 
 - count_graphs(9) at jobs 1 and 2: wall seconds, the CPU seconds of the
   measuring process (at jobs 2: the caller's walk of levels <= n - 2 and
@@ -21,25 +19,18 @@ alternates from pair to pair.  Measured:
   minutes a run on 2 vCPUs).
 
 Cases are keyed "count N JOBS", "search N JOBS K L" and "first N K L".
-Counts and answers must repeat exactly on every run of a side, and answers
-must agree between the sides; the script stops otherwise.  One measurement
-alone, in this interpreter, prints its JSON line:
+One measurement alone, in this interpreter, prints its JSON line:
 
     PYTHONPATH=SRC python bench/dfs.py --one '["search", 11, 1, 2, 0]'
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
-import json
-import os
-import platform
 import resource
-import statistics
-import subprocess
-import sys
 import time
+
+import pairs
 
 CASES = [
     ("count", 9, 1),
@@ -71,13 +62,7 @@ def measure(case: list) -> dict:
 
     counts = {"_expand": 0, "_search": 0}
     for name in counts:
-        real = getattr(enumeration, name)
-
-        def call(*args, name=name, real=real):
-            counts[name] += 1
-            return real(*args)
-
-        setattr(enumeration, name, call)
+        pairs.count_calls(counts, name, enumeration, name)
     kind, n, *rest = case
     t, cpu = time.perf_counter(), time.process_time()
     if kind == "count":
@@ -108,74 +93,10 @@ def measure(case: list) -> dict:
     }
 
 
-def _run(src: str, case: tuple) -> dict:
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, __file__, "--one", json.dumps(case)],
-        env=env, check=True, capture_output=True, text=True,
-    ).stdout
-    return json.loads(out)
-
-
-def _summary(runs: list[dict]) -> dict:
-    secs = [r["seconds"] for r in runs]
-    q1, med, q3 = statistics.quantiles(secs, n=4) if len(secs) > 1 else (secs[0],) * 3
-    for r in runs[1:]:
-        if (r["result"], r["counters"]) != (runs[0]["result"], runs[0]["counters"]):
-            raise SystemExit(f"runs disagree: {runs[0]} vs {r}")
-    return {
-        "seconds": {"median": round(med, 3), "q1": round(q1, 3), "q3": round(q3, 3),
-                    "runs": secs},
-        "cpu_self_s": [r["cpu_self_s"] for r in runs],
-        "rss_self_mib": [r["rss_self_mib"] for r in runs],
-        "rss_children_mib": [r["rss_children_mib"] for r in runs],
-        "result": runs[0]["result"],
-        "counters": runs[0]["counters"],
-    }
-
-
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("parent_src", nargs="?")
-    ap.add_argument("--pairs", type=int, default=5)
-    ap.add_argument("--long-pairs", type=int, default=1)
-    ap.add_argument("--out", default="BENCH_dfs.json")
-    ap.add_argument("--one", metavar="CASE", help="measure one case, a JSON list, and print it")
-    args = ap.parse_args()
-    if args.one:
-        print(json.dumps(measure(json.loads(args.one))))
-        return
-    if not args.parent_src:
-        ap.error("PARENT_SRC is required")
-    here = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    sides = {"parent": os.path.abspath(args.parent_src), "change": here}
-    doc = {
-        "label": "dfs",
-        "host": f"{os.cpu_count()} CPUs, Python {platform.python_version()}",
-        "command": "python bench/dfs.py PARENT_SRC --pairs %d --long-pairs %d"
-        % (args.pairs, args.long_pairs),
-        "cases": {},
-    }
-    cases = [(c, args.pairs) for c in CASES] + [(c, args.long_pairs) for c in LONG_CASES]
-    for case, pairs in cases:
-        if not pairs:
-            continue
-        runs = {"parent": [], "change": []}
-        wins = 0
-        for i in range(pairs):
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            for side in order:
-                runs[side].append(_run(sides[side], case))
-            wins += runs["change"][-1]["seconds"] < runs["parent"][-1]["seconds"]
-            print(case, i, {s: r[-1]["seconds"] for s, r in runs.items()}, file=sys.stderr)
-        entry = {side: _summary(r) for side, r in runs.items()}
-        if entry["parent"]["result"] != entry["change"]["result"]:
-            raise SystemExit(f"{case}: the sides disagree")
-        entry["change_faster_pairs"] = f"{wins} of {pairs}"
-        doc["cases"][" ".join(map(str, case))] = entry
-        with open(args.out, "w", encoding="utf-8") as fh:  # after every case
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
+    args = pairs.parse_args(__doc__, "BENCH_dfs.json", long_pairs=1)
+    plan = [(c, args.pairs) for c in CASES] + [(c, args.long_pairs) for c in LONG_CASES]
+    pairs.run(__file__, measure, args, "dfs", plan)
 
 
 if __name__ == "__main__":

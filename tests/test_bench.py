@@ -1,0 +1,75 @@
+import argparse
+import json
+import os
+import re
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+
+# a bench script whose case ["pid"] gives each run its own counters and
+# ["src"] each side its own result
+FAKE = """\
+import json, os, sys
+kind = json.loads(sys.argv[2])[0]
+print(json.dumps({
+    "seconds": 0.0,
+    "result": os.environ["PYTHONPATH"] if kind == "src" else 0,
+    "counters": {"pid": os.getpid() if kind == "pid" else 0},
+}))
+"""
+
+
+@pytest.fixture
+def pairs(monkeypatch):
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "bench"))
+    import pairs
+
+    return pairs
+
+
+def _fake_run(pairs, tmp_path, kind):
+    script = tmp_path / "fake.py"
+    script.write_text(FAKE)
+    args = argparse.Namespace(parent_src=str(tmp_path), pairs=2, out=str(tmp_path / "out.json"),
+                              one=None)
+    pairs.run(str(script), None, args, "fake", [((kind,), 2)])
+
+
+def test_pairs_stops_when_a_side_does_not_repeat(pairs, tmp_path):
+    with pytest.raises(SystemExit, match="runs disagree"):
+        _fake_run(pairs, tmp_path, "pid")
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_pairs_stops_when_the_sides_disagree(pairs, tmp_path):
+    with pytest.raises(SystemExit, match="the sides disagree"):
+        _fake_run(pairs, tmp_path, "src")
+
+
+def test_catalog_bench_two_pairs(monkeypatch, tmp_path):
+    # bench/catalog.py's own command line and gates, with this checkout as
+    # both sides, over one small case
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "bench"))
+    import catalog
+
+    out = tmp_path / "catalog.json"
+    monkeypatch.setattr(catalog, "CASES", [("count", 5)])
+    monkeypatch.setattr(sys, "argv", ["catalog.py", SRC, "--pairs", "2", "--out", str(out)])
+    catalog.main()
+    doc = json.loads(out.read_text())
+    assert list(doc) == ["label", "host", "command", "cases"]
+    assert doc["command"] == "python bench/catalog.py PARENT_SRC --pairs 2"
+    entry = doc["cases"]["count 5"]
+    assert set(entry) == {"parent", "change", "change_faster_pairs"}
+    assert re.fullmatch(r"[0-2] of 2", entry["change_faster_pairs"])
+    for side in ("parent", "change"):
+        assert set(entry[side]) == {"seconds", "rss_mib", "result", "counters"}
+        assert set(entry[side]["seconds"]) == {"median", "q1", "q3", "runs"}
+        assert len(entry[side]["seconds"]["runs"]) == len(entry[side]["rss_mib"]) == 2
+        assert entry[side]["result"] == {"classes": 34}
+        assert set(entry[side]["counters"]) == {
+            "expand_roots", "root_refinements", "refine_calls", "searches", "leaves",
+        }

@@ -203,15 +203,23 @@ def _running(pid):
         return False
 
 
+def _default_sigint():
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+
+
 def _enumerate_nine(**kwargs):
-    """`indstab enumerate --n 9 --count-only --jobs 2`, started in the background."""
+    """`indstab enumerate --n 9 --count-only --jobs 2`, started in the background.
+
+    SIGINT starts at its default disposition: a child inherits an ignored
+    SIGINT (as from a shell's background job), and Python then keeps ignoring it.
+    """
     src = os.path.dirname(os.path.dirname(indstab.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.Popen(
         [sys.executable, "-m", "indstab.cli", "enumerate", "--n", "9", "--count-only",
          "--jobs", "2"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        env=dict(os.environ, PYTHONPATH=path), **kwargs,
+        env=dict(os.environ, PYTHONPATH=path), preexec_fn=_default_sigint, **kwargs,
     )
 
 
@@ -228,8 +236,7 @@ def test_interrupt_during_pool_run_exits_2_and_leaves_no_workers():
     finally:
         proc.kill()
         proc.wait()
-    assert proc.returncode == 2
-    assert out == b"" and err == b"error: interrupted\n"
+    assert (proc.returncode, out, err) == (2, b"", b"error: interrupted\n")
     assert not [pid for pid in workers if _running(pid)]
 
 
@@ -249,8 +256,7 @@ def test_interrupt_while_pool_starts_exits_2_and_leaves_no_workers():
             with contextlib.suppress(ProcessLookupError):  # no process left
                 os.killpg(proc.pid, signal.SIGKILL)
             proc.wait()
-        assert proc.returncode == 2
-        assert out == b"" and err == b"error: interrupted\n"
+        assert (proc.returncode, out, err) == (2, b"", b"error: interrupted\n")
 
 
 def test_jobs_default_follows_cpu_affinity(monkeypatch):

@@ -107,12 +107,12 @@ def test_every_level_order_pinned():
     assert {m: h.hexdigest() for m, h in levels.items()} == LEVEL_SHA256
 
 
-def _count_calls(monkeypatch, counts, module, name):
-    """Rebind module.name to count its calls in counts[name]."""
+def _count_calls(monkeypatch, counts, module, name, key=None):
+    """Rebind module.name to count its calls in counts[key or name]."""
     real = getattr(module, name)
 
     def call(*args):
-        counts[name] += 1
+        counts[key or name] += 1
         return real(*args)
 
     monkeypatch.setattr(module, name, call)
@@ -122,15 +122,19 @@ def test_canonical_search_work_bounded(monkeypatch):
     # upper bounds on the canonical searches, refinements and leaves of the
     # serial n = 7 catalog pass; more work than this is a regression.  Every
     # refinement runs canon._refine, _expand's root refinements included,
-    # except a root with one degree class, which needs none
-    counts = {"_search": 0, "_refine": 0, "_leaf_code": 0}
+    # except a root with one degree class, which needs none.  The root
+    # partitions are _expand's and those its searches compute without a root
+    counts = {"_search": 0, "_refine": 0, "_leaf_code": 0, "roots": 0}
     _count_calls(monkeypatch, counts, enumeration, "_search")
     _count_calls(monkeypatch, counts, canon, "_refine")
     _count_calls(monkeypatch, counts, canon, "_leaf_code")
+    for module in (enumeration, canon):
+        _count_calls(monkeypatch, counts, module, "_refine_root", "roots")
     assert count_graphs(7) == 1044
     assert counts["_search"] <= 542
     assert counts["_refine"] <= 5384
     assert counts["_leaf_code"] <= 2181
+    assert counts["roots"] <= 1120
 
 
 def test_catalog_pass_search_count_bounded(monkeypatch):
@@ -309,18 +313,24 @@ def test_window_prune_is_exact_at_eight(catalog):
 def test_tight_search_work_pinned(monkeypatch):
     # the calls _expand makes: upper bounds for tight (3, 1) at n = 8, which
     # its removal floor prunes, and exact counts for tight (2, 0), the search
-    # of the tight8 benchmark workload
+    # of the tight8 benchmark workload.  "roots" counts the root partitions in
+    # all: _expand's, and those its searches compute for children accepted on
+    # degree alone
     names = ("_search", "_refine_root", "independent_set_at_least", "_worst_drop")
-    counts = dict.fromkeys(names, 0)
-    for name in counts:
+    counts = dict.fromkeys(names + ("roots",), 0)
+    for name in names:
         _count_calls(monkeypatch, counts, enumeration, name)
+    for module in (enumeration, canon):
+        _count_calls(monkeypatch, counts, module, "_refine_root", "roots")
     assert len(search_tight_stable(8, 3, 1)) == 100
     assert counts["_search"] <= 233
     assert counts["_refine_root"] <= 230
+    assert counts["roots"] <= 307
     counts.update(dict.fromkeys(counts, 0))
     assert len(search_tight_stable(8, 2, 0)) == 75
     assert counts == {
         "_search": 375, "_refine_root": 419, "independent_set_at_least": 3957, "_worst_drop": 1241,
+        "roots": 558,
     }
 
 
