@@ -25,12 +25,30 @@ prefix only lower alpha further), and the scan stops once the drop reaches its
 cut-off: l + 1 for is_stable, min(k, alpha) for alpha_drop.  No other bound
 is tried: an optimistic completion asks for more vertices than the scan needs
 and mostly fails.  stable_vertex_count probes each vertex through a pool too.
+
+The first removed vertex ranges over automorphism orbits (as canonical
+search prunes its candidates, McKay, J. Algorithms 26, 1998).  When the
+subtree of removal sets holding u ends below the cut-off, the scan bans u's
+whole orbit, not u alone.  This is exact because the banned set stays a union
+of orbits: an automorphism maps a k-set that holds a vertex of u's orbit and
+avoids the earlier orbits onto one that holds u, avoids them too and has the
+same drop.  A vertex-transitive graph, as the paper's circulants are, needs
+the root check and one subtree.  The group is searched once, after the first
+subtree ends undecided, and only for k >= 2 and graphs of at least
+_ORBIT_MIN_N vertices: a scan that stops early, or at k = 1 where each subtree
+is one witness test, would pay more for the search than it saves.
 """
 
 from __future__ import annotations
 
+from indstab.canon import _orbit, _search
 from indstab.graphs import Graph
 from indstab.mis import _alpha_set, independent_set_at_least
+
+# Scans of graphs with fewer vertices never search the automorphism group.
+# Canonical augmentation runs its many scans on at most 11 vertices, where a
+# search would cost more than it saves; the bound keeps them off this path.
+_ORBIT_MIN_N = 12
 
 
 def stability_bound(n: int, k: int, l: int) -> int:
@@ -44,6 +62,7 @@ class _RemovalScan:
     """One worst-drop scan over a graph's k-vertex removals, with its witness pool."""
 
     def __init__(self, g: Graph, k: int, a: int, stop: int, pool: list[int]):
+        self.n = g.n
         self.adj = g.adj
         self.full = g.vertex_mask
         self.k = k
@@ -51,6 +70,8 @@ class _RemovalScan:
         self.stop = stop
         self.best = 0  # largest drop certified so far
         self.pool = pool  # independent sets of g; the scan appends its own
+        self.by_orbit = k >= 2 and g.n >= _ORBIT_MIN_N
+        self.gens: list[list[int]] | None = None  # automorphism generators, once searched
 
     def witness(self, removed: int, size: int) -> int | None:
         """An independent set of >= size vertices avoiding `removed`, or None."""
@@ -84,10 +105,22 @@ class _RemovalScan:
             bit = cand & -cand
             if self.scan(removed | bit, banned, depth + 1):
                 return True
+            if not depth and self.by_orbit:
+                # a k-set through the orbit maps onto one through `bit`
+                bit = self.orbit(bit)
             banned |= bit
             free &= ~bit
             cand &= ~bit
         return False
+
+    def orbit(self, bit: int) -> int:
+        """The automorphism orbit of the vertex `bit`, as a mask."""
+        if self.gens is None:
+            self.gens = _search(self.n, self.adj)[2]
+        out = 0
+        for v in _orbit([bit.bit_length() - 1], self.gens):
+            out |= 1 << v
+        return out
 
 
 def _worst_drop(g: Graph, k: int, a: int, stop: int, pool: list[int]) -> int:

@@ -73,3 +73,26 @@ def test_catalog_bench_two_pairs(monkeypatch, tmp_path):
         assert set(entry[side]["counters"]) == {
             "expand_roots", "root_refinements", "refine_calls", "searches", "leaves",
         }
+
+
+def test_scans_bench_two_pairs(monkeypatch, tmp_path):
+    # bench/scans.py's own command line and gates, with this checkout as
+    # both sides, over one small case
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "bench"))
+    import scans
+
+    out = tmp_path / "scans.json"
+    monkeypatch.setattr(scans, "CASES", [("is_stable", "stable3(3)", 3, 0)])
+    monkeypatch.setattr(sys, "argv", ["scans.py", SRC, "--pairs", "2", "--out", str(out)])
+    scans.main()
+    doc = json.loads(out.read_text())
+    assert list(doc) == ["label", "host", "command", "cases"]
+    assert doc["command"] == "python bench/scans.py PARENT_SRC --pairs 2"
+    entry = doc["cases"]["is_stable stable3(3) 3 0"]
+    assert set(entry) == {"parent", "change", "change_faster_pairs"}
+    assert re.fullmatch(r"[0-2] of 2", entry["change_faster_pairs"])
+    for side in ("parent", "change"):
+        assert set(entry[side]) == {"us_per_call", "result", "counters"}
+        assert len(entry[side]["us_per_call"]["runs"]) == 2
+        assert entry[side]["result"] is True
+        assert entry[side]["counters"] == {"solver_calls": 12, "searches": 1}

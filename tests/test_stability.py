@@ -4,7 +4,9 @@ from itertools import combinations
 import pytest
 
 from indstab import stability
+from indstab.enumeration import search_tight_stable
 from indstab.families import (
+    circulant,
     cycle,
     figure2,
     kn_tight,
@@ -14,9 +16,10 @@ from indstab.families import (
     stable4_circulant,
     wheel,
 )
-from indstab.graphs import build, remove_vertices, vset
+from indstab.graphs import build, disjoint_union, remove_vertices, vset
 from indstab.mis import alpha
 from indstab.stability import (
+    _ORBIT_MIN_N,
     _worst_drop,
     alpha_drop,
     is_stable,
@@ -25,7 +28,7 @@ from indstab.stability import (
     stable_vertex_count,
 )
 
-from _oracles import all_max_independent_sets, check_stable_vertex_bound, random_graph
+from _oracles import all_max_independent_sets, check_stable_vertex_bound, random_graph, relabeled
 
 
 def complete(n):
@@ -187,32 +190,43 @@ def test_stable_vertex_count_computes_alpha_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_scan_solver_calls_pinned(monkeypatch):
-    # the five scans of the benchmark's `scans` workload, 320 solver calls in
-    # all, as with the plain branch-and-bound: equal witnesses give equal
-    # witness pools, so a drift here means the solver's search tree changed.
-    # Each pool starts with the alpha solve's maximum set, which saves the
-    # scan's first call
+def _count_calls(monkeypatch, name):
+    """Count the calls `stability` makes to its imported `name`."""
     calls = []
-    real = stability.independent_set_at_least
+    real = getattr(stability, name)
 
-    def counting(adj, mask, target):
-        calls.append(mask)
-        return real(adj, mask, target)
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(stability, "independent_set_at_least", counting)
+    monkeypatch.setattr(stability, name, counting)
+    return calls
+
+
+def test_scan_solver_calls_pinned(monkeypatch):
+    # the five scans of the benchmark's `scans` workload, 110 solver calls in
+    # all (320 before the first removed vertex ranged over orbits), as with
+    # the plain branch-and-bound: equal witnesses give equal witness pools,
+    # so a drift here means the solver's search tree changed.  Each pool
+    # starts with the alpha solve's maximum set, which saves the scan's first
+    # call; each circulant is vertex-transitive, so its scan is the root check
+    # plus one first-level subtree, and one search of its group
+    calls = _count_calls(monkeypatch, "independent_set_at_least")
+    searches = _count_calls(monkeypatch, "_search")
     s3_3, s3_4, s4_3 = stable3_circulant(3), stable3_circulant(4), stable4_circulant(3)
     scans = (
-        (lambda: is_stable(s3_3, 3, 0), True, 30),
-        (lambda: is_stable(s3_4, 3, 0), True, 48),
-        (lambda: alpha_drop(s3_4, 3), 0, 48),
-        (lambda: is_stable(s4_3, 4, 0), True, 97),
-        (lambda: alpha_drop(s4_3, 4), 0, 97),
+        (lambda: is_stable(s3_3, 3, 0), True, 12),
+        (lambda: is_stable(s3_4, 3, 0), True, 14),
+        (lambda: alpha_drop(s3_4, 3), 0, 14),
+        (lambda: is_stable(s4_3, 4, 0), True, 35),
+        (lambda: alpha_drop(s4_3, 4), 0, 35),
     )
     for scan, answer, count in scans:
         calls.clear()
+        searches.clear()
         assert scan() == answer
         assert len(calls) == count
+        assert len(searches) == 1
 
 
 def test_corollary_equality_witness():
@@ -305,6 +319,80 @@ def test_scans_match_plain_scan_random_beyond_catalog():
 
 
 def test_paper_circulants_beyond_verify_range():
-    # n = 60 and n = 41: out of reach of a scan that calls the solver per prefix
+    # n = 60, 41 and 61: the paper's constructions up to the 64-vertex cap,
+    # out of reach of a scan that calls the solver per prefix
     assert is_stable(stable3_circulant(5), 3, 0)
     assert is_stable(stable4_circulant(4), 4, 0)
+    assert is_stable(stable4_circulant(5), 4, 0)
+    assert alpha_drop(stable3_circulant(5), 3) == 0
+    assert alpha_drop(stable4_circulant(4), 4) == 0
+
+
+def _orbit_graphs():
+    """Graphs of at least _ORBIT_MIN_N vertices, each also randomly relabelled."""
+    graphs = [
+        circulant(12, {1, 3}),
+        circulant(13, {2, 5}),
+        circulant(14, {1, 4, 7}),
+        circulant(15, {2, 3, 6}),
+        cycle(12),
+        cycle(13),
+        lift(circulant(12, {1, 4}), 2),  # two orbits
+        disjoint_union(cycle(7), circulant(8, {1, 3})),  # two orbits
+        path(12),
+        path(13),
+    ]
+    rng = random.Random(103)
+    for g in list(graphs):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        graphs.append(relabeled(g, perm))
+    assert min(g.n for g in graphs) >= _ORBIT_MIN_N
+    return graphs
+
+
+def test_orbit_scans_match_plain_scan(monkeypatch):
+    # the orbit path against the plain scan, for every k <= 3 and l < k, with
+    # the pool started from the alpha solve's set and from every maximum set
+    searches = _count_calls(monkeypatch, "_search")
+    searched = {1: set(), 2: set(), 3: set()}  # per k: the searches a scan made
+    for g in _orbit_graphs():
+        a = alpha(g)
+        seeds = all_max_independent_sets(g)
+        for k in range(1, 4):
+            worst = alpha_drop_plain(g, k)
+            searches.clear()
+            assert alpha_drop(g, k) == worst
+            searched[k].add(len(searches))
+            for w in seeds:
+                assert _worst_drop(g, k, a, min(k, a), [w]) == worst
+            for l in range(k):
+                searches.clear()
+                assert is_stable(g, k, l) == (worst <= l)
+                searched[k].add(len(searches))
+                tight = a == stability_bound(g.n, k, l) and worst <= l
+                assert is_tight_stable(g, k, l) == tight
+                for w in seeds:
+                    assert (_worst_drop(g, k, a, l + 1, [w]) <= l) == (worst <= l)
+    # no search at k = 1; at k >= 2 some scans stop inside their first
+    # subtree, and the others search once
+    assert searched == {1: {0}, 2: {0, 1}, 3: {0, 1}}
+
+
+def test_orbit_searches_pinned(monkeypatch):
+    # scans decided inside their first subtree, scans with k = 1 and scans
+    # below _ORBIT_MIN_N never search the automorphism group
+    searches = _count_calls(monkeypatch, "_search")
+    early = circulant(20, {2, 5})
+    assert not is_stable(early, 3, 0)
+    assert not is_stable(circulant(20, {1, 3}), 2, 0)
+    assert alpha_drop(cycle(20), 1) == 0
+    assert is_stable(stable3_circulant(5), 1, 0)
+    assert alpha_drop(cycle(_ORBIT_MIN_N - 1), 3) == 1
+    assert not is_stable(cycle(_ORBIT_MIN_N - 1), 3, 0)
+    assert len(search_tight_stable(8, 2, 0)) == 75
+    assert searches == []
+    # every other scan searches once, however long it runs
+    assert is_stable(early, 3, 1)
+    assert alpha_drop(early, 3) == 1
+    assert len(searches) == 2
