@@ -58,7 +58,9 @@ def _mib(kib: int) -> float:
 def measure(case: list) -> dict:
     """One measurement, in this interpreter: indstab comes from PYTHONPATH."""
     from indstab import enumeration
-    from indstab.enumeration import Stable, count_graphs, enumerate_graphs, search_tight_stable
+    from indstab.enumeration import (
+        count_graphs, enumerate_graphs, parse_predicate, search_tight_stable,
+    )
 
     counts = {"_expand": 0, "_search": 0}
     for name in counts:
@@ -75,7 +77,9 @@ def measure(case: list) -> dict:
             "sha256": hashlib.sha256(b"".join(c.code for c in found)).hexdigest(),
         }
     else:
-        stream = enumerate_graphs(n, predicate=Stable(*rest, tight=True))
+        # the registry name, which both sides parse to their tight predicate
+        k, l = rest
+        stream = enumerate_graphs(n, predicate=parse_predicate(f"tight-stable:{k},{l}"))
         code, _ = next(stream)
         result = {"first_code": code.code.hex()}
         counts = {"_expand": counts["_expand"]}

@@ -182,23 +182,3 @@ def _pack(code_int: int, n: int) -> bytes:
 def canonical(g: Graph) -> CanonicalCode:
     """Canonical code of a graph; equal across all relabelings."""
     return _search(g.n, g.adj)[0]
-
-
-def canonical_labeling(g: Graph) -> tuple[int, ...]:
-    """A labeling achieving the canonical code: position -> original vertex."""
-    return tuple(_search(g.n, g.adj)[1])
-
-
-def vertex_orbits(g: Graph) -> list[list[int]]:
-    """Orbits of the automorphism group on vertices, each sorted, by least member."""
-    gens = _search(g.n, g.adj)[2]
-    orbits: list[list[int]] = []
-    for v in range(g.n):
-        if not any(v in o for o in orbits):
-            orbits.append(sorted(_orbit([v], gens)))
-    return orbits
-
-
-def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
-    """Vertex maps generating the automorphism group (possibly empty)."""
-    return [tuple(s) for s in _search(g.n, g.adj)[2]]

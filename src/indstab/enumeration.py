@@ -21,9 +21,13 @@ generators its own children need, or when a caller asks for its code, which
 emits receive as a zero-argument callable.  So most classes of the top
 level, on which nothing is built, are never searched.
 
-A search for one predicate prunes every level by the predicate's window: the
+A search for one predicate prunes levels 1..n by the predicate's window: the
 range of alpha that every induced subgraph of a matching graph on that many
-vertices must have, and the floor its alpha keeps under deletions.  Canonical
+vertices must have, and the floor its alpha keeps under deletions.  A
+predicate of the form "L <= alpha <= H, and every k-vertex deletion leaves
+alpha >= F" gives its `bounds` (L, H, k, F), from which one formula derives
+the window at every level; at level n the window is the predicate itself, so
+such a predicate is decided by it and never checked again.  Canonical
 parents are induced subgraphs, so every matching class still has its whole
 chain of ancestors, and since the window is isomorphism-invariant, a child is
 tested before its canonical search; its alpha is read from the parent's.  The
@@ -64,6 +68,13 @@ class Predicate:
     def matches(self, g: Graph) -> bool:
         raise NotImplementedError
 
+    def bounds(self, n: int) -> tuple[int, int, int, int] | None:
+        """(L, H, k, F) with F <= L when, on n-vertex graphs, the predicate is
+        exactly: L <= alpha <= H, and every k-vertex deletion leaves
+        alpha >= F; None for a predicate of another form.  Raises ValueError
+        when the predicate's parameters are invalid for n-vertex graphs."""
+        return None
+
     def window(self, n: int, m: int) -> tuple[int, int, int, int] | None:
         """(lo, hi, ks, floor) such that every m-vertex induced subgraph of
         every matching n-vertex graph has lo <= alpha <= hi, and keeps
@@ -71,10 +82,19 @@ class Predicate:
         deletion asked), or None.  Wherever ks > 0, floor <= lo.
 
         Used as a hereditary generation prune; must be sound by definition of
-        the predicate alone.  Raises ValueError when the predicate's
-        parameters are invalid for n-vertex graphs.
+        the predicate alone; the window derived from `bounds` is exact at
+        m = n.  Raises ValueError when the predicate's parameters are invalid
+        for n-vertex graphs.
         """
-        return None
+        b = self.bounds(n)
+        if b is None:
+            return None
+        L, H, k, F = b
+        # deleting a vertex lowers alpha by at most one.  The m-vertex
+        # subgraph is n - m deletions: with n - m <= k, deleting k - (n - m)
+        # more of its vertices deletes k in all, which leaves alpha >= F;
+        # beyond k, each further one costs at most one below F
+        return max(L - (n - m), F - max(0, n - k - m)), H, max(0, k - (n - m)), F
 
     def __and__(self, other: "Predicate") -> "Predicate":
         return And((self, other))
@@ -113,32 +133,40 @@ class AlphaEquals(Predicate):
     def matches(self, g: Graph) -> bool:
         return alpha_mask(g.adj, g.vertex_mask) == self.value
 
-    def window(self, n: int, m: int) -> tuple[int, int, int, int] | None:
-        # deleting a vertex lowers alpha by at most one
-        return self.value - (n - m), self.value, 0, 0
+    def bounds(self, n: int) -> tuple[int, int, int, int]:
+        return self.value, self.value, 0, self.value
 
 
 @dataclass(frozen=True)
 class Stable(Predicate):
-    """(k, l)-stability; `tight` also asks for alpha = the stability bound."""
+    """(k, l)-stability: no k-vertex deletion lowers alpha by more than l."""
 
     k: int
     l: int
-    tight: bool = False
     cost = 3
 
     def matches(self, g: Graph) -> bool:
-        return (is_tight_stable if self.tight else is_stable)(g, self.k, self.l)
+        return is_stable(g, self.k, self.l)
 
-    def window(self, n: int, m: int) -> tuple[int, int, int, int] | None:
-        # tight graphs attain the bound a; deleting k vertices lowers alpha by
-        # at most l, and each further one by at most one.  Deleting
-        # k - (n - m) more vertices from an m-vertex induced subgraph deletes
-        # k in all, which leaves alpha >= a - l
-        a = stability_bound(n, self.k, self.l)  # validates n > k > l >= 0
-        if not self.tight:
-            return None
-        return a - self.l - max(0, n - self.k - m), a, max(0, self.k - (n - m)), a - self.l
+    def bounds(self, n: int) -> None:
+        stability_bound(n, self.k, self.l)  # validates n > k > l >= 0
+
+
+@dataclass(frozen=True)
+class TightStable(Predicate):
+    """(k, l)-stability with alpha at the stability bound b: every k-vertex
+    deletion leaves alpha >= b - l."""
+
+    k: int
+    l: int
+    cost = 3
+
+    def matches(self, g: Graph) -> bool:
+        return is_tight_stable(g, self.k, self.l)
+
+    def bounds(self, n: int) -> tuple[int, int, int, int]:
+        b = stability_bound(n, self.k, self.l)
+        return b, b, self.k, b - self.l
 
 
 @dataclass(frozen=True)
@@ -162,7 +190,7 @@ _REGISTRY = {
     "contains-triangle": (ContainsTriangle, 0),
     "alpha-equals": (AlphaEquals, 1),
     "stable": (Stable, 2),
-    "tight-stable": (partial(Stable, tight=True), 2),
+    "tight-stable": (TightStable, 2),
 }
 
 
@@ -381,16 +409,21 @@ def enumerate_levels(
     depend on jobs.  `code` is a zero-argument callable returning g's
     CanonicalCode: most level-n classes are accepted without a canonical
     search, and calling it runs that search.  None results are dropped.
-    With a `predicate`, levels 2..n keep only the classes inside its window
+    With a `predicate`, levels 1..n keep only the classes inside its window
     at their level (and whose ancestors were kept): every class that matches
     at level n is still produced, and each level's stream is a subsequence
-    of the unpruned one.
+    of the unpruned one.  For a predicate with bounds the level-n window is
+    the predicate, so the top level holds exactly its matches.
     """
     _check_guard(n, allow_long)
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     # computed before any level is built, so bad parameters fail at once
     windows = [None if predicate is None else predicate.window(n, m) for m in range(n + 1)]
+    # K1 has alpha 1, and alpha 0 once its vertex is deleted
+    lo, hi, ks, floor = windows[1] or (1, 1, 0, 0)
+    if not lo <= 1 <= hi or ks and floor > 0:
+        return
     item = emit(Graph._wrap(1, (0,)), partial(_code, 1, (0,), None, None))
     if item is not None:
         yield 1, item
@@ -424,8 +457,9 @@ def enumerate_levels(
 
 def _match(n: int, predicate: Predicate | None, g: Graph, code):
     """The emit of count_graphs and `indstab enumerate`: level-n classes that
-    satisfy the predicate, as adjacency tuples; reads no code."""
-    if g.n == n and (predicate is None or predicate.matches(g)):
+    satisfy the predicate, as adjacency tuples; reads no code.  A predicate
+    with bounds was decided by its level-n window and is not checked again."""
+    if g.n == n and (predicate is None or predicate.bounds(n) is not None or predicate.matches(g)):
         return g.adj
     return None
 
@@ -478,4 +512,4 @@ def search_tight_stable(
     n: int, k: int, l: int, *, jobs: int = 1, allow_long: bool = False
 ) -> list[CanonicalCode]:
     """Canonical codes of all tight (k, l)-stable classes on n vertices, sorted."""
-    return search_with(n, Stable(k, l, tight=True), jobs=jobs, allow_long=allow_long)
+    return search_with(n, TightStable(k, l), jobs=jobs, allow_long=allow_long)

@@ -13,6 +13,8 @@ and recurses on both branches, so its witnesses pin the package solver's.  The
 maximum-set walk lists every maximum independent set under the plain solver's
 alpha, and the stable-vertex check solves every one-vertex removal.  The
 Erdos-Rogers subset oracle scans vertex subsets from the largest size down.
+The labeling, orbit and generator views of one graph are thin wrappers over
+the package's canonical search, which the tests check against brute force.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from indstab.canon import automorphism_generators
+from indstab.canon import _orbit, _search
 from indstab.graphs import Graph, vset
 
 
@@ -261,6 +263,26 @@ def refine_full(n: int, adj: tuple[int, ...], cells: list[list[int]]) -> list[li
         if not changed:
             return new_cells
         cells = new_cells
+
+
+def canonical_labeling(g: Graph) -> tuple[int, ...]:
+    """A labeling achieving the canonical code: position -> original vertex."""
+    return tuple(_search(g.n, g.adj)[1])
+
+
+def vertex_orbits(g: Graph) -> list[list[int]]:
+    """Orbits of the automorphism group on vertices, each sorted, by least member."""
+    gens = _search(g.n, g.adj)[2]
+    orbits: list[list[int]] = []
+    for v in range(g.n):
+        if not any(v in o for o in orbits):
+            orbits.append(sorted(_orbit([v], gens)))
+    return orbits
+
+
+def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
+    """Vertex maps generating the automorphism group (possibly empty)."""
+    return [tuple(s) for s in _search(g.n, g.adj)[2]]
 
 
 def attachment_sets_brute(g: Graph) -> list[int]:

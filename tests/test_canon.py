@@ -1,18 +1,19 @@
 import random
 from itertools import permutations
 
-from indstab.canon import (
-    _refine,
-    _refine_root,
-    automorphism_generators,
-    canonical,
-    canonical_labeling,
-    vertex_orbits,
-)
+from indstab.canon import _refine, _refine_root, canonical
 from indstab.families import circulant, cycle, kn_tight, lift, path, stable3_circulant, wheel
 from indstab.graphs import build
 
-from _oracles import min_code_all_perms, random_graph, refine_full, relabeled
+from _oracles import (
+    automorphism_generators,
+    canonical_labeling,
+    min_code_all_perms,
+    random_graph,
+    refine_full,
+    relabeled,
+    vertex_orbits,
+)
 
 
 def test_invariance_under_relabeling():

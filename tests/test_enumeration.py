@@ -1,21 +1,25 @@
 import hashlib
 import re
+from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
 
 import pytest
 
 from indstab import canon, enumeration, stability
-from indstab.canon import _refine, _refine_root, _search, automorphism_generators, canonical
+from indstab.canon import _refine, _refine_root, _search, canonical
 from indstab.enumeration import (
     And,
     AlphaEquals,
     ContainsTriangle,
     EdgeCountRange,
+    Predicate,
     Stable,
+    TightStable,
     _attachments,
     _deletion_cell,
     _expand,
+    _match,
     count_graphs,
     enumerate_graphs,
     enumerate_levels,
@@ -30,7 +34,7 @@ from indstab.mis import alpha_profile, is_independent, subset_alphas
 from indstab.stability import stability_bound
 from indstab.verify import SUITE_ORDER, VerifyConfig, catalog_facts, run_all
 
-from _oracles import attachment_sets_brute, labeled_census
+from _oracles import attachment_sets_brute, automorphism_generators, labeled_census
 
 NINE_3_0_SHA256 = "b319aaf948d4069a05b827579622abc6e15a7b1f93d53a2a28677bad6f831e0e"
 EIGHT_STREAM_SHA256 = "84870251016d774e5edb93ef9f0934efbb57bdb0a2b196b4f4c49f48cd8f6591"
@@ -278,24 +282,22 @@ def test_window_prune_is_exact(catalog):
             expected = sorted(code for code, p in profiles if p[n] == v)
             assert search_with(n, AlphaEquals(v)) == expected, (n, v)
             # lo > hi at level n: the windows alone must let no class through
-            # (level 1 is never pruned)
-            if n > 1:
-                assert _top_level(n, AlphaEquals(v) & AlphaEquals(v + 1)) == [], (n, v)
+            assert _top_level(n, AlphaEquals(v) & AlphaEquals(v + 1)) == [], (n, v)
         tight = {}
         for k in range(1, n):
             for l in range(k):
                 tight[k, l] = _tight(profiles, n, k, l)
-                assert search_with(n, Stable(k, l, tight=True)) == sorted(tight[k, l]), (n, k, l)
+                assert search_with(n, TightStable(k, l)) == sorted(tight[k, l]), (n, k, l)
                 a = stability_bound(n, k, l)
                 for v in (a - 1, a, a + 1):
                     expected = sorted(
                         code for code, p in profiles if p[n] == v and code in tight[k, l]
                     )
-                    found = search_with(n, AlphaEquals(v) & Stable(k, l, tight=True))
+                    found = search_with(n, AlphaEquals(v) & TightStable(k, l))
                     assert found == expected, (n, v, k, l)
         if n >= 3:
             both = sorted(set(tight[1, 0]) & set(tight[2, 0]))
-            assert search_with(n, Stable(1, 0, tight=True) & Stable(2, 0, tight=True)) == both, n
+            assert search_with(n, TightStable(1, 0) & TightStable(2, 0)) == both, n
 
 
 def test_window_prune_is_exact_at_eight(catalog):
@@ -305,7 +307,7 @@ def test_window_prune_is_exact_at_eight(catalog):
     cases = [(k, 0, 1) for k in range(1, 8)]
     cases += [(k, l, jobs) for k, l in [(2, 1), (3, 1), (3, 2)] for jobs in (1, 2)]
     for k, l, jobs in cases:
-        pred = Stable(k, l, tight=True)
+        pred = TightStable(k, l)
         stream = [code for code, _ in enumerate_graphs(8, jobs=jobs, predicate=pred)]
         assert stream == _tight(profiles, 8, k, l), (k, l, jobs)
 
@@ -335,13 +337,14 @@ def test_tight_search_work_pinned(monkeypatch):
 
 
 def test_tight_search_scan_solver_calls_pinned(monkeypatch):
-    # the solver calls of every removal scan in tight (2, 0) at n = 8, those
-    # of _expand's window tests and of the level-n re-check: each pool starts
-    # with the child's maximum set and its earlier siblings' sets
+    # the solver calls of every removal scan in tight (2, 0) at n = 8, all of
+    # them _expand's window tests, since the level-n window decides the
+    # predicate: each pool starts with the child's maximum set and its
+    # earlier siblings' sets
     counts = {"independent_set_at_least": 0}
     _count_calls(monkeypatch, counts, stability, "independent_set_at_least")
     assert len(search_tight_stable(8, 2, 0)) == 75
-    assert counts["independent_set_at_least"] == 2915
+    assert counts["independent_set_at_least"] == 2570
 
 
 def test_expand_scan_pools_hold_independent_sets(monkeypatch):
@@ -372,7 +375,7 @@ def test_first_match_arrives_before_the_last_level_is_built(monkeypatch):
     # 527 first
     counts = {"_expand": 0}
     _count_calls(monkeypatch, counts, enumeration, "_expand")
-    stream = enumerate_graphs(9, predicate=Stable(2, 0, tight=True))
+    stream = enumerate_graphs(9, predicate=TightStable(2, 0))
     _, g = next(stream)
     stream.close()
     assert g.edge_count() == 9
@@ -380,18 +383,75 @@ def test_first_match_arrives_before_the_last_level_is_built(monkeypatch):
 
 
 def test_tight_window_floor_is_its_lo():
-    # wherever a tight window asks for deletions its floor is its lo, and an
-    # And keeps the largest lo, so a child inside the alpha range is never
-    # below the floor: _expand tests the deletions alone
+    # the contract _expand relies on: wherever a window asks for deletions
+    # its floor is at most its lo, for every predicate with bounds and every
+    # pairwise And, which keeps the largest lo, so a child inside the alpha
+    # range needs only the deletion test.  At level n the window of a
+    # predicate with bounds is the predicate itself
     for n in range(2, 12):
-        tight = [Stable(k, l, tight=True) for k in range(1, n) for l in range(k)]
-        for m in range(n + 1):
-            for p in tight:
+        windowed = [TightStable(k, l) for k in range(1, n) for l in range(k)]
+        windowed += [AlphaEquals(v) for v in range(n + 1)]
+        for p in windowed:
+            L, H, k, F = p.bounds(n)
+            assert F <= L and p.window(n, n) == (max(L, F), H, k, F), (n, p)
+            for m in range(n + 1):
                 lo, hi, ks, floor = p.window(n, m)
-                assert not ks or floor == lo <= hi, (n, m, p)
-            for p, q in combinations(tight, 2):
+                assert not ks or floor <= lo <= hi, (n, m, p)
+        for p, q in combinations(windowed, 2):
+            for m in range(n + 1):
                 lo, _, ks, floor = (p & q).window(n, m)
                 assert not ks or floor <= lo, (n, m, p, q)
+
+
+@dataclass(frozen=True)
+class _Bounds(Predicate):
+    """The predicate L <= alpha <= H, with alpha >= F after any k deletions,
+    given by its bounds alone; its matches is never called."""
+
+    lhkf: tuple[int, int, int, int]
+
+    def bounds(self, n):
+        return self.lhkf
+
+
+def test_bounds_window_is_exact(catalog):
+    # the one window formula, for every (L, H, k, F) with F <= L on up to 6
+    # vertices: the top level is the catalog's stream filtered through the
+    # profile, whose entry j is the least alpha of a j-vertex induced
+    # subgraph.  k deletions lower alpha >= L by at most k, so every F below
+    # L - k - 1 is as slack as L - k - 1
+    for n in range(1, 7):
+        graphs = [(g.adj, alpha_profile(subset_alphas(g.adj, n))) for _, g in catalog(n)]
+        for L in range(n + 1):
+            for H in range(L, n + 1):
+                for k in range(n + 1):
+                    for F in range(max(0, L - k - 1), L + 1):
+                        pred = _Bounds((L, H, k, F))
+                        stream = enumerate_levels(n, partial(_match, n, pred), predicate=pred)
+                        expected = [a for a, p in graphs if L <= p[n] <= H and p[n - k] >= F]
+                        assert [adj for _, adj in stream] == expected, (n, L, H, k, F)
+
+
+def test_windowed_predicate_is_not_rechecked(monkeypatch):
+    # a predicate with bounds is decided by its level-n window: its matches
+    # is never called, serially or in the workers (which fork after the
+    # patch); an And keeps its re-check
+    def refuse(self, g):
+        raise AssertionError(f"{self} re-checked")
+
+    expected = {p: search_with(7, p) for p in (TightStable(2, 1), AlphaEquals(4))}
+    for p in expected:
+        monkeypatch.setattr(type(p), "matches", refuse)
+    for p, found in expected.items():
+        for jobs in (1, 2):
+            assert search_with(7, p, jobs=jobs) == found, (p, jobs)
+    monkeypatch.undo()
+    calls = []
+    real = TightStable.matches
+    monkeypatch.setattr(TightStable, "matches", lambda self, g: calls.append(g) or real(self, g))
+    both = search_with(7, AlphaEquals(4) & TightStable(2, 1))
+    assert both == sorted(set(expected[AlphaEquals(4)]) & set(expected[TightStable(2, 1)]))
+    assert len(calls) >= len(both) > 0
 
 
 def test_search_tight_stable_9_3_0_pinned():
@@ -420,7 +480,7 @@ def test_search_with_alpha_equals():
 
 
 def test_search_with_composite_finds_figure2():
-    found = search_with(6, Stable(1, 0, tight=True) & ContainsTriangle())
+    found = search_with(6, TightStable(1, 0) & ContainsTriangle())
     assert canonical(figure2()) in found
 
 
@@ -430,13 +490,13 @@ def test_search_with_stable_alpha3_at_6_empty():
 
 
 def test_search_results_sorted():
-    found = search_with(6, Stable(1, 0, tight=True))
+    found = search_with(6, TightStable(1, 0))
     assert found == sorted(found)
 
 
 def test_search_with_rejects_invalid_stability_parameters():
     # k must be below n: a 4-vertex graph has no 5-vertex removals
-    for predicate in (Stable(5, 0, tight=True), Stable(5, 0), Stable(2, 2) & AlphaEquals(2)):
+    for predicate in (TightStable(5, 0), Stable(5, 0), Stable(2, 2) & AlphaEquals(2)):
         with pytest.raises(ValueError):
             search_with(4, predicate)
 
@@ -448,7 +508,7 @@ def test_search_with_edge_range():
 
 
 def test_parse_predicate():
-    assert parse_predicate("tight-stable:2,0") == Stable(2, 0, tight=True)
+    assert parse_predicate("tight-stable:2,0") == TightStable(2, 0)
     assert parse_predicate("stable:2,1") == Stable(2, 1)
     assert parse_predicate("alpha-equals:3") == AlphaEquals(3)
     assert parse_predicate("contains-triangle") == ContainsTriangle()

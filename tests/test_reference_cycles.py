@@ -13,8 +13,9 @@ import pytest
 
 import indstab as I
 from indstab import families
-from indstab.canon import automorphism_generators, canonical_labeling, vertex_orbits
-from indstab.enumeration import Stable
+from indstab.enumeration import TightStable
+
+from _oracles import automorphism_generators, canonical_labeling, vertex_orbits
 
 C7 = families.cycle(7)
 S3 = families.stable3_circulant(3)
@@ -33,7 +34,7 @@ ENTRY_POINTS = {
     "stable_vertex_count": lambda: I.stable_vertex_count(C7),
     "enumerate_graphs": lambda: list(I.enumerate_graphs(5)),
     "count_graphs": lambda: I.count_graphs(5),
-    "search_with": lambda: I.search_with(6, Stable(2, 0, tight=True)),
+    "search_with": lambda: I.search_with(6, TightStable(2, 0)),
     "search_tight_stable": lambda: I.search_tight_stable(6, 2, 0),
     "er_f": lambda: I.er_f(5, 3, 2),
     "er_table": lambda: I.er_table(5),
