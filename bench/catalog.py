@@ -16,12 +16,11 @@ For the first three: wall seconds, the peak RSS of the process, and the
 work counters.  `expand_roots` counts the root partitions _expand computes
 itself, and `root_refinements` adds the canonical searches enumeration
 starts without a root, which compute their own.  `refine_calls` counts
-every run of canon._refine (the parent's _expand called it directly),
-`searches` the calls to enumeration._search and `leaves` those to
-canon._leaf_code.  The searches and leaves must also agree between the
-sides; the script stops otherwise.  The serial count_graphs(10) time is
-projected from "count 9" by the class counts, 12,005,168 / 274,668; it is
-a projection, not a run.
+every run of canon._refine, `searches` the calls to enumeration._search
+and `leaves` those to canon._leaf_code.  The searches and leaves must
+also agree between the sides; the script stops otherwise.  The serial
+count_graphs(10) time is projected from "count 9" by the class counts,
+12,005,168 / 274,668; it is a projection, not a run.
 One measurement alone, in this interpreter, prints its JSON line:
 
     PYTHONPATH=SRC python bench/catalog.py --one '["count", 9]'
@@ -75,16 +74,12 @@ def measure(case: list) -> dict:
 
     keys = ("expand_roots", "root_refinements", "refine_calls", "searches", "leaves")
     counts = dict.fromkeys(keys, 0)
-    # the parent's _expand refined with _refine, the change's with _refine_root
-    root = "_refine_root" if hasattr(enumeration, "_refine_root") else "_refine"
-    pairs.count_calls(counts, "root_refinements", enumeration, root)
-    pairs.count_calls(counts, "expand_roots", enumeration, root)
+    pairs.count_calls(counts, "root_refinements", enumeration, "_refine_root")
+    pairs.count_calls(counts, "expand_roots", enumeration, "_refine_root")
     pairs.count_calls(counts, "root_refinements", enumeration, "_search",
                       lambda args: len(args) < 3 or args[2] is None)
     pairs.count_calls(counts, "searches", enumeration, "_search")
     pairs.count_calls(counts, "refine_calls", canon, "_refine")
-    if root == "_refine":
-        pairs.count_calls(counts, "refine_calls", enumeration, "_refine")
     pairs.count_calls(counts, "leaves", canon, "_leaf_code")
     t = time.perf_counter()
     if kind == "count":

@@ -17,8 +17,8 @@ per call (the median of repeated calls, at least 3 and at least 0.5 s):
 
 Counters, from the first call alone: `solver_calls`, the calls stability
 makes to mis.independent_set_at_least, and `searches`, its calls to
-canon._search (none at the parent, which has no orbit path).  The script
-stops if a case's change makes more solver calls than its parent.
+canon._search.  The script stops if a case's change makes more solver
+calls than its parent.
 One measurement alone, in this interpreter, prints its JSON line:
 
     PYTHONPATH=SRC python bench/scans.py --one '["is_stable", "stable4(5)", 4, 0]'
@@ -76,14 +76,12 @@ def measure(case: list) -> dict:
     op = _op(case)
     counts = {"solver_calls": 0, "searches": 0}
     names = {"solver_calls": "independent_set_at_least", "searches": "_search"}
-    real = {name: getattr(stability, name, None) for name in names.values()}
+    real = {name: getattr(stability, name) for name in names.values()}
     for key, name in names.items():
-        if real[name] is not None:
-            pairs.count_calls(counts, key, stability, name)
+        pairs.count_calls(counts, key, stability, name)
     result = op()
     for name, fn in real.items():
-        if fn is not None:
-            setattr(stability, name, fn)
+        setattr(stability, name, fn)
     times: list[float] = []
     while sum(times) < MIN_SECONDS or len(times) < MIN_CALLS:
         t = time.perf_counter()

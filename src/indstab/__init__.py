@@ -7,9 +7,6 @@ an exact maximum-independent-set solver, stability predicates and worst-case
 drops, the extremal graph families that realise the known tight cases,
 isomorph-free exhaustive enumeration, exact small-n Erdos-Rogers values,
 and a verification harness that reruns every desk-scale claim.
-
-all_max_independent_sets and check_stable_vertex_bound are not exported:
-the library never called them, and they are test oracles now.
 """
 
 from indstab.graphs import (

@@ -26,12 +26,13 @@ range of alpha that every induced subgraph of a matching graph on that many
 vertices must have, and the floor its alpha keeps under deletions.  A
 predicate of the form "L <= alpha <= H, and every k-vertex deletion leaves
 alpha >= F" gives its `bounds` (L, H, k, F), from which one formula derives
-the window at every level; at level n the window is the predicate itself, so
-such a predicate is decided by it and never checked again.  Canonical
-parents are induced subgraphs, so every matching class still has its whole
-chain of ancestors, and since the window is isomorphism-invariant, a child is
-tested before its canonical search; its alpha is read from the parent's.  The
-vertex count is guarded at 10; n = 11 runs only behind the long-run flag.
+the window at every level, and its `matches` too; at level n the window is
+the predicate itself, so such a predicate is decided by it and never checked
+again.  Canonical parents are induced subgraphs, so every matching class
+still has its whole chain of ancestors, and since the window is
+isomorphism-invariant, a child is tested before its canonical search; its
+alpha is read from the parent's.  The vertex count is guarded at 10; n = 11
+runs only behind the long-run flag.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ from typing import Any, Callable, Iterator
 
 from indstab.canon import CanonicalCode, _orbit, _refine_root, _search
 from indstab.graphs import Graph
-from indstab.mis import _alpha_set, alpha_mask, independent_set_at_least
-from indstab.stability import _worst_drop, is_stable, is_tight_stable, stability_bound
+from indstab.mis import _alpha_set, independent_set_at_least
+from indstab.stability import _worst_drop, is_stable, stability_bound
 
 HARD_GUARD = 10
 LONG_RUN_MAX = 11
@@ -66,7 +67,15 @@ class Predicate:
     cost = 0  # cheaper predicates are evaluated first inside And
 
     def matches(self, g: Graph) -> bool:
-        raise NotImplementedError
+        """Whether g matches; a predicate with bounds (L, H, k, F) is decided
+        from them: L <= alpha <= H, and one removal scan from the alpha
+        witness shows that no k deletions take alpha below F."""
+        b = self.bounds(g.n)
+        if b is None:
+            raise NotImplementedError
+        L, H, k, F = b
+        a, w = _alpha_set(g.adj, g.vertex_mask)
+        return L <= a <= H and (not k or _worst_drop(g, k, a, a - F + 1, [w]) <= a - F)
 
     def bounds(self, n: int) -> tuple[int, int, int, int] | None:
         """(L, H, k, F) with F <= L when, on n-vertex graphs, the predicate is
@@ -130,9 +139,6 @@ class AlphaEquals(Predicate):
     value: int
     cost = 2
 
-    def matches(self, g: Graph) -> bool:
-        return alpha_mask(g.adj, g.vertex_mask) == self.value
-
     def bounds(self, n: int) -> tuple[int, int, int, int]:
         return self.value, self.value, 0, self.value
 
@@ -160,9 +166,6 @@ class TightStable(Predicate):
     k: int
     l: int
     cost = 3
-
-    def matches(self, g: Graph) -> bool:
-        return is_tight_stable(g, self.k, self.l)
 
     def bounds(self, n: int) -> tuple[int, int, int, int]:
         b = stability_bound(n, self.k, self.l)
@@ -402,11 +405,11 @@ def enumerate_levels(
 
     Classes come depth first, each right after its parent; each level's own
     subsequence is in the order of a level-by-level build.  With jobs > 1
-    (one pool per call) the caller walks and emits levels 2..n - 2 only, and
-    hands the classes on n - 2 vertices to the pool as it reaches them;
-    levels n - 1 and n are walked and emitted in the workers.  A task's
-    output takes its roots' place in the walk, so the stream does not
-    depend on jobs.  `code` is a zero-argument callable returning g's
+    and n > 3 (one pool per call) the caller walks and emits levels
+    2..n - 2 only, and hands the classes on n - 2 vertices to the pool as it
+    reaches them; levels n - 1 and n are walked and emitted in the workers.
+    A task's output takes its roots' place in the walk, so the stream does
+    not depend on jobs.  `code` is a zero-argument callable returning g's
     CanonicalCode: most level-n classes are accepted without a canonical
     search, and calling it runs that search.  None results are dropped.
     With a `predicate`, levels 1..n keep only the classes inside its window
@@ -429,7 +432,8 @@ def enumerate_levels(
         yield 1, item
     if n == 1:
         return
-    with _pool(jobs) as pool:
+    # the walk hands out classes on n - 2 >= 2 vertices, so n <= 3 has no task
+    with _pool(jobs if n > 3 else 1) as pool:
         if pool is None:
             yield from _walk(1, (0,), [], windows, emit, n)
             return

@@ -1,11 +1,13 @@
 """Named verification suites reproducing every desk-scale stability claim.
 
-Each suite returns a list of check records; run_all concatenates them in a
-fixed order and appends a final check asserting that the set of
-discrepancy-noted entries matches the pinned expectation.  A check is
-pass/fail except where a documented family claim is computationally false for
-some parameters: those entries carry status "discrepancy-noted" so the
-harness neither hides the claim nor asserts a falsehood.
+Every suite_<name> takes (facts, config), the catalog pass's facts and the
+run's VerifyConfig, and returns a list of check records.  run_all calls the
+selected suites in a fixed order, concatenates their checks, and appends a
+final check asserting that the set of discrepancy-noted entries matches the
+pinned expectation.  A check is pass/fail except where a documented family
+claim is computationally false for some parameters: those entries carry
+status "discrepancy-noted" so the harness neither hides the claim nor
+asserts a falsehood.
 
 The exhaustive suites share one catalog pass, catalog_facts: one depth-first
 walk produces each class once, and the process that produces a class computes
@@ -265,12 +267,14 @@ def catalog_facts(config: VerifyConfig) -> dict[int, list[Facts]]:
 # suites
 
 
-def suite_stability_bound(facts: dict[int, list[Facts]], max_n: int) -> list[CheckResult]:
+def suite_stability_bound(
+    facts: dict[int, list[Facts]], config: VerifyConfig
+) -> list[CheckResult]:
     """Every (k, l)-stable graph satisfies alpha <= floor((n-k+1)/2) + l,
     checked exhaustively over all isomorphism classes with n <= max_n."""
     rec = _Recorder("stability_bound")
     rec.check("bound holds", {"n": 1}, "vacuous (no valid k)", "vacuous", True)
-    for n in range(2, max_n + 1):
+    for n in range(2, config.max_n + 1):
         level = facts[n]
         size = len(level)
         rec.check(
@@ -290,11 +294,11 @@ def suite_stability_bound(facts: dict[int, list[Facts]], max_n: int) -> list[Che
     return rec
 
 
-def suite_hall(facts: dict[int, list[Facts]], max_n: int) -> list[CheckResult]:
+def suite_hall(facts: dict[int, list[Facts]], config: VerifyConfig) -> list[CheckResult]:
     """Every maximum independent set of a (1, 0)-stable graph is saturated by
     a matching into the rest of the graph."""
     rec = _Recorder("hall")
-    for n in range(2, max_n + 1):
+    for n in range(2, config.max_n + 1):
         stable = [f.hall for f in facts[n] if f.profile[n - 1] == f.alpha]
         matchings = sum(h[0] for h in stable)
         missing = sum(h[1] for h in stable)
@@ -307,7 +311,7 @@ def suite_hall(facts: dict[int, list[Facts]], max_n: int) -> list[CheckResult]:
     return rec
 
 
-def suite_constructions(facts: dict[int, list[Facts]]) -> list[CheckResult]:
+def suite_constructions(facts: dict[int, list[Facts]], config: VerifyConfig) -> list[CheckResult]:
     """The fixed construction checklist: circulant stability and independence
     numbers, the five tight families, non-existence at six vertices, lifting,
     the stable-vertex-count bound, and the cycle-plus-diameters family pins."""
@@ -401,11 +405,11 @@ def suite_constructions(facts: dict[int, list[Facts]]) -> list[CheckResult]:
     return rec
 
 
-def suite_edge_bounds(facts: dict[int, list[Facts]], max_n: int) -> list[CheckResult]:
+def suite_edge_bounds(facts: dict[int, list[Facts]], config: VerifyConfig) -> list[CheckResult]:
     """Edge counts of tight (1, 0)-stable graphs are sandwiched between the
     matching family and the balanced bipartite family, both ends attained."""
     rec = _Recorder("edge_bounds")
-    for n in range(2, max_n + 1):
+    for n in range(2, config.max_n + 1):
         ends = (families.mn_matching(n), families.kn_tight(n))
         lo, hi = (e.edge_count() for e in ends)
         tight = [f for f in facts[n] if f.edges is not None]
@@ -424,15 +428,12 @@ def suite_edge_bounds(facts: dict[int, list[Facts]], max_n: int) -> list[CheckRe
     return rec
 
 
-def suite_uniqueness(
-    ns=(3, 5, 7, 9), jobs: int = 1, allow_long: bool = False
-) -> list[CheckResult]:
-    """The odd cycle is the unique tight (2, 0)-stable graph at each odd n."""
+def suite_uniqueness(facts: dict[int, list[Facts]], config: VerifyConfig) -> list[CheckResult]:
+    """The odd cycle is the unique tight (2, 0)-stable graph at each odd n in
+    3..9, and at n = 11 with allow_long; reads no facts."""
     rec = _Recorder("uniqueness")
-    for n in ns:
-        if n not in (3, 5, 7, 9, 11):
-            raise ValueError(f"uniqueness runs at odd n in 3..11, got {n}")
-        found = search_tight_stable(n, 2, 0, jobs=jobs, allow_long=allow_long)
+    for n in range(3, 12 if config.allow_long else 10, 2):
+        found = search_tight_stable(n, 2, 0, jobs=config.jobs, allow_long=config.allow_long)
         good = found == [canonical(families.cycle(n))]
         rec.check(
             "odd cycle is the unique tight (2,0) graph", {"n": n}, "exactly the n-cycle",
@@ -442,10 +443,10 @@ def suite_uniqueness(
     return rec
 
 
-def suite_erdos_rogers(facts: dict[int, list[Facts]], max_n: int) -> list[CheckResult]:
+def suite_erdos_rogers(facts: dict[int, list[Facts]], config: VerifyConfig) -> list[CheckResult]:
     """Computed Erdos-Rogers values equal n - t on every applicable cell."""
     rec = _Recorder("erdos_rogers")
-    for n in range(3, max_n + 1):
+    for n in range(3, config.max_n + 1):
         rows = er_grid(n, (f.profile for f in facts[n]))
         applicable = [r for r in rows if r.predicted is not None]
         bad = [r for r in applicable if not r.match]
@@ -467,21 +468,9 @@ def run_all(config: VerifyConfig | None = None) -> VerificationReport:
     catalog_ms = int((time.perf_counter() - t0) * 1000)
     checks: list[CheckResult] = []
     for name in SUITE_ORDER:
-        if name not in config.suites:
-            continue
-        if name == "stability_bound":
-            checks += suite_stability_bound(facts, config.max_n)
-        elif name == "hall":
-            checks += suite_hall(facts, config.max_n)
-        elif name == "constructions":
-            checks += suite_constructions(facts)
-        elif name == "edge_bounds":
-            checks += suite_edge_bounds(facts, config.max_n)
-        elif name == "uniqueness":
-            ns = (3, 5, 7, 9, 11) if config.allow_long else (3, 5, 7, 9)
-            checks += suite_uniqueness(ns, config.jobs, config.allow_long)
-        elif name == "erdos_rogers":
-            checks += suite_erdos_rogers(facts, config.max_n)
+        if name in config.suites:
+            # looked up at call time, so a rebound suite_<name> is the one run
+            checks += globals()[f"suite_{name}"](facts, config)
 
     if "constructions" in config.suites:
         pin = _Recorder("constructions")

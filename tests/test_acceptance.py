@@ -58,13 +58,13 @@ def _report(num: int, ok: bool, text: str) -> None:
 
 @pytest.fixture(scope="module")
 def constructions_checks(jobs):
-    facts = catalog_facts(VerifyConfig(jobs=jobs, suites=("constructions",)))
-    return suite_constructions(facts)
+    config = VerifyConfig(jobs=jobs, suites=("constructions",))
+    return suite_constructions(catalog_facts(config), config)
 
 
 def test_criterion_1_theorem_bound_exhaustive(jobs):
-    facts = catalog_facts(VerifyConfig(max_n=8, jobs=jobs, suites=("stability_bound",)))
-    checks = suite_stability_bound(facts, 8)
+    config = VerifyConfig(max_n=8, jobs=jobs, suites=("stability_bound",))
+    checks = suite_stability_bound(catalog_facts(config), config)
     bad = [c for c in checks if c.status != "pass"]
     counts = [
         int(c.actual) for c in checks if c.name == "catalog size"

@@ -96,3 +96,31 @@ def test_scans_bench_two_pairs(monkeypatch, tmp_path):
         assert len(entry[side]["us_per_call"]["runs"]) == 2
         assert entry[side]["result"] is True
         assert entry[side]["counters"] == {"solver_calls": 12, "searches": 1}
+
+
+def test_dfs_bench_two_pairs(monkeypatch, tmp_path):
+    # bench/dfs.py's own command line, with this checkout as both sides, over
+    # one small serial search and no long case
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "bench"))
+    import dfs
+
+    out = tmp_path / "dfs.json"
+    monkeypatch.setattr(dfs, "CASES", [("search", 6, 1, 2, 0)])
+    argv = ["dfs.py", SRC, "--pairs", "2", "--long-pairs", "0", "--out", str(out)]
+    monkeypatch.setattr(sys, "argv", argv)
+    dfs.main()
+    doc = json.loads(out.read_text())
+    assert list(doc) == ["label", "host", "command", "cases"]
+    assert doc["command"] == "python bench/dfs.py PARENT_SRC --pairs 2 --long-pairs 0"
+    assert list(doc["cases"]) == ["search 6 1 2 0"]
+    entry = doc["cases"]["search 6 1 2 0"]
+    assert set(entry) == {"parent", "change", "change_faster_pairs"}
+    assert re.fullmatch(r"[0-2] of 2", entry["change_faster_pairs"])
+    assert entry["parent"]["result"] == entry["change"]["result"]
+    for side in ("parent", "change"):
+        assert set(entry[side]) == {
+            "seconds", "cpu_self_s", "rss_self_mib", "rss_children_mib", "result", "counters",
+        }
+        assert len(entry[side]["seconds"]["runs"]) == 2
+        assert entry[side]["result"]["classes"] == 15
+        assert entry[side]["counters"] == {"_expand": 21, "_search": 35}

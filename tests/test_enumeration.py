@@ -1,4 +1,5 @@
 import hashlib
+import multiprocessing
 import re
 from dataclasses import dataclass
 from functools import partial
@@ -30,8 +31,8 @@ from indstab.enumeration import (
 from indstab.erdos_rogers import er_table
 from indstab.families import cycle, figure2, kn_tight, wheel
 from indstab.graphs import build
-from indstab.mis import alpha_profile, is_independent, subset_alphas
-from indstab.stability import stability_bound
+from indstab.mis import alpha, alpha_profile, is_independent, subset_alphas
+from indstab.stability import is_tight_stable, stability_bound
 from indstab.verify import SUITE_ORDER, VerifyConfig, catalog_facts, run_all
 
 from _oracles import attachment_sets_brute, automorphism_generators, labeled_census
@@ -234,6 +235,20 @@ def test_single_worker_order_deterministic():
     assert a == b
 
 
+def test_no_pool_without_tasks(monkeypatch):
+    # the walk hands the workers the classes on n - 2 >= 2 vertices, so
+    # n <= 3 has no task and starts no pool
+    starts = []
+    real = multiprocessing.Pool
+    monkeypatch.setattr(
+        multiprocessing, "Pool", lambda *args, **kw: starts.append(args) or real(*args, **kw)
+    )
+    for n, pools in ((1, 0), (2, 0), (3, 0), (4, 1)):
+        starts.clear()
+        assert count_graphs(n, jobs=2) == (1, 2, 4, 11)[n - 1]
+        assert len(starts) == pools, n
+
+
 def test_guard():
     with pytest.raises(ValueError, match="guard"):
         next(enumerate_graphs(11))
@@ -298,6 +313,16 @@ def test_window_prune_is_exact(catalog):
         if n >= 3:
             both = sorted(set(tight[1, 0]) & set(tight[2, 0]))
             assert search_with(n, TightStable(1, 0) & TightStable(2, 0)) == both, n
+        # the matches that the base class derives from bounds, against the
+        # stability and mis entry points
+        for code, g in catalog(n):
+            a = alpha(g)
+            assert [AlphaEquals(v).matches(g) for v in range(n + 2)] == [
+                v == a for v in range(n + 2)
+            ], code
+            for k in range(1, n):
+                for l in range(k):
+                    assert TightStable(k, l).matches(g) == is_tight_stable(g, k, l), (code, k, l)
 
 
 def test_window_prune_is_exact_at_eight(catalog):
@@ -406,7 +431,7 @@ def test_tight_window_floor_is_its_lo():
 @dataclass(frozen=True)
 class _Bounds(Predicate):
     """The predicate L <= alpha <= H, with alpha >= F after any k deletions,
-    given by its bounds alone; its matches is never called."""
+    given by its bounds alone; its matches is the one derived from them."""
 
     lhkf: tuple[int, int, int, int]
 
@@ -419,17 +444,21 @@ def test_bounds_window_is_exact(catalog):
     # vertices: the top level is the catalog's stream filtered through the
     # profile, whose entry j is the least alpha of a j-vertex induced
     # subgraph.  k deletions lower alpha >= L by at most k, so every F below
-    # L - k - 1 is as slack as L - k - 1
+    # L - k - 1 is as slack as L - k - 1.  The derived matches agrees too
     for n in range(1, 7):
-        graphs = [(g.adj, alpha_profile(subset_alphas(g.adj, n))) for _, g in catalog(n)]
+        graphs = [(g, alpha_profile(subset_alphas(g.adj, n))) for _, g in catalog(n)]
         for L in range(n + 1):
             for H in range(L, n + 1):
                 for k in range(n + 1):
                     for F in range(max(0, L - k - 1), L + 1):
                         pred = _Bounds((L, H, k, F))
                         stream = enumerate_levels(n, partial(_match, n, pred), predicate=pred)
-                        expected = [a for a, p in graphs if L <= p[n] <= H and p[n - k] >= F]
-                        assert [adj for _, adj in stream] == expected, (n, L, H, k, F)
+                        expected = [g for g, p in graphs if L <= p[n] <= H and p[n - k] >= F]
+                        assert [adj for _, adj in stream] == [g.adj for g in expected], (
+                            n, L, H, k, F
+                        )
+                        matched = [g for g, _ in graphs if pred.matches(g)]
+                        assert matched == expected, (n, L, H, k, F)
 
 
 def test_windowed_predicate_is_not_rechecked(monkeypatch):

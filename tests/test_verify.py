@@ -31,8 +31,10 @@ from indstab.verify import (
 from _oracles import all_max_independent_sets
 
 
-def _facts(max_n, *suites):
-    return catalog_facts(VerifyConfig(max_n=max_n, jobs=1, suites=suites))
+def _run(suite, max_n):
+    # one suite at max_n, called as run_all calls it
+    config = VerifyConfig(max_n=max_n, jobs=1, suites=(suite.__name__.removeprefix("suite_"),))
+    return suite(catalog_facts(config), config)
 
 
 def test_class_facts_match_scans(catalog):
@@ -66,7 +68,7 @@ def test_class_facts_match_scans(catalog):
 
 
 def test_theorem_suite_small():
-    checks = suite_stability_bound(_facts(5, "stability_bound"), 5)
+    checks = _run(suite_stability_bound, 5)
     assert all(c.status == "pass" for c in checks)
     # n=1 vacuous + per-n catalog checks + one check per (n, k, l)
     assert any(c.params == {"n": 1} for c in checks)
@@ -74,38 +76,33 @@ def test_theorem_suite_small():
 
 
 def test_hall_suite_small():
-    checks = suite_hall(_facts(6, "hall"), 6)
+    checks = _run(suite_hall, 6)
     assert all(c.status == "pass" for c in checks)
     assert len(checks) == 5  # n = 2..6
 
 
 def test_edge_bounds_small():
-    checks = suite_edge_bounds(_facts(6, "edge_bounds"), 6)
+    checks = _run(suite_edge_bounds, 6)
     assert all(c.status == "pass" for c in checks)
     by_n = {c.params["n"]: c for c in checks}
     assert "[3, 9]" in by_n[6].expected or "3" in by_n[6].expected
 
 
 def test_uniqueness_small():
-    checks = suite_uniqueness(ns=(3, 5))
+    # the n values come from the config: 3..9 without allow_long
+    checks = suite_uniqueness({}, VerifyConfig(suites=("uniqueness",), jobs=1))
+    assert [c.params["n"] for c in checks] == [3, 5, 7, 9]
     assert all(c.status == "pass" for c in checks)
 
 
-def test_uniqueness_guards():
-    with pytest.raises(ValueError):
-        suite_uniqueness(ns=(4,))
-    with pytest.raises(ValueError):
-        suite_uniqueness(ns=(11,))
-
-
 def test_erdos_rogers_suite_small():
-    checks = suite_erdos_rogers(_facts(5, "erdos_rogers"), 5)
+    checks = _run(suite_erdos_rogers, 5)
     assert all(c.status == "pass" for c in checks)
     assert len(checks) == 3  # n = 3..5
 
 
 def test_constructions_suite_statuses():
-    checks = suite_constructions(_facts(8, "constructions"))
+    checks = _run(suite_constructions, 8)
     noted = [c.name for c in checks if c.status == "discrepancy-noted"]
     assert tuple(noted) == EXPECTED_DISCREPANCIES
     assert not [c for c in checks if c.status == "fail"]
@@ -158,11 +155,9 @@ def test_report_text_charges_the_catalog_pass(monkeypatch):
     assert text.splitlines()[0].startswith("catalog pass (n = 2..5): ")
     assert text.splitlines()[0].endswith(" ms")
     # a uniqueness-only run builds no catalog; run_all finds the suite
-    # through the module, so a short stand-in keeps the run small
-    short = verify.suite_uniqueness
-    monkeypatch.setattr(
-        verify, "suite_uniqueness", lambda ns, jobs, allow_long: short((3, 5), jobs, allow_long)
-    )
+    # through the module, so a stand-in keeps the run small
+    stand_in = [verify.CheckResult("uniqueness", "stand-in", {}, "", "", verify.PASS)]
+    monkeypatch.setattr(verify, "suite_uniqueness", lambda facts, config: stand_in)
     text = run_all(_small_config(suites=("uniqueness",))).to_text()
     assert "catalog pass" not in text
     assert text.startswith("[PASS] uniqueness: ")
