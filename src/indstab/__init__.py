@@ -45,6 +45,4 @@ from indstab.enumeration import (
     search_with,
 )
 from indstab.erdos_rogers import er_f, er_predicted, er_table
-from indstab.verify import VerificationReport, VerifyConfig, run_all
-
-__version__ = "0.1.0"
+from indstab.verify import TOOL_VERSION as __version__, VerificationReport, VerifyConfig, run_all

@@ -42,7 +42,7 @@ import signal
 import time
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from itertools import combinations
 from typing import Any, Callable, Iterator
@@ -50,7 +50,7 @@ from typing import Any, Callable, Iterator
 from indstab.canon import CanonicalCode, _orbit, _refine_root, _search
 from indstab.graphs import Graph
 from indstab.mis import _alpha_set, independent_set_at_least
-from indstab.stability import _worst_drop, is_stable, stability_bound
+from indstab.stability import _within, _worst_drop, is_stable, stability_bound
 
 HARD_GUARD = 10
 LONG_RUN_MAX = 11
@@ -62,20 +62,14 @@ LONG_RUN_MAX = 11
 
 @dataclass(frozen=True)
 class Predicate:
-    """Base for registered graph predicates; subclasses are picklable."""
-
-    cost = 0  # cheaper predicates are evaluated first inside And
+    """Base for graph predicates: picklable; a registered one's fields are its arguments."""
 
     def matches(self, g: Graph) -> bool:
-        """Whether g matches; a predicate with bounds (L, H, k, F) is decided
-        from them: L <= alpha <= H, and one removal scan from the alpha
-        witness shows that no k deletions take alpha below F."""
+        """Whether g matches; one with bounds is decided as is_tight_stable is, by _within."""
         b = self.bounds(g.n)
         if b is None:
             raise NotImplementedError
-        L, H, k, F = b
-        a, w = _alpha_set(g.adj, g.vertex_mask)
-        return L <= a <= H and (not k or _worst_drop(g, k, a, a - F + 1, [w]) <= a - F)
+        return _within(g, *b)
 
     def bounds(self, n: int) -> tuple[int, int, int, int] | None:
         """(L, H, k, F) with F <= L when, on n-vertex graphs, the predicate is
@@ -113,7 +107,6 @@ class Predicate:
 class EdgeCountRange(Predicate):
     lo: int
     hi: int
-    cost = 0
 
     def matches(self, g: Graph) -> bool:
         return self.lo <= g.edge_count() <= self.hi
@@ -121,8 +114,6 @@ class EdgeCountRange(Predicate):
 
 @dataclass(frozen=True)
 class ContainsTriangle(Predicate):
-    cost = 1
-
     def matches(self, g: Graph) -> bool:
         for v in range(g.n):
             m = g.adj[v]
@@ -137,7 +128,6 @@ class ContainsTriangle(Predicate):
 @dataclass(frozen=True)
 class AlphaEquals(Predicate):
     value: int
-    cost = 2
 
     def bounds(self, n: int) -> tuple[int, int, int, int]:
         return self.value, self.value, 0, self.value
@@ -149,7 +139,6 @@ class Stable(Predicate):
 
     k: int
     l: int
-    cost = 3
 
     def matches(self, g: Graph) -> bool:
         return is_stable(g, self.k, self.l)
@@ -165,7 +154,6 @@ class TightStable(Predicate):
 
     k: int
     l: int
-    cost = 3
 
     def bounds(self, n: int) -> tuple[int, int, int, int]:
         b = stability_bound(n, self.k, self.l)
@@ -177,7 +165,8 @@ class And(Predicate):
     parts: tuple[Predicate, ...]
 
     def matches(self, g: Graph) -> bool:
-        return all(p.matches(g) for p in sorted(self.parts, key=lambda p: p.cost))
+        """Every part matches; parts are checked in the order given."""
+        return all(p.matches(g) for p in self.parts)
 
     def window(self, n: int, m: int) -> tuple[int, int, int, int] | None:
         # every part's (ks, floor) holds for a match; one is kept
@@ -189,11 +178,11 @@ class And(Predicate):
 
 
 _REGISTRY = {
-    "edge-count-range": (EdgeCountRange, 2),
-    "contains-triangle": (ContainsTriangle, 0),
-    "alpha-equals": (AlphaEquals, 1),
-    "stable": (Stable, 2),
-    "tight-stable": (TightStable, 2),
+    "edge-count-range": EdgeCountRange,
+    "contains-triangle": ContainsTriangle,
+    "alpha-equals": AlphaEquals,
+    "stable": Stable,
+    "tight-stable": TightStable,
 }
 
 
@@ -205,7 +194,8 @@ def parse_predicate(text: str) -> Predicate:
         raise ValueError(
             f"unknown predicate {name!r}; known: {', '.join(sorted(_REGISTRY))}"
         )
-    cls, nargs = _REGISTRY[name]
+    cls = _REGISTRY[name]
+    nargs = len(fields(cls))
     args = argstr.split(",") if argstr.strip() else []
     try:
         values = [int(a) for a in args]

@@ -105,7 +105,9 @@ def vset(vertices: Iterable[int]) -> int:
 
 
 def vset_members(mask: int) -> tuple[int, ...]:
-    """Vertices of a bitmask, ascending."""
+    """Vertices of a bitmask, ascending; a negative mask is a ValueError."""
+    if mask < 0:
+        raise ValueError(f"vertex mask must be non-negative, got {mask}")
     out = []
     while mask:
         out.append((mask & -mask).bit_length() - 1)

@@ -22,7 +22,10 @@ pool changes only how often the solver runs.
 Every scan searches for the worst drop.  A prefix that no witness of
 alpha - drop vertices avoids raises the drop found by one (supersets of the
 prefix only lower alpha further), and the scan stops once the drop reaches its
-cut-off: l + 1 for is_stable, min(k, alpha) for alpha_drop.  No other bound
+cut-off: l + 1 for is_stable, min(k, alpha) for alpha_drop, and alpha - F + 1
+in _within, the one test of "L <= alpha <= H, and no k deletions take alpha
+below F" behind is_tight_stable ((b, b, k, b - l) for the bound b) and
+enumeration's predicates with bounds.  No other bound
 is tried: an optimistic completion asks for more vertices than the scan needs
 and mostly fails.  stable_vertex_count probes each vertex through a pool too.
 
@@ -145,11 +148,17 @@ def is_stable(g: Graph, k: int, l: int) -> bool:
     return _worst_drop(g, k, a, l + 1, [w]) <= l
 
 
+def _within(g: Graph, L: int, H: int, k: int, F: int) -> bool:
+    """Whether L <= alpha <= H and no k deletions take alpha below F; the
+    scan from the alpha witness runs only when alpha is in range."""
+    a, w = _alpha_set(g.adj, g.vertex_mask)
+    return L <= a <= H and (not k or _worst_drop(g, k, a, a - F + 1, [w]) <= a - F)
+
+
 def is_tight_stable(g: Graph, k: int, l: int) -> bool:
     """(k, l)-stable and attaining the stability bound exactly."""
-    bound = stability_bound(g.n, k, l)
-    a, w = _alpha_set(g.adj, g.vertex_mask)
-    return a == bound and _worst_drop(g, k, a, l + 1, [w]) <= l
+    b = stability_bound(g.n, k, l)
+    return _within(g, b, b, k, b - l)
 
 
 def stable_vertex_count(g: Graph) -> int:

@@ -23,6 +23,26 @@ def catalog():
     return get
 
 
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(owner, name, calls=None) rebinds owner.name, a module
+    function or a method, to append each call's arguments to `calls` (a new
+    list by default) and returns that list; the rebinding ends with the test."""
+
+    def count(owner, name, calls=None):
+        calls = [] if calls is None else calls
+        real = getattr(owner, name)
+
+        def call(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, call)
+        return calls
+
+    return count
+
+
 @pytest.fixture(scope="session")
 def jobs():
     if hasattr(os, "sched_getaffinity"):

@@ -112,48 +112,30 @@ def test_every_level_order_pinned():
     assert {m: h.hexdigest() for m, h in levels.items()} == LEVEL_SHA256
 
 
-def _count_calls(monkeypatch, counts, module, name, key=None):
-    """Rebind module.name to count its calls in counts[key or name]."""
-    real = getattr(module, name)
-
-    def call(*args):
-        counts[key or name] += 1
-        return real(*args)
-
-    monkeypatch.setattr(module, name, call)
-
-
-def test_canonical_search_work_bounded(monkeypatch):
+def test_canonical_search_work_bounded(count_calls):
     # upper bounds on the canonical searches, refinements and leaves of the
     # serial n = 7 catalog pass; more work than this is a regression.  Every
     # refinement runs canon._refine, _expand's root refinements included,
     # except a root with one degree class, which needs none.  The root
     # partitions are _expand's and those its searches compute without a root
-    counts = {"_search": 0, "_refine": 0, "_leaf_code": 0, "roots": 0}
-    _count_calls(monkeypatch, counts, enumeration, "_search")
-    _count_calls(monkeypatch, counts, canon, "_refine")
-    _count_calls(monkeypatch, counts, canon, "_leaf_code")
+    searches = count_calls(enumeration, "_search")
+    refines = count_calls(canon, "_refine")
+    leaves = count_calls(canon, "_leaf_code")
+    roots = []
     for module in (enumeration, canon):
-        _count_calls(monkeypatch, counts, module, "_refine_root", "roots")
+        count_calls(module, "_refine_root", roots)
     assert count_graphs(7) == 1044
-    assert counts["_search"] <= 542
-    assert counts["_refine"] <= 5384
-    assert counts["_leaf_code"] <= 2181
-    assert counts["roots"] <= 1120
+    assert len(searches) <= 542
+    assert len(refines) <= 5384
+    assert len(leaves) <= 2181
+    assert len(roots) <= 1120
 
 
-def test_catalog_pass_search_count_bounded(monkeypatch):
+def test_catalog_pass_search_count_bounded(count_calls):
     # the canonical searches of one serial catalog pass of the verify run
     # without the uniqueness suite at max_n = 7 (levels 1..8); tight (1, 0)
     # classes are the only top-level classes whose codes it reads
-    searches = []
-    real = enumeration._search
-
-    def call(*args):
-        searches.append(args[0])
-        return real(*args)
-
-    monkeypatch.setattr(enumeration, "_search", call)
+    searches = count_calls(enumeration, "_search")
     suites = tuple(s for s in SUITE_ORDER if s != "uniqueness")
     facts = catalog_facts(VerifyConfig(max_n=7, jobs=1, suites=suites))
     assert len(facts[8]) == 12346
@@ -313,16 +295,20 @@ def test_window_prune_is_exact(catalog):
         if n >= 3:
             both = sorted(set(tight[1, 0]) & set(tight[2, 0]))
             assert search_with(n, TightStable(1, 0) & TightStable(2, 0)) == both, n
-        # the matches that the base class derives from bounds, against the
-        # stability and mis entry points
-        for code, g in catalog(n):
+        # the matches that the base class derives from bounds, and
+        # is_tight_stable, which decides through the same function, each
+        # against the profile, as _tight reads it
+        for (code, g), (_, p) in zip(catalog(n), profiles):
             a = alpha(g)
             assert [AlphaEquals(v).matches(g) for v in range(n + 2)] == [
                 v == a for v in range(n + 2)
             ], code
             for k in range(1, n):
                 for l in range(k):
-                    assert TightStable(k, l).matches(g) == is_tight_stable(g, k, l), (code, k, l)
+                    b = stability_bound(n, k, l)
+                    tight = p[n] == b and p[n - k] >= b - l
+                    assert TightStable(k, l).matches(g) == tight, (code, k, l)
+                    assert is_tight_stable(g, k, l) == tight, (code, k, l)
 
 
 def test_window_prune_is_exact_at_eight(catalog):
@@ -337,39 +323,38 @@ def test_window_prune_is_exact_at_eight(catalog):
         assert stream == _tight(profiles, 8, k, l), (k, l, jobs)
 
 
-def test_tight_search_work_pinned(monkeypatch):
+def test_tight_search_work_pinned(count_calls):
     # the calls _expand makes: upper bounds for tight (3, 1) at n = 8, which
     # its removal floor prunes, and exact counts for tight (2, 0), the search
     # of the tight8 benchmark workload.  "roots" counts the root partitions in
     # all: _expand's, and those its searches compute for children accepted on
     # degree alone
     names = ("_search", "_refine_root", "independent_set_at_least", "_worst_drop")
-    counts = dict.fromkeys(names + ("roots",), 0)
-    for name in names:
-        _count_calls(monkeypatch, counts, enumeration, name)
+    calls = {name: count_calls(enumeration, name) for name in names}
+    calls["roots"] = []
     for module in (enumeration, canon):
-        _count_calls(monkeypatch, counts, module, "_refine_root", "roots")
+        count_calls(module, "_refine_root", calls["roots"])
     assert len(search_tight_stable(8, 3, 1)) == 100
-    assert counts["_search"] <= 233
-    assert counts["_refine_root"] <= 230
-    assert counts["roots"] <= 307
-    counts.update(dict.fromkeys(counts, 0))
+    assert len(calls["_search"]) <= 233
+    assert len(calls["_refine_root"]) <= 230
+    assert len(calls["roots"]) <= 307
+    for made in calls.values():
+        made.clear()
     assert len(search_tight_stable(8, 2, 0)) == 75
-    assert counts == {
+    assert {name: len(made) for name, made in calls.items()} == {
         "_search": 375, "_refine_root": 419, "independent_set_at_least": 3957, "_worst_drop": 1241,
         "roots": 558,
     }
 
 
-def test_tight_search_scan_solver_calls_pinned(monkeypatch):
+def test_tight_search_scan_solver_calls_pinned(count_calls):
     # the solver calls of every removal scan in tight (2, 0) at n = 8, all of
     # them _expand's window tests, since the level-n window decides the
     # predicate: each pool starts with the child's maximum set and its
     # earlier siblings' sets
-    counts = {"independent_set_at_least": 0}
-    _count_calls(monkeypatch, counts, stability, "independent_set_at_least")
+    calls = count_calls(stability, "independent_set_at_least")
     assert len(search_tight_stable(8, 2, 0)) == 75
-    assert counts["independent_set_at_least"] == 2570
+    assert len(calls) == 2570
 
 
 def test_expand_scan_pools_hold_independent_sets(monkeypatch):
@@ -393,18 +378,17 @@ def test_expand_scan_pools_hold_independent_sets(monkeypatch):
     assert max(seen) > 1  # siblings' sets reached later children
 
 
-def test_first_match_arrives_before_the_last_level_is_built(monkeypatch):
+def test_first_match_arrives_before_the_last_level_is_built(count_calls):
     # a serial existence query walks depth first: the first tight (2, 0)
     # class on 9 vertices (the 9-cycle) arrives after 59 expanded parents,
     # the part of the tree before it, where a level-by-level build expands
     # 527 first
-    counts = {"_expand": 0}
-    _count_calls(monkeypatch, counts, enumeration, "_expand")
+    expanded = count_calls(enumeration, "_expand")
     stream = enumerate_graphs(9, predicate=TightStable(2, 0))
     _, g = next(stream)
     stream.close()
     assert g.edge_count() == 9
-    assert counts["_expand"] <= 59
+    assert len(expanded) <= 59
 
 
 def test_tight_window_floor_is_its_lo():
@@ -461,7 +445,7 @@ def test_bounds_window_is_exact(catalog):
                         assert matched == expected, (n, L, H, k, F)
 
 
-def test_windowed_predicate_is_not_rechecked(monkeypatch):
+def test_windowed_predicate_is_not_rechecked(monkeypatch, count_calls):
     # a predicate with bounds is decided by its level-n window: its matches
     # is never called, serially or in the workers (which fork after the
     # patch); an And keeps its re-check
@@ -475,9 +459,7 @@ def test_windowed_predicate_is_not_rechecked(monkeypatch):
         for jobs in (1, 2):
             assert search_with(7, p, jobs=jobs) == found, (p, jobs)
     monkeypatch.undo()
-    calls = []
-    real = TightStable.matches
-    monkeypatch.setattr(TightStable, "matches", lambda self, g: calls.append(g) or real(self, g))
+    calls = count_calls(TightStable, "matches")
     both = search_with(7, AlphaEquals(4) & TightStable(2, 1))
     assert both == sorted(set(expected[AlphaEquals(4)]) & set(expected[TightStable(2, 1)]))
     assert len(calls) >= len(both) > 0

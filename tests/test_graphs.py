@@ -176,3 +176,11 @@ def test_transformers_preserve_invariants():
 def test_vset_roundtrip():
     assert vset_members(vset([5, 1, 3])) == (1, 3, 5)
     assert vset([]) == 0
+
+
+def test_vset_members_rejects_negative_masks():
+    # a negative mask has no lowest set bit to end on: clearing bits walks
+    # -1, -2, -4, ... and never reaches 0
+    for mask in (-1, -2, -(1 << 64)):
+        with pytest.raises(ValueError, match="non-negative"):
+            vset_members(mask)

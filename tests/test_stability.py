@@ -177,33 +177,13 @@ def test_corollary_on_samples():
         assert check_stable_vertex_bound(g)
 
 
-def test_stable_vertex_count_computes_alpha_once(monkeypatch):
-    calls = []
-    real = stability._alpha_set
-
-    def counting(adj, mask):
-        calls.append(mask)
-        return real(adj, mask)
-
-    monkeypatch.setattr(stability, "_alpha_set", counting)
+def test_stable_vertex_count_computes_alpha_once(count_calls):
+    calls = count_calls(stability, "_alpha_set")
     assert stable_vertex_count(cycle(9)) == 9
     assert len(calls) == 1
 
 
-def _count_calls(monkeypatch, name):
-    """Count the calls `stability` makes to its imported `name`."""
-    calls = []
-    real = getattr(stability, name)
-
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(stability, name, counting)
-    return calls
-
-
-def test_scan_solver_calls_pinned(monkeypatch):
+def test_scan_solver_calls_pinned(count_calls):
     # the five scans of the benchmark's `scans` workload, 110 solver calls in
     # all (320 before the first removed vertex ranged over orbits), as with
     # the plain branch-and-bound: equal witnesses give equal witness pools,
@@ -211,8 +191,8 @@ def test_scan_solver_calls_pinned(monkeypatch):
     # starts with the alpha solve's maximum set, which saves the scan's first
     # call; each circulant is vertex-transitive, so its scan is the root check
     # plus one first-level subtree, and one search of its group
-    calls = _count_calls(monkeypatch, "independent_set_at_least")
-    searches = _count_calls(monkeypatch, "_search")
+    calls = count_calls(stability, "independent_set_at_least")
+    searches = count_calls(stability, "_search")
     s3_3, s3_4, s4_3 = stable3_circulant(3), stable3_circulant(4), stable4_circulant(3)
     scans = (
         (lambda: is_stable(s3_3, 3, 0), True, 12),
@@ -351,10 +331,10 @@ def _orbit_graphs():
     return graphs
 
 
-def test_orbit_scans_match_plain_scan(monkeypatch):
+def test_orbit_scans_match_plain_scan(count_calls):
     # the orbit path against the plain scan, for every k <= 3 and l < k, with
     # the pool started from the alpha solve's set and from every maximum set
-    searches = _count_calls(monkeypatch, "_search")
+    searches = count_calls(stability, "_search")
     searched = {1: set(), 2: set(), 3: set()}  # per k: the searches a scan made
     for g in _orbit_graphs():
         a = alpha(g)
@@ -379,10 +359,10 @@ def test_orbit_scans_match_plain_scan(monkeypatch):
     assert searched == {1: {0}, 2: {0, 1}, 3: {0, 1}}
 
 
-def test_orbit_searches_pinned(monkeypatch):
+def test_orbit_searches_pinned(count_calls):
     # scans decided inside their first subtree, scans with k = 1 and scans
     # below _ORBIT_MIN_N never search the automorphism group
-    searches = _count_calls(monkeypatch, "_search")
+    searches = count_calls(stability, "_search")
     early = circulant(20, {2, 5})
     assert not is_stable(early, 3, 0)
     assert not is_stable(circulant(20, {1, 3}), 2, 0)
