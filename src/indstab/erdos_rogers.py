@@ -42,6 +42,8 @@ def er_f(n: int, s: int, t: int, *, jobs: int = 1) -> int:
         raise ValueError(f"parameters must be positive, got {(n, s, t)}")
     if n > ER_MAX_N:
         raise ValueError(f"exact values are enumeration-backed, n <= {ER_MAX_N} only")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if s > n:
         return n  # every subset qualifies
     # t >= n admits every class, as t = n already does; rows run s-major

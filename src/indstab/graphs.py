@@ -97,9 +97,11 @@ class Graph:
 
 
 def vset(vertices: Iterable[int]) -> int:
-    """Bitmask of a vertex collection."""
+    """Bitmask of a vertex collection; a vertex outside 0..63 is a ValueError."""
     m = 0
     for v in vertices:
+        if not 0 <= v < MAX_VERTICES:
+            raise ValueError(f"vertex {v} is outside 0..{MAX_VERTICES - 1}")
         m |= 1 << v
     return m
 

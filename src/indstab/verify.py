@@ -16,9 +16,11 @@ suites and max_n alone.  The caller walks every level, or with jobs > 1 the
 levels up to N - 2, and the workers walk levels N - 1 and N below them.
 Every fact is read from one mis.subset_alphas table per class (alpha of every
 induced subgraph), most through its alpha profile p(q), the least alpha over
-the q-vertex induced subgraphs.  Each suite is a reduction over the facts.  A
-suite stamps each check with the time since its previous check; run_all
-times the catalog pass, which the report carries as catalog_ms.
+the q-vertex induced subgraphs; Facts holds only what needs the table or the
+graph.  (k, l)-stability, p(n - k) >= alpha - l, is read off a profile by
+_stable and _tight alone, and the lift check reads each distinct profile
+once.  Each suite is a reduction over the facts, and stamps each check with
+the time since its previous one; run_all times the catalog pass (catalog_ms).
 
 Reports are deterministic for a fixed (config, tool version): suites run in a
 fixed order, every scan is exhaustive, and JSON output omits wall-clock
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import json
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass
 from functools import partial
 from typing import NamedTuple
@@ -95,6 +98,8 @@ class VerifyConfig:
                 raise ValueError(f"unknown suite {s!r}; known: {', '.join(SUITE_ORDER)}")
         if not 1 <= self.max_n <= 8:
             raise ValueError(f"max_n must be in 1..8, got {self.max_n}")
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be at least 1, got {self.jobs}")
 
 
 @dataclass
@@ -108,22 +113,14 @@ class VerificationReport:
 
     @property
     def summary(self) -> dict[str, int]:
-        out = {PASS: 0, FAIL: 0, NOTED: 0}
-        for c in self.checks:
-            out[c.status] += 1
-        return out
+        return {s: sum(c.status == s for c in self.checks) for s in (PASS, FAIL, NOTED)}
 
     @property
     def ok(self) -> bool:
         return self.summary[FAIL] == 0
 
     def to_json(self, include_timings: bool = False) -> str:
-        checks = []
-        for c in self.checks:
-            d = asdict(c)
-            if not include_timings:
-                del d["duration_ms"]
-            checks.append(d)
+        checks = [asdict(c) for c in self.checks]
         config = asdict(self.config)
         del config["jobs"]  # execution detail; reports are worker-count independent
         doc = {
@@ -135,6 +132,9 @@ class VerificationReport:
         }
         if include_timings:
             doc["catalog_ms"] = self.catalog_ms
+        else:
+            for d in checks:
+                del d["duration_ms"]
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     def to_text(self) -> str:
@@ -192,8 +192,6 @@ class Facts(NamedTuple):
     stable_vertices: int | None
     # (1, 0)-stable: maximum independent sets with and without a saturating matching
     hall: tuple[int, int] | None
-    # tight (k, l) pairs, and those whose lift is not tight (k + 1, l + 1)
-    lifts: tuple[int, int] | None
     # tight (1, 0): the edge count and the class's canonical code
     edges: int | None
     code: CanonicalCode | None
@@ -201,6 +199,24 @@ class Facts(NamedTuple):
 
 LIFT_MAX_N = 7  # the lift check covers n = 2..7
 STABLE_VERTEX_MAX_N = 8  # the stable-vertex-count bound covers n = 2..8
+
+
+def _stable(p, k: int, l: int) -> bool:
+    """(k, l)-stability read off an alpha profile p: p(n - k) >= alpha - l."""
+    return p[-1 - k] >= p[-1] - l
+
+
+def _tight(p, k: int, l: int) -> bool:
+    """Tight (k, l)-stability read off an alpha profile: stable, alpha at the bound."""
+    return _stable(p, k, l) and p[-1] == stability_bound(len(p) - 1, k, l)
+
+
+def _lifts(p) -> tuple[int, int]:
+    """The tight (k, l) pairs of profile p, and those whose lift is not tight (k + 1, l + 1)."""
+    pairs = [(k, l) for k in range(1, len(p) - 1) for l in range(k) if _tight(p, k, l)]
+    # the lift adds an isolated vertex: a q-subset drops it or adds it to a (q - 1)-subset
+    lifted = [0] + [min(x, y + 1) for x, y in zip(p[1:], p)] + [p[-1] + 1]
+    return len(pairs), sum(not _tight(lifted, k + 1, l + 1) for k, l in pairs)
 
 
 def _class_facts(suites, max_n: int, g: Graph, code) -> Facts | None:
@@ -211,39 +227,21 @@ def _class_facts(suites, max_n: int, g: Graph, code) -> Facts | None:
     if n < 2:
         return None
     wants = set(suites) if n <= max_n else set()
-    lift = "constructions" in suites and n <= LIFT_MAX_N
     table = subset_alphas(g.adj, n)
     a = table[-1]
     full = len(table) - 1
-    profile = stable = hall = lifts = edges = tight_code = None
-    if lift or wants & {"stability_bound", "hall", "edge_bounds", "erdos_rogers"}:
+    profile = stable = hall = edges = tight_code = None
+    if wants - {"constructions", "uniqueness"} or ("constructions" in suites and n <= LIFT_MAX_N):
         profile = tuple(alpha_profile(table))
     if "constructions" in suites:
         stable = sum(table[full & ~(1 << v)] == a for v in range(n))
-    if lift:
-        pairs = [
-            (k, l) for k in range(1, n) for l in range(k)
-            if profile[n - k] >= a - l and a == stability_bound(n, k, l)
-        ]
-        bad = 0
-        if pairs:
-            # is_tight_stable(lifted, k + 1, l + 1) from the lift's profile: a
-            # q-subset of the lift leaves out the isolated vertex or adds it
-            # to a (q - 1)-subset of g
-            lifted = [0] + [min(p, r + 1) for p, r in zip(profile[1:], profile)] + [a + 1]
-            la = lifted[-1]
-            bad = sum(
-                la != stability_bound(n + 1, k + 1, l + 1) or lifted[n - k] < la - l - 1
-                for k, l in pairs
-            )
-        lifts = (len(pairs), bad)
-    if "hall" in wants and profile[n - 1] == a:
+    if "hall" in wants and _stable(profile, 1, 0):
         sets = [m for m, x in enumerate(table) if x == a == m.bit_count()]
         missing = sum(saturating_matching(g, y) is None for y in sets)
         hall = (len(sets) - missing, missing)
-    if "edge_bounds" in wants and profile[n - 1] == a == stability_bound(n, 1, 0):
+    if "edge_bounds" in wants and _tight(profile, 1, 0):
         edges, tight_code = g.edge_count(), code()
-    return Facts(a, profile, stable, hall, lifts, edges, tight_code)
+    return Facts(a, profile, stable, hall, edges, tight_code)
 
 
 def catalog_facts(config: VerifyConfig) -> dict[int, list[Facts]]:
@@ -284,9 +282,7 @@ def suite_stability_bound(
         for k in range(1, n):
             for l in range(0, k):
                 bound = stability_bound(n, k, l)
-                violations = sum(
-                    f.profile[n - k] >= f.alpha - l and f.alpha > bound for f in level
-                )
+                violations = sum(_stable(f.profile, k, l) and f.alpha > bound for f in level)
                 rec.check(
                     "bound holds", {"n": n, "k": k, "l": l}, "0 violations",
                     f"{violations} violations over {size} classes", violations == 0,
@@ -299,7 +295,7 @@ def suite_hall(facts: dict[int, list[Facts]], config: VerifyConfig) -> list[Chec
     a matching into the rest of the graph."""
     rec = _Recorder("hall")
     for n in range(2, config.max_n + 1):
-        stable = [f.hall for f in facts[n] if f.profile[n - 1] == f.alpha]
+        stable = [f.hall for f in facts[n] if f.hall is not None]
         matchings = sum(h[0] for h in stable)
         missing = sum(h[1] for h in stable)
         rec.check(
@@ -346,16 +342,16 @@ def suite_constructions(facts: dict[int, list[Facts]], config: VerifyConfig) -> 
             "all tight" if not bad else f"failures at n={bad}", not bad,
         )
 
-    bound = stability_bound(6, 3, 0)
-    found = sum(f.alpha == bound and f.profile[3] >= bound for f in facts[6])
+    found = sum(_tight(f.profile, 3, 0) for f in facts[6])
     rec.check(
         "no 6-vertex tight (3,0)-stable graph", {},
         "empty search", f"{found} classes found", not found,
     )
 
-    lifts = [f.lifts for n in range(2, LIFT_MAX_N + 1) for f in facts[n]]
-    lift_checked = sum(checked for checked, _ in lifts)
-    lift_bad = sum(bad for _, bad in lifts)
+    profiles = Counter(f.profile for n in range(2, LIFT_MAX_N + 1) for f in facts[n])
+    lifts = [(_lifts(p), count) for p, count in profiles.items()]
+    lift_checked = sum(checked * count for (checked, _), count in lifts)
+    lift_bad = sum(bad * count for (_, bad), count in lifts)
     rec.check(
         "lift of tight (k,l) is tight (k+1,l+1)", {"n": f"2..{LIFT_MAX_N}"}, "0 violations",
         f"{lift_checked} tight cases, {lift_bad} violations", lift_bad == 0,

@@ -11,7 +11,13 @@ import pytest
 
 import indstab
 from indstab.cli import _build_parser, main
-from indstab.enumeration import ContainsTriangle, TightStable, count_graphs, enumerate_graphs
+from indstab.enumeration import (
+    ContainsTriangle,
+    Stable,
+    TightStable,
+    count_graphs,
+    enumerate_graphs,
+)
 from indstab.graph6 import g6_decode, g6_encode
 from indstab.families import cycle, kn_tight, stable3_circulant
 from indstab.mis import alpha
@@ -173,17 +179,24 @@ def test_enumerate_filter(capsys):
 def test_enumerate_filter_conjunction(capsys):
     # repeated --filter flags are one And, checked part by part in the order
     # given: either order prints the tight (2, 1) classes on 6 vertices that
-    # hold a triangle
-    expected = sum(
+    # hold a triangle, and the (2, 1)-stable ones, an And with no part that
+    # prunes the walk
+    tight = sum(
         ContainsTriangle().matches(g)
         for _, g in enumerate_graphs(6, predicate=TightStable(2, 1))
     )
-    assert expected == 54
-    filters = ["tight-stable:2,1", "contains-triangle"]
-    for order in (filters, filters[::-1]):
-        argv = [x for f in order for x in ("--filter", f)]
-        code, out, _ = run(capsys, "enumerate", "--n", "6", "--count-only", "--jobs", "1", *argv)
-        assert (code, out) == (0, "54\n"), order
+    stable = sum(
+        Stable(2, 1).matches(g) and ContainsTriangle().matches(g) for _, g in enumerate_graphs(6)
+    )
+    assert (tight, stable) == (54, 92)
+    for first, expected in (("tight-stable:2,1", tight), ("stable:2,1", stable)):
+        filters = [first, "contains-triangle"]
+        for order in (filters, filters[::-1]):
+            argv = [x for f in order for x in ("--filter", f)]
+            code, out, _ = run(
+                capsys, "enumerate", "--n", "6", "--count-only", "--jobs", "1", *argv
+            )
+            assert (code, out) == (0, f"{expected}\n"), order
 
 
 def test_enumerate_into_closed_pipe_exits_quietly():

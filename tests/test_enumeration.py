@@ -28,7 +28,7 @@ from indstab.enumeration import (
     search_tight_stable,
     search_with,
 )
-from indstab.erdos_rogers import er_table
+from indstab.erdos_rogers import er_f, er_table
 from indstab.families import cycle, figure2, kn_tight, wheel
 from indstab.graphs import build
 from indstab.mis import alpha, alpha_profile, is_independent, subset_alphas
@@ -247,8 +247,14 @@ def test_guard():
         (lambda: count_graphs(5, jobs=-4), -4),
         (lambda: er_table(4, jobs=0), 0),
         (lambda: run_all(VerifyConfig(max_n=3, jobs=0, suites=("hall",))), 0),
+        # no catalog pass to reach enumerate_levels' check
+        (lambda: er_f(4, 9, 1, jobs=0), 0),
+        (lambda: run_all(VerifyConfig(suites=(), jobs=0)), 0),
     ],
-    ids=["count_graphs-0", "count_graphs-negative", "er_table", "run_all"],
+    ids=[
+        "count_graphs-0", "count_graphs-negative", "er_table", "run_all", "er_f",
+        "run_all-no-suites",
+    ],
 )
 def test_library_rejects_jobs_below_one(call, jobs):
     with pytest.raises(ValueError, match=f"^jobs must be at least 1, got {jobs}$"):

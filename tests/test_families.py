@@ -82,6 +82,10 @@ def test_family_minimums():
     for fn, bad in [(cycle, 2), (path, 0), (wheel, 3), (kn_tight, 1), (mn_matching, 1)]:
         with pytest.raises(ValueError):
             fn(bad)
+    with pytest.raises(ValueError, match="even20_circulant needs k >= 3, got 2"):
+        even20_circulant(2)
+    with pytest.raises(ValueError, match="needs 66 vertices > 64"):
+        even20_circulant(33)
 
 
 def test_circulant_six():
@@ -115,6 +119,8 @@ def test_circulant_rejects_bad_difference():
         circulant(6, {4})
     with pytest.raises(ValueError):
         circulant(6, {0})
+    with pytest.raises(ValueError, match="circulant needs 3 <= n <= 64, got 2"):
+        circulant(2, [1])
 
 
 def test_stable3_parameters():
@@ -136,6 +142,8 @@ def test_stable4_parameters():
     assert stable4_circulant(5).n == 61
     with pytest.raises(ValueError):
         stable4_circulant(2)
+    with pytest.raises(ValueError, match="needs 85 vertices > 64"):
+        stable4_circulant(6)
 
 
 def test_even20_k3_is_k33():
@@ -183,6 +191,8 @@ def test_lift_c7_tight42():
 def test_lift_cap():
     with pytest.raises(ValueError):
         lift(complete(60), 5)
+    with pytest.raises(ValueError, match="lift needs j >= 0, got -1"):
+        lift(cycle(3), -1)
 
 
 def test_tight_ladder_from_named_families():

@@ -62,6 +62,8 @@ def test_decode_rejects_bad_length():
         g6_decode("Bw?")
     with pytest.raises(ValueError, match="body"):
         g6_decode("B")
+    with pytest.raises(ValueError, match="truncated graph6 size field"):
+        g6_decode("~??")
 
 
 def test_decode_rejects_invalid_characters():

@@ -40,6 +40,8 @@ def test_build_duplicate_edges_collapse():
 def test_build_rejects_self_loop():
     with pytest.raises(ValueError, match="self-loop"):
         build(3, [(0, 0)])
+    with pytest.raises(ValueError, match="self-loop at vertex 1"):
+        Graph(2, (0b00, 0b10))
 
 
 def test_build_rejects_out_of_range():
@@ -52,11 +54,18 @@ def test_build_rejects_bad_n():
         build(0, [])
     with pytest.raises(ValueError):
         build(65, [])
+    for n in (0, 65):
+        with pytest.raises(ValueError, match=f"vertex count must be in \\[1, 64\\], got {n}"):
+            Graph(n, [0] * n)
 
 
 def test_graph_validation_catches_asymmetry():
     with pytest.raises(ValueError, match="asymmetric"):
         Graph(2, (0b10, 0b00))
+    with pytest.raises(ValueError, match="adjacency has 1 rows for 2 vertices"):
+        Graph(2, (0,))
+    with pytest.raises(ValueError, match="row 0 has bits beyond vertex 1"):
+        Graph(2, (0b100, 0b00))
 
 
 def test_graph_immutable():
@@ -176,6 +185,12 @@ def test_transformers_preserve_invariants():
 def test_vset_roundtrip():
     assert vset_members(vset([5, 1, 3])) == (1, 3, 5)
     assert vset([]) == 0
+    assert vset([63]) == 1 << 63
+    # a vertex outside 0..63 is one clear error, not a shift error or a
+    # mask no graph can hold
+    for v in (-1, 64):
+        with pytest.raises(ValueError, match=f"^vertex {v} is outside 0..63$"):
+            vset([0, v])
 
 
 def test_vset_members_rejects_negative_masks():

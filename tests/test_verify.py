@@ -38,8 +38,8 @@ def _run(suite, max_n):
 
 
 def test_class_facts_match_scans(catalog):
-    # every fact read from the subset_alphas table, rebuilt from the removal
-    # scans and the maximum-independent-set walk
+    # every fact read from the subset_alphas table, and the lift check read of
+    # the profile, rebuilt from the removal scans and the maximum-independent-set walk
     five = tuple(s for s in SUITE_ORDER if s != "uniqueness")
     for n in range(2, 8):
         for code, g in catalog(n):
@@ -59,12 +59,12 @@ def test_class_facts_match_scans(catalog):
                     edges, tight_code = g.edge_count(), code
             # p(n - k) = alpha - drop_k, p(0) = 0, p(n) = alpha
             profile = (0, *(a - d for d in reversed(drops)), a)
-            want = Facts(
-                a, profile, stable_vertex_count(g), hall,
-                (len(pairs), sum(not is_tight_stable(lifted, k + 1, l + 1) for k, l in pairs)),
-                edges, tight_code,
-            )
+            want = Facts(a, profile, stable_vertex_count(g), hall, edges, tight_code)
             assert _class_facts(five, 7, g, lambda: code) == want
+            # the lift check, read of the profile alone
+            assert verify._lifts(profile) == (
+                len(pairs), sum(not is_tight_stable(lifted, k + 1, l + 1) for k, l in pairs)
+            )
 
 
 def test_theorem_suite_small():
@@ -211,3 +211,12 @@ def test_run_all_default_configuration(default_report):
     names = {c.name for c in report.checks}
     assert "discrepancy pin" in names
     assert any(c.params == {"n": 9} for c in report.checks if c.suite == "uniqueness")
+    # the text form spells out what each noted check expected and found
+    lines = report.to_text().splitlines()
+    for k, bound in ((3, 2), (5, 4)):
+        head = f"[NOTED] constructions: even20({k}) tight (2,0) (k={k}) ["
+        i = next(i for i, line in enumerate(lines) if line.startswith(head))
+        assert lines[i + 1 : i + 3] == [
+            "    expected: tight (2,0)-stable (claimed for every k >= 3)",
+            f"    actual:   not tight: alpha={k} vs bound {bound}, not (2,0)-stable",
+        ]
