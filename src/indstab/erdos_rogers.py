@@ -18,7 +18,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from indstab.enumeration import enumerate_levels
 from indstab.graphs import Graph
@@ -67,13 +67,13 @@ def er_table(n: int, *, jobs: int = 1) -> list[ErRow]:
     return er_grid(n, (p for _, p in profiles))
 
 
-def _profile(n: int, g: Graph, code) -> list[int] | None:
+def _profile(n: int, g: Graph, code) -> tuple[int, ...] | None:
     """The emit of er_table: an n-vertex class's alpha profile, in its worker."""
     return alpha_profile(subset_alphas(g.adj, n)) if g.n == n else None
 
 
-def er_grid(n: int, profiles: Iterable[Sequence[int]]) -> list[ErRow]:
-    """The (s, t) grid at n from the alpha profile of every n-vertex class.
+def er_grid(n: int, profiles: Iterable[tuple[int, ...]]) -> list[ErRow]:
+    """The (s, t) grid at n from every n-vertex class's alpha profile, a tuple.
 
     A class's largest subset with alpha <= s - 1 is the largest q with
     p(q) <= s - 1, found by bisection because p never decreases.  A cell is
@@ -84,7 +84,7 @@ def er_grid(n: int, profiles: Iterable[Sequence[int]]) -> list[ErRow]:
     # alpha == a; an empty bucket keeps n, which no cell minimum exceeds, and
     # bucket 1 always holds the complete graph
     low = [[n] * n for _ in range(n)]
-    for p in set(map(tuple, profiles)):
+    for p in set(profiles):
         row = low[p[n] - 1]
         for s in range(1, n + 1):
             row[s - 1] = min(row[s - 1], bisect_right(p, s - 1) - 1)

@@ -107,9 +107,9 @@ def vset(vertices: Iterable[int]) -> int:
 
 
 def vset_members(mask: int) -> tuple[int, ...]:
-    """Vertices of a bitmask, ascending; a negative mask is a ValueError."""
-    if mask < 0:
-        raise ValueError(f"vertex mask must be non-negative, got {mask}")
+    """Vertices of a bitmask, ascending; a mask outside 0..2^64 - 1 is a ValueError."""
+    if not 0 <= mask < 1 << MAX_VERTICES:
+        raise ValueError(f"vertex mask must be non-negative and below 2^64, got {mask}")
     out = []
     while mask:
         out.append((mask & -mask).bit_length() - 1)

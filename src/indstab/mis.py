@@ -18,9 +18,9 @@ Low-level helpers operate directly on adjacency rows and a vertex mask, which
 lets the stability scans query induced subgraphs without rebuilding Graph
 values.  For the small catalog classes, subset_alphas instead sweeps all 2^n
 vertex masks once and tabulates every induced subgraph's independence number,
-one byte lane per mask of a single int, and alpha_profile reduces that table
-to the least one per subgraph size.  A lane's value never exceeds n, so the
-lane arithmetic carries nothing across lanes.
+one byte lane per mask of a single int, handed back as bytes; alpha_profile
+reduces that table to a tuple, the least one per subgraph size.  A lane's
+value never exceeds n, so the lane arithmetic carries nothing across lanes.
 """
 
 from __future__ import annotations
@@ -144,8 +144,8 @@ def _lanes(v: int) -> tuple[int, int, int, list[int]]:
     return ones, 0x7F * ones, ones << 7, lacks
 
 
-def subset_alphas(adj: tuple[int, ...], n: int) -> list[int]:
-    """The independence number of every induced subgraph, indexed by vertex mask.
+def subset_alphas(adj: tuple[int, ...], n: int) -> bytes:
+    """The independence number of every induced subgraph, as bytes indexed by vertex mask.
 
     Built one vertex at a time: the masks whose highest vertex is v extend
     the table of the masks below v, each taking the value of the mask without
@@ -169,12 +169,12 @@ def subset_alphas(adj: tuple[int, ...], n: int) -> list[int]:
             proj |= proj << (8 << j)
         differ = (((table ^ proj) + low7) & high) >> 7
         table |= (table + ones - differ) << (8 << v)
-    return list(table.to_bytes(1 << n, "little"))
+    return table.to_bytes(1 << n, "little")
 
 
-def alpha_profile(table: list[int]) -> list[int]:
-    """p(q), the least independence number over the q-vertex induced
-    subgraphs, for q = 0..n, from an n-vertex graph's subset_alphas table.
+def alpha_profile(table: bytes) -> tuple[int, ...]:
+    """The tuple p(q), the least independence number over the q-vertex
+    induced subgraphs, for q = 0..n, from an n-vertex graph's subset_alphas table.
 
     p(0) = 0 and p(n) = alpha.  p never decreases and rises by at most one
     per step, since removing a vertex never raises alpha and lowers it by at
@@ -186,7 +186,7 @@ def alpha_profile(table: list[int]) -> list[int]:
         size = mask.bit_count()
         if a < least[size]:
             least[size] = a
-    return least
+    return tuple(least)
 
 
 def independent_set_at_least(
@@ -198,8 +198,6 @@ def independent_set_at_least(
     independent set reaches the target, which makes stability scans cheap on
     graphs that are in fact stable.
     """
-    if target <= 0:
-        return 0
     size, chosen = _greedy(adj, mask, target)
     if size >= target:
         return chosen

@@ -14,13 +14,14 @@ walk produces each class once, and the process that produces a class computes
 the Facts that the selected suites read of it, up to a top level N set by the
 suites and max_n alone.  The caller walks every level, or with jobs > 1 the
 levels up to N - 2, and the workers walk levels N - 1 and N below them.
-Every fact is read from one mis.subset_alphas table per class (alpha of every
-induced subgraph), most through its alpha profile p(q), the least alpha over
-the q-vertex induced subgraphs; Facts holds only what needs the table or the
-graph.  (k, l)-stability, p(n - k) >= alpha - l, is read off a profile by
-_stable and _tight alone, and the lift check reads each distinct profile
-once.  Each suite is a reduction over the facts, and stamps each check with
-the time since its previous one; run_all times the catalog pass (catalog_ms).
+Every fact is read from one mis.subset_alphas table per class (the bytes of
+alpha of every induced subgraph), most through its alpha profile p(q), the
+least alpha over the q-vertex induced subgraphs; Facts holds only what needs
+the table or the graph, and no canonical code.  (k, l)-stability,
+p(n - k) >= alpha - l, is read off a profile by _stable and _tight alone, and
+the lift check reads each distinct profile once.  Each suite is a reduction
+over the facts, and stamps each check with the time since its previous one;
+run_all times the catalog pass (catalog_ms).
 
 Reports are deterministic for a fixed (config, tool version): suites run in a
 fixed order, every scan is exhaustive, and JSON output omits wall-clock
@@ -38,7 +39,7 @@ from functools import partial
 from typing import NamedTuple
 
 from indstab import families
-from indstab.canon import CanonicalCode, canonical
+from indstab.canon import canonical
 from indstab.enumeration import enumerate_levels, search_tight_stable
 from indstab.erdos_rogers import er_grid
 from indstab.graphs import Graph
@@ -184,17 +185,15 @@ class _Recorder(list):
 
 
 class Facts(NamedTuple):
-    """What the exhaustive suites read of one class; None where no selected
-    suite reads the field at the class's vertex count."""
+    """What the exhaustive suites read of one class, no canonical code among
+    it; None where no selected suite reads the field at its vertex count."""
 
     alpha: int
     profile: tuple[int, ...] | None  # alpha_profile, q = 0..n
     stable_vertices: int | None
     # (1, 0)-stable: maximum independent sets with and without a saturating matching
     hall: tuple[int, int] | None
-    # tight (1, 0): the edge count and the class's canonical code
-    edges: int | None
-    code: CanonicalCode | None
+    edges: int | None  # tight (1, 0): the edge count
 
 
 LIFT_MAX_N = 7  # the lift check covers n = 2..7
@@ -221,18 +220,18 @@ def _lifts(p) -> tuple[int, int]:
 
 def _class_facts(suites, max_n: int, g: Graph, code) -> Facts | None:
     """The Facts of one class, computed in the process that produced it from
-    the class's subset_alphas table; the table is dropped on return.  The
-    canonical code is asked of `code()` only for tight (1, 0) classes."""
+    the class's subset_alphas table; the table is dropped on return, and
+    `code` is never called."""
     n = g.n
     if n < 2:
         return None
     wants = set(suites) if n <= max_n else set()
     table = subset_alphas(g.adj, n)
     a = table[-1]
-    full = len(table) - 1
-    profile = stable = hall = edges = tight_code = None
+    full = g.vertex_mask
+    profile = stable = hall = edges = None
     if wants - {"constructions", "uniqueness"} or ("constructions" in suites and n <= LIFT_MAX_N):
-        profile = tuple(alpha_profile(table))
+        profile = alpha_profile(table)
     if "constructions" in suites:
         stable = sum(table[full & ~(1 << v)] == a for v in range(n))
     if "hall" in wants and _stable(profile, 1, 0):
@@ -240,8 +239,8 @@ def _class_facts(suites, max_n: int, g: Graph, code) -> Facts | None:
         missing = sum(saturating_matching(g, y) is None for y in sets)
         hall = (len(sets) - missing, missing)
     if "edge_bounds" in wants and _tight(profile, 1, 0):
-        edges, tight_code = g.edge_count(), code()
-    return Facts(a, profile, stable, hall, edges, tight_code)
+        edges = g.edge_count()
+    return Facts(a, profile, stable, hall, edges)
 
 
 def catalog_facts(config: VerifyConfig) -> dict[int, list[Facts]]:
@@ -412,7 +411,7 @@ def suite_edge_bounds(facts: dict[int, list[Facts]], config: VerifyConfig) -> li
         out_of_range = sum(not lo <= f.edges <= hi for f in tight)
         seen_lo = any(f.edges == lo for f in tight)
         seen_hi = any(f.edges == hi for f in tight)
-        named = {canonical(e) for e in ends} <= {f.code for f in tight}
+        named = all(is_tight_stable(e, 1, 0) for e in ends)
         rec.check(
             "edge count bounds", {"n": n},
             f"all tight (1,0) classes within [{lo}, {hi}], both ends attained "

@@ -133,13 +133,23 @@ def test_canonical_search_work_bounded(count_calls):
 
 def test_catalog_pass_search_count_bounded(count_calls):
     # the canonical searches of one serial catalog pass of the verify run
-    # without the uniqueness suite at max_n = 7 (levels 1..8); tight (1, 0)
-    # classes are the only top-level classes whose codes it reads
+    # without the uniqueness suite at max_n = 7 (levels 1..8); the pass reads
+    # no class's code, so each search is one the walk makes itself, to accept
+    # a class or to build its children
     searches = count_calls(enumeration, "_search")
     suites = tuple(s for s in SUITE_ORDER if s != "uniqueness")
     facts = catalog_facts(VerifyConfig(max_n=7, jobs=1, suites=suites))
     assert len(facts[8]) == 12346
     assert len(searches) <= 3695
+
+
+def test_catalog_pass_asks_for_no_code(count_calls):
+    # edge_bounds reads the tight (1, 0) classes' edge counts, not their codes
+    codes = count_calls(enumeration, "_code")
+    suites = ("stability_bound", "hall", "edge_bounds")
+    facts = catalog_facts(VerifyConfig(max_n=6, jobs=1, suites=suites))
+    assert any(f.edges is not None for f in facts[6])
+    assert codes == []
 
 
 def _codes_both_ways(n, g, code):

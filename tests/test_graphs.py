@@ -195,7 +195,9 @@ def test_vset_roundtrip():
 
 def test_vset_members_rejects_negative_masks():
     # a negative mask has no lowest set bit to end on: clearing bits walks
-    # -1, -2, -4, ... and never reaches 0
-    for mask in (-1, -2, -(1 << 64)):
+    # -1, -2, -4, ... and never reaches 0; a mask with a bit at 64 or above
+    # names a vertex no graph holds, which vset rejects too
+    for mask in (-1, -2, -(1 << 64), 1 << 64, (1 << 64) | 1):
         with pytest.raises(ValueError, match="non-negative"):
             vset_members(mask)
+    assert vset_members((1 << 64) - 1) == tuple(range(64))

@@ -83,7 +83,7 @@ def test_subset_alphas_match_solver(catalog):
     graphs += [random_graph(rng.randint(1, 10), rng.random(), rng) for _ in range(200)]
     for g in graphs:
         table = subset_alphas(g.adj, g.n)
-        assert table == [alpha_mask(g.adj, mask) for mask in range(1 << g.n)]
+        assert table == bytes(alpha_mask(g.adj, mask) for mask in range(1 << g.n))
 
 
 def test_subset_alphas_byte_lanes_match_solver(catalog):
@@ -97,7 +97,7 @@ def test_subset_alphas_byte_lanes_match_solver(catalog):
         cases.append((tuple(full & ~(1 << v) for v in range(n)), n))
     cases += [(g.adj, 7) for _, g in catalog(7)]
     for adj, n in cases:
-        assert subset_alphas(adj, n) == [alpha_mask(adj, m) for m in range(1 << n)], (adj, n)
+        assert subset_alphas(adj, n) == bytes(alpha_mask(adj, m) for m in range(1 << n)), (adj, n)
 
 
 def test_alpha_profile_steps_by_zero_or_one(catalog):
@@ -115,7 +115,7 @@ def test_independent_set_at_least_returns_a_witness_inside_the_mask():
         g = random_graph(rng.randint(2, 10), rng.random(), rng)
         mask = rng.randrange(1, g.vertex_mask)
         a = alpha_brute(remove_vertices(g, g.vertex_mask & ~mask))
-        for target in range(a + 2):
+        for target in range(-1, a + 2):
             w = independent_set_at_least(g.adj, mask, target)
             if target > a:
                 assert w is None
@@ -142,7 +142,7 @@ def test_solver_matches_plain_branch_and_bound():
             assert (r.alpha, r.witness) == plain_max_independent_set(g)
         a = alpha_mask(g.adj, mask)
         assert a == plain_alpha_mask(g.adj, mask)
-        for target in range(a + 2):
+        for target in range(-1, a + 2):
             w = independent_set_at_least(g.adj, mask, target)
             assert w == plain_set_at_least(g.adj, mask, target)
 
