@@ -22,17 +22,17 @@ emits receive as a zero-argument callable.  So most classes of the top
 level, on which nothing is built, are never searched.
 
 A search for one predicate prunes levels 1..n by the predicate's window: the
-range of alpha that every induced subgraph of a matching graph on that many
-vertices must have, and the floor its alpha keeps under deletions.  A
-predicate of the form "L <= alpha <= H, and every k-vertex deletion leaves
-alpha >= F" gives its `bounds` (L, H, k, F), from which one formula derives
-the window at every level, and its `matches` too; at level n the window is
-the predicate itself, so such a predicate is decided by it and never checked
-again.  Canonical parents are induced subgraphs, so every matching class
-still has its whole chain of ancestors, and since the window is
-isomorphism-invariant, a child is tested before its canonical search; its
-alpha is read from the parent's.  The vertex count is guarded at 10; n = 11
-runs only behind the long-run flag.
+alpha range of every induced subgraph on that many vertices of a matching
+graph, and what its alpha keeps under deletions.  A predicate "L <= alpha <=
+H, and every k-vertex deletion leaves alpha >= max(F, alpha - r)" gives its
+`bounds` (L, H, k, F, r), from which one formula derives its window at every
+level, and its `matches`; at level n the window is the predicate, which is
+then never checked again.  A child of alpha c is scanned, to the cut-off
+min(c - floor, r) + 1, only when the deletions can reach it.  Canonical
+parents are induced subgraphs, so every matching class still has its whole
+chain of ancestors, and since the window is isomorphism-invariant, a child is
+tested before its canonical search; its alpha is read from the parent's.  The
+vertex count is guarded at 10; n = 11 runs only behind the long-run flag.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from typing import Any, Callable, Iterator
 from indstab.canon import CanonicalCode, _orbit, _refine_root, _search
 from indstab.graphs import Graph
 from indstab.mis import _alpha_set, independent_set_at_least
-from indstab.stability import _within, _worst_drop, is_stable, stability_bound
+from indstab.stability import _within, _worst_drop, stability_bound
 
 HARD_GUARD = 10
 LONG_RUN_MAX = 11
@@ -65,39 +65,37 @@ class Predicate:
     """Base for graph predicates: picklable; a registered one's fields are its arguments."""
 
     def matches(self, g: Graph) -> bool:
-        """Whether g matches; one with bounds is decided as is_tight_stable is, by _within."""
+        """Whether g matches; one with bounds is decided as is_stable is, by _within."""
         b = self.bounds(g.n)
         if b is None:
             raise NotImplementedError
         return _within(g, *b)
 
-    def bounds(self, n: int) -> tuple[int, int, int, int] | None:
-        """(L, H, k, F) with F <= L when, on n-vertex graphs, the predicate is
-        exactly: L <= alpha <= H, and every k-vertex deletion leaves
-        alpha >= F; None for a predicate of another form.  Raises ValueError
-        when the predicate's parameters are invalid for n-vertex graphs."""
+    def bounds(self, n: int) -> tuple[int, int, int, int, int] | None:
+        """(L, H, k, F, r) with F <= L when, on n-vertex graphs, the predicate is
+        exactly: L <= alpha <= H, and every k-vertex deletion leaves alpha >=
+        max(F, alpha - r); None for a predicate of another form.  Raises
+        ValueError when the parameters are invalid for n-vertex graphs."""
         return None
 
-    def window(self, n: int, m: int) -> tuple[int, int, int, int] | None:
-        """(lo, hi, ks, floor) such that every m-vertex induced subgraph of
-        every matching n-vertex graph has lo <= alpha <= hi, and keeps
-        alpha >= floor after any ks of its vertices are deleted (ks = 0: no
-        deletion asked), or None.  Wherever ks > 0, floor <= lo.
-
-        Used as a hereditary generation prune; must be sound by definition of
-        the predicate alone; the window derived from `bounds` is exact at
-        m = n.  Raises ValueError when the predicate's parameters are invalid
-        for n-vertex graphs.
+    def window(self, n: int, m: int) -> tuple[int, int, int, int, int] | None:
+        """(lo, hi, ks, floor, r) such that every m-vertex induced subgraph of
+        every matching n-vertex graph has lo <= alpha <= hi, and keeps alpha >=
+        max(floor, alpha - r) after any ks of its vertices are deleted (ks = 0:
+        no deletion asked), or None.  Wherever ks > 0, floor <= lo.  Used as
+        a hereditary generation prune, it must be sound by definition of the
+        predicate alone; the window derived from `bounds` is exact at m = n.
+        Raises ValueError when the parameters are invalid for n-vertex graphs.
         """
         b = self.bounds(n)
         if b is None:
             return None
-        L, H, k, F = b
-        # deleting a vertex lowers alpha by at most one.  The m-vertex
-        # subgraph is n - m deletions: with n - m <= k, deleting k - (n - m)
-        # more of its vertices deletes k in all, which leaves alpha >= F;
-        # beyond k, each further one costs at most one below F
-        return max(L - (n - m), F - max(0, n - k - m)), H, max(0, k - (n - m)), F
+        L, H, k, F, r = b
+        # a deletion lowers alpha by one at most.  The m-vertex subgraph is
+        # n - m deletions: with n - m <= k, k - (n - m) more delete k in all,
+        # leaving alpha >= F and >= alpha - r (the subgraph's alpha is at most
+        # the graph's); beyond k, each further one costs one below F at most
+        return max(L - (n - m), F - max(0, n - k - m)), H, max(0, k - (n - m)), F, r
 
     def __and__(self, other: "Predicate") -> "Predicate":
         return And((self, other))
@@ -129,8 +127,8 @@ class ContainsTriangle(Predicate):
 class AlphaEquals(Predicate):
     value: int
 
-    def bounds(self, n: int) -> tuple[int, int, int, int]:
-        return self.value, self.value, 0, self.value
+    def bounds(self, n: int) -> tuple[int, int, int, int, int]:
+        return self.value, self.value, 0, self.value, n
 
 
 @dataclass(frozen=True)
@@ -140,11 +138,9 @@ class Stable(Predicate):
     k: int
     l: int
 
-    def matches(self, g: Graph) -> bool:
-        return is_stable(g, self.k, self.l)
-
-    def bounds(self, n: int) -> None:
+    def bounds(self, n: int) -> tuple[int, int, int, int, int]:
         stability_bound(n, self.k, self.l)  # validates n > k > l >= 0
+        return 0, n, self.k, 0, self.l
 
 
 @dataclass(frozen=True)
@@ -155,9 +151,9 @@ class TightStable(Predicate):
     k: int
     l: int
 
-    def bounds(self, n: int) -> tuple[int, int, int, int]:
+    def bounds(self, n: int) -> tuple[int, int, int, int, int]:
         b = stability_bound(n, self.k, self.l)
-        return b, b, self.k, b - self.l
+        return b, b, self.k, b - self.l, n
 
 
 @dataclass(frozen=True)
@@ -168,13 +164,13 @@ class And(Predicate):
         """Every part matches; parts are checked in the order given."""
         return all(p.matches(g) for p in self.parts)
 
-    def window(self, n: int, m: int) -> tuple[int, int, int, int] | None:
-        # every part's (ks, floor) holds for a match; one is kept
+    def window(self, n: int, m: int) -> tuple[int, int, int, int, int] | None:
+        # every part's (ks, floor, r) holds for a match; one is kept
         ws = [w for p in self.parts if (w := p.window(n, m)) is not None]
         if not ws:
             return None
-        los, his, kss, floors = zip(*ws)
-        return (max(los), min(his), *max(zip(kss, floors)))
+        los, his, kss, floors, rs = zip(*ws)
+        return (max(los), min(his), *max(zip(kss, floors, rs), key=lambda d: (d[0], d[1], -d[2])))
 
 
 _REGISTRY = {
@@ -267,7 +263,7 @@ def _expand(n: int, adj: tuple[int, ...], gens: list[list[int]], window):
     out = []
     full = (1 << n) - 1
     if window is not None:
-        lo, hi, ks, floor = window
+        lo, hi, ks, floor, r = window
         a, top = _alpha_set(adj, full)
         shared: list[int] = []  # the siblings' witnesses without vertex n
     d, low, sets = _attachments(n, adj, gens)
@@ -281,13 +277,14 @@ def _expand(n: int, adj: tuple[int, ...], gens: list[list[int]], window):
             if not lo <= c <= hi:
                 continue
         cadj = tuple(row | (1 << n) if (t >> v) & 1 else row for v, row in enumerate(adj)) + (t,)
-        # no ks-vertex deletion may take alpha below floor; c >= lo >= floor
-        if window is not None and ks:
+        # ks deletions may lower alpha by the cut at most (c >= lo >= floor);
+        # they lower it by ks at most, and by c - 1 while a vertex is left
+        if window is not None and ks and min(ks, c - (ks <= n)) > (cut := min(c - floor, r)):
             pool = [seed, *shared]
             start = len(pool)
-            drop = _worst_drop(Graph._wrap(n + 1, cadj), ks, c, c - floor + 1, pool)
+            drop = _worst_drop(Graph._wrap(n + 1, cadj), ks, c, cut + 1, pool)
             shared += [w for w in pool[start:] if not w >> n & 1]
-            if drop > c - floor:
+            if drop > cut:
                 continue
         k = t.bit_count()  # the child's least degree
         # the new vertex alone has degree k when every old vertex ends above
@@ -414,8 +411,8 @@ def enumerate_levels(
     # computed before any level is built, so bad parameters fail at once
     windows = [None if predicate is None else predicate.window(n, m) for m in range(n + 1)]
     # K1 has alpha 1, and alpha 0 once its vertex is deleted
-    lo, hi, ks, floor = windows[1] or (1, 1, 0, 0)
-    if not lo <= 1 <= hi or ks and floor > 0:
+    lo, hi, ks, floor, r = windows[1] or (1, 1, 0, 0, 1)
+    if not lo <= 1 <= hi or ks and min(1 - floor, r) < 1:
         return
     item = emit(Graph._wrap(1, (0,)), partial(_code, 1, (0,), None, None))
     if item is not None:

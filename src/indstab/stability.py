@@ -22,12 +22,14 @@ pool changes only how often the solver runs.
 Every scan searches for the worst drop.  A prefix that no witness of
 alpha - drop vertices avoids raises the drop found by one (supersets of the
 prefix only lower alpha further), and the scan stops once the drop reaches its
-cut-off: l + 1 for is_stable, min(k, alpha) for alpha_drop, and alpha - F + 1
-in _within, the one test of "L <= alpha <= H, and no k deletions take alpha
-below F" behind is_tight_stable ((b, b, k, b - l) for the bound b) and
-enumeration's predicates with bounds.  No other bound
-is tried: an optimistic completion asks for more vertices than the scan needs
-and mostly fails.  stable_vertex_count probes each vertex through a pool too.
+cut-off: min(k, alpha) for alpha_drop, and min(alpha - F, r) + 1 in _within,
+the one test of "L <= alpha <= H, and every k deletions leave alpha >= max(F,
+alpha - r)" behind is_stable ((0, n, k, 0, l)), is_tight_stable ((b, b, k,
+b - l, n) for the bound b) and enumeration's predicates with bounds.  It
+skips a scan whose cut-off is above what k deletions can take: k, and
+alpha - 1 while a vertex is left.  No other bound is tried: an optimistic
+completion asks for more vertices than the scan needs and mostly fails.
+stable_vertex_count probes each vertex through a pool too.
 
 The first removed vertex ranges over automorphism orbits (as canonical
 search prunes its candidates, McKay, J. Algorithms 26, 1998).  When the
@@ -141,24 +143,24 @@ def alpha_drop(g: Graph, k: int) -> int:
     return _worst_drop(g, k, a, min(k, a), [w])
 
 
+def _within(g: Graph, L: int, H: int, k: int, F: int, r: int) -> bool:
+    """Whether L <= alpha <= H and every k deletions leave alpha >= max(F, alpha - r)."""
+    a, w = _alpha_set(g.adj, g.vertex_mask)
+    cut = min(a - F, r)
+    skip = min(k, a - (k < g.n)) <= cut  # the most k deletions can lower alpha
+    return L <= a <= H and (skip or _worst_drop(g, k, a, cut + 1, [w]) <= cut)
+
+
 def is_stable(g: Graph, k: int, l: int) -> bool:
     """Whether every k-vertex removal lowers alpha by at most l."""
     stability_bound(g.n, k, l)
-    a, w = _alpha_set(g.adj, g.vertex_mask)
-    return _worst_drop(g, k, a, l + 1, [w]) <= l
-
-
-def _within(g: Graph, L: int, H: int, k: int, F: int) -> bool:
-    """Whether L <= alpha <= H and no k deletions take alpha below F; the
-    scan from the alpha witness runs only when alpha is in range."""
-    a, w = _alpha_set(g.adj, g.vertex_mask)
-    return L <= a <= H and (not k or _worst_drop(g, k, a, a - F + 1, [w]) <= a - F)
+    return _within(g, 0, g.n, k, 0, l)
 
 
 def is_tight_stable(g: Graph, k: int, l: int) -> bool:
     """(k, l)-stable and attaining the stability bound exactly."""
     b = stability_bound(g.n, k, l)
-    return _within(g, b, b, k, b - l)
+    return _within(g, b, b, k, b - l, g.n)
 
 
 def stable_vertex_count(g: Graph) -> int:

@@ -124,3 +124,39 @@ def test_dfs_bench_two_pairs(monkeypatch, tmp_path):
         assert len(entry[side]["seconds"]["runs"]) == 2
         assert entry[side]["result"]["classes"] == 15
         assert entry[side]["counters"] == {"_expand": 21, "_search": 35}
+
+
+def test_stable_bench_two_pairs(monkeypatch, tmp_path):
+    # bench/stable.py's own command line, with this checkout as both sides,
+    # over one small case; its timing gate is tried on its own below
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "bench"))
+    import stable
+
+    out = tmp_path / "stable.json"
+    monkeypatch.setattr(stable, "CASES", [(6, 2, 1)])
+    monkeypatch.setattr(stable, "_check", lambda case, entry, doc: None)
+    monkeypatch.setattr(sys, "argv", ["stable.py", SRC, "--pairs", "2", "--out", str(out)])
+    stable.main()
+    doc = json.loads(out.read_text())
+    assert list(doc) == ["label", "host", "command", "cases"]
+    assert doc["command"] == "python bench/stable.py PARENT_SRC --pairs 2"
+    entry = doc["cases"]["6 2 1"]
+    assert set(entry) == {"parent", "change", "change_faster_pairs"}
+    for side in ("parent", "change"):
+        assert set(entry[side]) == {"seconds", "result", "counters"}
+        assert len(entry[side]["seconds"]["runs"]) == 2
+        assert entry[side]["result"]["classes"] == 107
+        assert set(entry[side]["counters"]) == {"_expand", "_worst_drop"}
+
+
+def test_stable_bench_stops_on_a_slower_change(monkeypatch):
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "bench"))
+    import stable
+
+    def entry(parent_q3, change_median):
+        return {"parent": {"seconds": {"q3": parent_q3}},
+                "change": {"seconds": {"median": change_median}}}
+
+    stable._check((8, 2, 1), entry(2.0, 2.0), {})
+    with pytest.raises(SystemExit, match=r"^\(8, 2, 1\): change median 2.1 s is above"):
+        stable._check((8, 2, 1), entry(2.0, 2.1), {})

@@ -32,7 +32,7 @@ from indstab.erdos_rogers import er_f, er_table
 from indstab.families import cycle, figure2, kn_tight, wheel
 from indstab.graphs import build
 from indstab.mis import alpha, alpha_profile, is_independent, subset_alphas
-from indstab.stability import is_tight_stable, stability_bound
+from indstab.stability import is_stable, is_tight_stable, stability_bound
 from indstab.verify import SUITE_ORDER, VerifyConfig, catalog_facts, run_all
 
 from _oracles import attachment_sets_brute, automorphism_generators, labeled_census
@@ -281,6 +281,10 @@ def _tight(profiles, n, k, l):
     return [code for code, p in profiles if p[n] == a and p[n - k] >= a - l]
 
 
+def _stable(profiles, n, k, l):
+    return [code for code, p in profiles if p[n - k] >= p[n] - l]
+
+
 def _top_level(n, predicate):
     """The level-n classes the windows of `predicate` let through, unfiltered."""
     stream = enumerate_levels(n, lambda g, code: code(), predicate=predicate)
@@ -296,11 +300,13 @@ def test_window_prune_is_exact(catalog):
             assert search_with(n, AlphaEquals(v)) == expected, (n, v)
             # lo > hi at level n: the windows alone must let no class through
             assert _top_level(n, AlphaEquals(v) & AlphaEquals(v + 1)) == [], (n, v)
-        tight = {}
+        tight, stable = {}, {}
         for k in range(1, n):
             for l in range(k):
                 tight[k, l] = _tight(profiles, n, k, l)
                 assert search_with(n, TightStable(k, l)) == sorted(tight[k, l]), (n, k, l)
+                stable[k, l] = _stable(profiles, n, k, l)
+                assert search_with(n, Stable(k, l)) == sorted(stable[k, l]), (n, k, l)
                 a = stability_bound(n, k, l)
                 for v in (a - 1, a, a + 1):
                     expected = sorted(
@@ -312,8 +318,8 @@ def test_window_prune_is_exact(catalog):
             both = sorted(set(tight[1, 0]) & set(tight[2, 0]))
             assert search_with(n, TightStable(1, 0) & TightStable(2, 0)) == both, n
         # the matches that the base class derives from bounds, and
-        # is_tight_stable, which decides through the same function, each
-        # against the profile, as _tight reads it
+        # is_tight_stable and is_stable, which decide through the same
+        # function, each against the profile, as _tight and _stable read it
         for (code, g), (_, p) in zip(catalog(n), profiles):
             a = alpha(g)
             assert [AlphaEquals(v).matches(g) for v in range(n + 2)] == [
@@ -325,18 +331,23 @@ def test_window_prune_is_exact(catalog):
                     tight = p[n] == b and p[n - k] >= b - l
                     assert TightStable(k, l).matches(g) == tight, (code, k, l)
                     assert is_tight_stable(g, k, l) == tight, (code, k, l)
+                    stable = p[n - k] >= p[n] - l
+                    assert Stable(k, l).matches(g) == stable, (code, k, l)
+                    assert is_stable(g, k, l) == stable, (code, k, l)
 
 
 def test_window_prune_is_exact_at_eight(catalog):
     # the pruned stream is the catalog's stream order, filtered; windows with
-    # a removal floor and l > 0 also travel inside the worker tasks
+    # a removal floor and l > 0, or a drop cut r, also travel inside the
+    # worker tasks
     profiles = _profiles(catalog, 8)
-    cases = [(k, 0, 1) for k in range(1, 8)]
-    cases += [(k, l, jobs) for k, l in [(2, 1), (3, 1), (3, 2)] for jobs in (1, 2)]
-    for k, l, jobs in cases:
-        pred = TightStable(k, l)
-        stream = [code for code, _ in enumerate_graphs(8, jobs=jobs, predicate=pred)]
-        assert stream == _tight(profiles, 8, k, l), (k, l, jobs)
+    cases = [(TightStable, k, 0, 1) for k in range(1, 8)]
+    cases += [(TightStable, k, l, jobs) for k, l in [(2, 1), (3, 1), (3, 2)] for jobs in (1, 2)]
+    cases += [(Stable, k, l, jobs) for k, l in [(2, 1), (3, 0)] for jobs in (1, 2)]
+    for kind, k, l, jobs in cases:
+        expected = (_tight if kind is TightStable else _stable)(profiles, 8, k, l)
+        stream = [code for code, _ in enumerate_graphs(8, jobs=jobs, predicate=kind(k, l))]
+        assert stream == expected, (kind, k, l, jobs)
 
 
 def test_tight_search_work_pinned(count_calls):
@@ -361,6 +372,15 @@ def test_tight_search_work_pinned(count_calls):
         "_search": 375, "_refine_root": 419, "independent_set_at_least": 3957, "_worst_drop": 1241,
         "roots": 558,
     }
+
+
+def test_stable_search_work_pinned(count_calls):
+    # (3, 0) at n = 8: the window's drop cut prunes every level from 6 up
+    # (the search checked all 12,346 classes before Stable had bounds, with
+    # 1,252 _expand calls)
+    expanded = count_calls(enumeration, "_expand")
+    assert len(search_with(8, Stable(3, 0))) == 180
+    assert len(expanded) <= 171
 
 
 def test_tight_search_scan_solver_calls_pinned(count_calls):
@@ -415,50 +435,60 @@ def test_tight_window_floor_is_its_lo():
     # predicate with bounds is the predicate itself
     for n in range(2, 12):
         windowed = [TightStable(k, l) for k in range(1, n) for l in range(k)]
+        windowed += [Stable(k, l) for k in range(1, n) for l in range(k)]
         windowed += [AlphaEquals(v) for v in range(n + 1)]
         for p in windowed:
-            L, H, k, F = p.bounds(n)
-            assert F <= L and p.window(n, n) == (max(L, F), H, k, F), (n, p)
+            L, H, k, F, r = p.bounds(n)
+            assert F <= L and p.window(n, n) == (max(L, F), H, k, F, r), (n, p)
             for m in range(n + 1):
-                lo, hi, ks, floor = p.window(n, m)
+                lo, hi, ks, floor, _ = p.window(n, m)
                 assert not ks or floor <= lo <= hi, (n, m, p)
         for p, q in combinations(windowed, 2):
             for m in range(n + 1):
-                lo, _, ks, floor = (p & q).window(n, m)
+                lo, _, ks, floor, _ = (p & q).window(n, m)
                 assert not ks or floor <= lo, (n, m, p, q)
 
 
 @dataclass(frozen=True)
 class _Bounds(Predicate):
-    """The predicate L <= alpha <= H, with alpha >= F after any k deletions,
-    given by its bounds alone; its matches is the one derived from them."""
+    """The predicate L <= alpha <= H, with alpha >= max(F, alpha - r) after
+    any k deletions, given by its bounds alone; its matches is the one
+    derived from them."""
 
-    lhkf: tuple[int, int, int, int]
+    lhkfr: tuple[int, int, int, int, int]
 
     def bounds(self, n):
-        return self.lhkf
+        return self.lhkfr
 
 
 def test_bounds_window_is_exact(catalog):
-    # the one window formula, for every (L, H, k, F) with F <= L on up to 6
-    # vertices: the top level is the catalog's stream filtered through the
+    # the one window formula, for every (L, H, k, F, r) with F <= L on up to
+    # 6 vertices: the top level is the catalog's stream filtered through the
     # profile, whose entry j is the least alpha of a j-vertex induced
     # subgraph.  k deletions lower alpha >= L by at most k, so every F below
-    # L - k - 1 is as slack as L - k - 1.  The derived matches agrees too
+    # L - k - 1 is as slack as L - k - 1, and every r >= k as r = n; the
+    # cuts r < k run at n <= 5, where they keep the test's time.  The
+    # derived matches agrees too
     for n in range(1, 7):
         graphs = [(g, alpha_profile(subset_alphas(g.adj, n))) for _, g in catalog(n)]
         for L in range(n + 1):
             for H in range(L, n + 1):
                 for k in range(n + 1):
                     for F in range(max(0, L - k - 1), L + 1):
-                        pred = _Bounds((L, H, k, F))
-                        stream = enumerate_levels(n, partial(_match, n, pred), predicate=pred)
-                        expected = [g for g, p in graphs if L <= p[n] <= H and p[n - k] >= F]
-                        assert [adj for _, adj in stream] == [g.adj for g in expected], (
-                            n, L, H, k, F
-                        )
-                        matched = [g for g, _ in graphs if pred.matches(g)]
-                        assert matched == expected, (n, L, H, k, F)
+                        for r in [*range(k if n <= 5 else 0), n]:
+                            pred = _Bounds((L, H, k, F, r))
+                            stream = enumerate_levels(
+                                n, partial(_match, n, pred), predicate=pred
+                            )
+                            expected = [
+                                g for g, p in graphs
+                                if L <= p[n] <= H and p[n - k] >= max(F, p[n] - r)
+                            ]
+                            assert [adj for _, adj in stream] == [g.adj for g in expected], (
+                                n, L, H, k, F, r
+                            )
+                            matched = [g for g, _ in graphs if pred.matches(g)]
+                            assert matched == expected, (n, L, H, k, F, r)
 
 
 def test_windowed_predicate_is_not_rechecked(monkeypatch, count_calls):
@@ -468,7 +498,8 @@ def test_windowed_predicate_is_not_rechecked(monkeypatch, count_calls):
     def refuse(self, g):
         raise AssertionError(f"{self} re-checked")
 
-    expected = {p: search_with(7, p) for p in (TightStable(2, 1), AlphaEquals(4))}
+    windowed = (TightStable(2, 1), AlphaEquals(4), Stable(2, 1), Stable(3, 0))
+    expected = {p: search_with(7, p) for p in windowed}
     for p in expected:
         monkeypatch.setattr(type(p), "matches", refuse)
     for p, found in expected.items():

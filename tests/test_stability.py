@@ -93,6 +93,15 @@ def test_p4_not_20_stable():
     assert not is_stable(path(4), 2, 0)
 
 
+def test_stable_without_scan_when_alpha_at_most_l(count_calls):
+    # k deletions lower alpha by at most alpha: with alpha <= l no removal
+    # can break (k, l)-stability, so no scan runs (K_40 at (5, 2) took
+    # seconds of solver calls for its trivially true answer)
+    calls = count_calls(stability, "independent_set_at_least")
+    assert is_stable(complete(40), 5, 2)
+    assert calls == []
+
+
 def test_parameters_checked_before_any_solver_call(monkeypatch):
     def fail(*args):
         raise AssertionError("alpha computed before the parameters were checked")
