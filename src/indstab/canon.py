@@ -120,12 +120,14 @@ def _orbit(points: list[int], gens: list[list[int]]) -> set[int]:
     return orbit
 
 
-def _descend(n: int, adj: tuple[int, ...], cells: list[list[int]], fixed: list[int], leaves, gens):
+def _descend(n: int, adj: tuple[int, ...], cells: list[list[int]], fixed: list[int], leaves, gens,
+             stab: list[list[int]]):
     """Search the refinement tree below `cells`, reached by individualizing `fixed`.
 
     `leaves` holds the first and the least leaf found so far, each as
     (code, perm); `gens` collects, as vertex maps, the automorphisms found
-    between leaves of equal code.
+    between leaves of equal code, and `stab` those found before this node
+    that fix every vertex of `fixed`.
     """
     target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
     if target is None:
@@ -151,12 +153,16 @@ def _descend(n: int, adj: tuple[int, ...], cells: list[list[int]], fixed: list[i
     while cand:
         v = cand.pop(0)
         split = cells[:target] + [[v], [u for u in cell if u != v]] + cells[target + 1:]
-        _descend(n, adj, _refine(adj, split, [target]), fixed + [v], leaves, gens)
+        below = [s for s in stab if s[v] == v] if stab else stab  # the child's stab
+        seen = len(gens)
+        _descend(n, adj, _refine(adj, split, [target]), fixed + [v], leaves, gens, below)
         done.append(v)
-        if gens and cand:
+        if cand and len(gens) > seen:  # found below v: test against the whole prefix
+            stab = stab + [s for s in gens[seen:] if all(s[p] == p for p in fixed)]
+        if cand and stab:
             # a candidate that an automorphism fixing `fixed` maps into the
             # processed ones can only replay an explored subtree
-            orbit = _orbit(done, [s for s in gens if all(s[p] == p for p in fixed)])
+            orbit = _orbit(done, stab)
             cand = [u for u in cand if u not in orbit]
 
 
@@ -169,7 +175,7 @@ def _search(n: int, adj: tuple[int, ...], root: list[list[int]] | None = None):
     """
     leaves: list[tuple[int, list[int]]] = []
     gens: list[list[int]] = []
-    _descend(n, adj, root or _refine_root(n, adj), [], leaves, gens)
+    _descend(n, adj, root or _refine_root(n, adj), [], leaves, gens, [])
     code_int, perm = leaves[1]
     return CanonicalCode(_pack(code_int, n), n), perm, gens
 

@@ -48,7 +48,7 @@ def _one_graph(arg: str) -> Graph:
 
 def _cmd_per_graph(args) -> int:
     for g in _graphs_from_arg(args.graph):
-        print(args.answer(g, args))
+        print(str(args.answer(g, args)).lower())  # a bool prints as true or false
     return 0
 
 
@@ -58,6 +58,17 @@ def _alpha_answer(g: Graph, args) -> str:
     r = max_independent_set(g)
     members = ",".join(str(v) for v in vset_members(r.witness))
     return f"{r.alpha} {{{members}}}"
+
+
+# the commands that answer one line per input graph: (name, help, integer flags, answer)
+_PER_GRAPH = (
+    ("alpha", "independence number of graph6 input", (), _alpha_answer),
+    ("drop", "worst-case alpha drop over k-vertex removals", ("k",),
+     lambda g, a: alpha_drop(g, a.k)),
+    ("stable", "test (k,l)-stability", ("k", "l"), lambda g, a: is_stable(g, a.k, a.l)),
+    ("tight", "test tight (k,l)-stability", ("k", "l"),
+     lambda g, a: is_tight_stable(g, a.k, a.l)),
+)
 
 
 def _cmd_construct(args) -> int:
@@ -111,13 +122,11 @@ def _cmd_verify(args) -> int:
         suites=tuple(args.suite) if args.suite else SUITE_ORDER,
     )
     report = run_all(config)
+    as_json = partial(report.to_json, include_timings=args.timings)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json(include_timings=args.timings))
-    if args.format == "json":
-        out = report.to_json(include_timings=args.timings)
-    else:
-        out = report.to_text()
+            fh.write(as_json())
+    out = as_json() if args.format == "json" else report.to_text()
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(out)
@@ -133,38 +142,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("alpha", help="independence number of graph6 input")
-    p.add_argument("graph", help="graph6 string or @file")
-    p.add_argument("--witness", action="store_true", help="also print a witness set")
-    p.set_defaults(fn=_cmd_per_graph, answer=_alpha_answer)
-
-    p = sub.add_parser("drop", help="worst-case alpha drop over k-vertex removals")
-    p.add_argument("graph", help="graph6 string or @file")
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(fn=_cmd_per_graph, answer=lambda g, a: alpha_drop(g, a.k))
-
-    p = sub.add_parser("stable", help="test (k,l)-stability")
-    p.add_argument("graph", help="graph6 string or @file")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-    p.set_defaults(
-        fn=_cmd_per_graph, answer=lambda g, a: str(is_stable(g, a.k, a.l)).lower()
-    )
-
-    p = sub.add_parser("tight", help="test tight (k,l)-stability")
-    p.add_argument("graph", help="graph6 string or @file")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-    p.set_defaults(
-        fn=_cmd_per_graph, answer=lambda g, a: str(is_tight_stable(g, a.k, a.l)).lower()
-    )
+    for name, text, flags, answer in _PER_GRAPH:
+        p = sub.add_parser(name, help=text)
+        p.add_argument("graph", help="graph6 string or @file")
+        for flag in flags:
+            p.add_argument(f"--{flag}", type=int, required=True)
+        if name == "alpha":
+            p.add_argument("--witness", action="store_true", help="also print a witness set")
+        p.set_defaults(fn=_cmd_per_graph, answer=answer)
 
     p = sub.add_parser("construct", help="emit a named family member as graph6")
     p.add_argument("--family", required=True, choices=sorted(families.FAMILIES))
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--j", type=int)
+    for flag in ("n", "m", "k", "j"):
+        p.add_argument(f"--{flag}", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--diff", type=int, action="append", help="circulant difference")
     p.add_argument("--graph", help="base graph for lift (graph6 or @file)")

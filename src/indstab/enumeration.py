@@ -28,7 +28,7 @@ H, and every k-vertex deletion leaves alpha >= max(F, alpha - r)" gives its
 `bounds` (L, H, k, F, r), from which one formula derives its window at every
 level, and its `matches`; at level n the window is the predicate, which is
 then never checked again.  A child of alpha c is scanned, to the cut-off
-min(c - floor, r) + 1, only when the deletions can reach it.  Canonical
+min(c - floor, r) + 1, only when its deletions' _reach attains it.  Canonical
 parents are induced subgraphs, so every matching class still has its whole
 chain of ancestors, and since the window is isomorphism-invariant, a child is
 tested before its canonical search; its alpha is read from the parent's.  The
@@ -50,7 +50,7 @@ from typing import Any, Callable, Iterator
 from indstab.canon import CanonicalCode, _orbit, _refine_root, _search
 from indstab.graphs import Graph
 from indstab.mis import _alpha_set, independent_set_at_least
-from indstab.stability import _within, _worst_drop, stability_bound
+from indstab.stability import _reach, _within, _worst_drop, stability_bound
 
 HARD_GUARD = 10
 LONG_RUN_MAX = 11
@@ -277,9 +277,8 @@ def _expand(n: int, adj: tuple[int, ...], gens: list[list[int]], window):
             if not lo <= c <= hi:
                 continue
         cadj = tuple(row | (1 << n) if (t >> v) & 1 else row for v, row in enumerate(adj)) + (t,)
-        # ks deletions may lower alpha by the cut at most (c >= lo >= floor);
-        # they lower it by ks at most, and by c - 1 while a vertex is left
-        if window is not None and ks and min(ks, c - (ks <= n)) > (cut := min(c - floor, r)):
+        # ks deletions may lower alpha by the cut at most (c >= lo >= floor)
+        if window is not None and ks and _reach(n + 1, ks, c) > (cut := min(c - floor, r)):
             pool = [seed, *shared]
             start = len(pool)
             drop = _worst_drop(Graph._wrap(n + 1, cadj), ks, c, cut + 1, pool)

@@ -22,13 +22,13 @@ pool changes only how often the solver runs.
 Every scan searches for the worst drop.  A prefix that no witness of
 alpha - drop vertices avoids raises the drop found by one (supersets of the
 prefix only lower alpha further), and the scan stops once the drop reaches its
-cut-off: min(k, alpha) for alpha_drop, and min(alpha - F, r) + 1 in _within,
-the one test of "L <= alpha <= H, and every k deletions leave alpha >= max(F,
-alpha - r)" behind is_stable ((0, n, k, 0, l)), is_tight_stable ((b, b, k,
-b - l, n) for the bound b) and enumeration's predicates with bounds.  It
-skips a scan whose cut-off is above what k deletions can take: k, and
-alpha - 1 while a vertex is left.  No other bound is tried: an optimistic
-completion asks for more vertices than the scan needs and mostly fails.
+cut-off: for alpha_drop the reach, the most k deletions can take (_reach),
+and min(alpha - F, r) + 1 in _within, the one test of "L <= alpha <= H, and
+every k deletions leave alpha >= max(F, alpha - r)" behind is_stable ((0, n,
+k, 0, l)), is_tight_stable ((b, b, k, b - l, n) for the bound b) and
+enumeration's predicates with bounds.  No scan runs when its cut-off is 0 or
+above the reach.  No other bound is tried: an optimistic completion asks for
+more vertices than the scan needs and mostly fails.
 stable_vertex_count probes each vertex through a pool too.
 
 The first removed vertex ranges over automorphism orbits (as canonical
@@ -136,19 +136,23 @@ def _worst_drop(g: Graph, k: int, a: int, stop: int, pool: list[int]) -> int:
     return s.best
 
 
+def _reach(n: int, k: int, a: int) -> int:
+    """The most k deletions lower alpha = `a` on n vertices: k, and a - 1 while one is left."""
+    return min(k, a - (k < n))
+
+
 def alpha_drop(g: Graph, k: int) -> int:
     """Worst-case drop of the independence number over all k-vertex removals."""
     stability_bound(g.n, k, 0)
     a, w = _alpha_set(g.adj, g.vertex_mask)
-    return _worst_drop(g, k, a, min(k, a), [w])
+    return (reach := _reach(g.n, k, a)) and _worst_drop(g, k, a, reach, [w])
 
 
 def _within(g: Graph, L: int, H: int, k: int, F: int, r: int) -> bool:
     """Whether L <= alpha <= H and every k deletions leave alpha >= max(F, alpha - r)."""
     a, w = _alpha_set(g.adj, g.vertex_mask)
     cut = min(a - F, r)
-    skip = min(k, a - (k < g.n)) <= cut  # the most k deletions can lower alpha
-    return L <= a <= H and (skip or _worst_drop(g, k, a, cut + 1, [w]) <= cut)
+    return L <= a <= H and (_reach(g.n, k, a) <= cut or _worst_drop(g, k, a, cut + 1, [w]) <= cut)
 
 
 def is_stable(g: Graph, k: int, l: int) -> bool:

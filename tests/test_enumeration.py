@@ -461,6 +461,19 @@ class _Bounds(Predicate):
         return self.lhkfr
 
 
+def _bounds_exact(n, graphs, lhkfr):
+    """The classes of `graphs`, (g, alpha profile) pairs on n vertices in
+    stream order, that the bounds `lhkfr` keep, read off the profiles; the
+    windowed stream and the derived matches must give exactly these."""
+    L, H, k, F, r = lhkfr
+    pred = _Bounds(lhkfr)
+    expected = [g for g, p in graphs if L <= p[n] <= H and p[n - k] >= max(F, p[n] - r)]
+    stream = enumerate_levels(n, partial(_match, n, pred), predicate=pred)
+    assert [adj for _, adj in stream] == [g.adj for g in expected], (n, lhkfr)
+    assert [g for g, _ in graphs if pred.matches(g)] == expected, (n, lhkfr)
+    return expected
+
+
 def test_bounds_window_is_exact(catalog):
     # the one window formula, for every (L, H, k, F, r) with F <= L on up to
     # 6 vertices: the top level is the catalog's stream filtered through the
@@ -476,19 +489,22 @@ def test_bounds_window_is_exact(catalog):
                 for k in range(n + 1):
                     for F in range(max(0, L - k - 1), L + 1):
                         for r in [*range(k if n <= 5 else 0), n]:
-                            pred = _Bounds((L, H, k, F, r))
-                            stream = enumerate_levels(
-                                n, partial(_match, n, pred), predicate=pred
-                            )
-                            expected = [
-                                g for g, p in graphs
-                                if L <= p[n] <= H and p[n - k] >= max(F, p[n] - r)
-                            ]
-                            assert [adj for _, adj in stream] == [g.adj for g in expected], (
-                                n, L, H, k, F, r
-                            )
-                            matched = [g for g, _ in graphs if pred.matches(g)]
-                            assert matched == expected, (n, L, H, k, F, r)
+                            _bounds_exact(n, graphs, (L, H, k, F, r))
+
+
+def test_erdos_rogers_windows_at_seven(catalog):
+    # f(7; s, t) < v exactly when some class has alpha <= s + t - 1 and keeps
+    # alpha >= s after any 7 - v deletions: the bounds (s, min(s + t - 1, 7),
+    # 7 - v, s, 7), whose windows drive _expand's reach test with large ks
+    # and a floor.  Each cell's two existence queries, at v = 7 - t and
+    # 7 - t + 1, against the profiles and the catalog's Erdos-Rogers grid
+    graphs = [(g, alpha_profile(subset_alphas(g.adj, 7))) for _, g in catalog(7)]
+    f = {(row.s, row.t): row.computed for row in er_table(7)}
+    for s in range(1, 8):
+        for t in range(1, 8):
+            for v in range(max(1, 7 - t), min(7, 8 - t) + 1):
+                found = _bounds_exact(7, graphs, (s, min(s + t - 1, 7), 7 - v, s, 7))
+                assert bool(found) == (f[s, t] < v), (s, t, v)
 
 
 def test_windowed_predicate_is_not_rechecked(monkeypatch, count_calls):

@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 from indstab import stability
+from indstab.cli import main
 from indstab.enumeration import search_tight_stable
 from indstab.families import (
     circulant,
@@ -16,8 +17,9 @@ from indstab.families import (
     stable4_circulant,
     wheel,
 )
+from indstab.graph6 import g6_encode
 from indstab.graphs import build, disjoint_union, remove_vertices, vset
-from indstab.mis import alpha
+from indstab.mis import alpha, alpha_profile, subset_alphas
 from indstab.stability import (
     _ORBIT_MIN_N,
     _worst_drop,
@@ -70,6 +72,20 @@ def test_drop_matches_plain_scan():
         g = random_graph(rng.randint(2, 12), rng.choice([0.3, 0.5, 0.7]), rng)
         k = rng.randint(1, g.n - 1)
         assert alpha_drop(g, k) == alpha_drop_plain(g, k)
+
+
+def test_drop_without_scan_when_alpha_is_one(count_calls, capsys):
+    # with alpha = 1 the k deletions can take nothing while a vertex is
+    # left, so alpha_drop answers 0 with no scan: no solver call and no
+    # group search (K_40 at k = 5 used to scan and search its group, about
+    # 9 s on 2 vCPUs)
+    calls = count_calls(stability, "independent_set_at_least")
+    searches = count_calls(stability, "_search")
+    assert alpha_drop(complete(40), 5) == 0
+    assert alpha_drop(complete(20), 3) == 0
+    assert calls == [] and searches == []
+    assert main(["drop", "--k", "5", g6_encode(complete(40))]) == 0
+    assert capsys.readouterr().out == "0\n"
 
 
 def test_drop_rejects_bad_k():
@@ -272,6 +288,25 @@ def test_scans_match_plain_scan_full_catalog(catalog):
                 assert alpha_drop(g, k) == worst
                 for l in range(k):
                     assert is_stable(g, k, l) == (worst <= l)
+
+
+def test_scans_match_alpha_profile_at_eight(catalog):
+    # every class with n = 8 and every k, against the alpha profile p (the
+    # plain scan would take about 25 times its n <= 7 time): the worst drop
+    # is p[8] - p[8 - k], the stable vertices are read off the subset_alphas
+    # table, and is_stable holds at l = drop and fails at l = drop - 1
+    for _, g in catalog(8):
+        table = subset_alphas(g.adj, 8)
+        p = alpha_profile(table)
+        without = [table[g.vertex_mask & ~(1 << v)] for v in range(8)]  # alpha(G - v)
+        assert stable_vertex_count(g) == without.count(p[8])
+        for k in range(1, 8):
+            drop = alpha_drop(g, k)
+            assert drop == p[8] - p[8 - k]
+            if drop < k:
+                assert is_stable(g, k, drop)
+            if drop:
+                assert not is_stable(g, k, drop - 1)
 
 
 def test_scans_seeded_with_any_maximum_set_match_plain_scan(catalog):
