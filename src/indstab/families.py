@@ -62,9 +62,7 @@ def wheel(n: int) -> Graph:
     """An (n-1)-cycle plus a hub (label n-1) adjacent to every rim vertex."""
     if n < 4:
         raise ValueError(f"wheel needs n >= 4, got {n}")
-    edges = [(i, (i + 1) % (n - 1)) for i in range(n - 1)]
-    edges += [(i, n - 1) for i in range(n - 1)]
-    return build(n, edges)
+    return build(n, cycle(n - 1).edges() + [(i, n - 1) for i in range(n - 1)])
 
 
 def circulant(n: int, diffs) -> Graph:

@@ -43,12 +43,9 @@ class Graph:
             if (row >> v) & 1:
                 raise ValueError(f"self-loop at vertex {v}")
         for v, row in enumerate(adj):
-            m = row
-            while m:
-                u = (m & -m).bit_length() - 1
+            for u in vset_members(row):
                 if not (adj[u] >> v) & 1:
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
-                m &= m - 1
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj", adj)
 
@@ -83,14 +80,10 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) pairs with u < v, sorted."""
-        out = []
-        for v in range(self.n):
-            m = self.adj[v] >> (v + 1)
-            while m:
-                u = (m & -m).bit_length() - 1
-                out.append((v, v + 1 + u))
-                m &= m - 1
-        return out
+        return [
+            (v, u) for v, row in enumerate(self.adj)
+            for u in vset_members(row >> (v + 1) << (v + 1))  # the neighbors above v
+        ]
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edges()})"
@@ -156,14 +149,8 @@ def remove_vertices(g: Graph, vertices: int) -> Graph:
         return g
     survivors = vset_members(keep)
     newlab = {v: i for i, v in enumerate(survivors)}
-    adj = [0] * len(survivors)
-    for v in survivors:
-        m = g.adj[v] & keep
-        while m:
-            u = (m & -m).bit_length() - 1
-            adj[newlab[v]] |= 1 << newlab[u]
-            m &= m - 1
-    return Graph._wrap(len(survivors), tuple(adj))
+    adj = tuple(vset(newlab[u] for u in vset_members(g.adj[v] & keep)) for v in survivors)
+    return Graph._wrap(len(survivors), adj)
 
 
 def complement(g: Graph) -> Graph:
@@ -185,9 +172,7 @@ def disjoint_union(g: Graph, h: Graph) -> Graph:
 def neighborhood(g: Graph, vertices: int) -> int:
     """External neighborhood: all neighbors of the set, minus the set itself."""
     _check_vset(g, vertices, "vertex set")
-    m, out = vertices, 0
-    while m:
-        v = (m & -m).bit_length() - 1
+    out = 0
+    for v in vset_members(vertices):
         out |= g.adj[v]
-        m &= m - 1
     return out & ~vertices

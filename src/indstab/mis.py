@@ -224,13 +224,7 @@ def max_independent_set(g: Graph) -> MisResult:
 def is_independent(g: Graph, vertices: int) -> bool:
     """Whether a vertex set induces no edge."""
     _check_vset(g, vertices, "vertex set")
-    m = vertices
-    while m:
-        v = (m & -m).bit_length() - 1
-        if g.adj[v] & vertices:
-            return False
-        m &= m - 1
-    return True
+    return not any(g.adj[v] & vertices for v in vset_members(vertices))
 
 
 def _augment(

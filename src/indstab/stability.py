@@ -47,7 +47,7 @@ is one witness test, would pay more for the search than it saves.
 from __future__ import annotations
 
 from indstab.canon import _orbit, _search
-from indstab.graphs import Graph
+from indstab.graphs import Graph, vset
 from indstab.mis import _alpha_set, independent_set_at_least
 
 # Scans of graphs with fewer vertices never search the automorphism group.
@@ -122,10 +122,7 @@ class _RemovalScan:
         """The automorphism orbit of the vertex `bit`, as a mask."""
         if self.gens is None:
             self.gens = _search(self.n, self.adj)[2]
-        out = 0
-        for v in _orbit([bit.bit_length() - 1], self.gens):
-            out |= 1 << v
-        return out
+        return vset(_orbit([bit.bit_length() - 1], self.gens))
 
 
 def _worst_drop(g: Graph, k: int, a: int, stop: int, pool: list[int]) -> int:

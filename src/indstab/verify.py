@@ -97,6 +97,8 @@ class VerifyConfig:
         for s in self.suites:
             if s not in SUITE_ORDER:
                 raise ValueError(f"unknown suite {s!r}; known: {', '.join(SUITE_ORDER)}")
+            if self.suites.count(s) > 1:
+                raise ValueError(f"suite {s!r} is named more than once")
         if not 1 <= self.max_n <= 8:
             raise ValueError(f"max_n must be in 1..8, got {self.max_n}")
         if self.jobs < 1:

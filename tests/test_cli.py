@@ -406,6 +406,14 @@ def test_verify_output_writes_what_format_json_prints(capsys, tmp_path):
     assert path.read_bytes() == printed.encode()
 
 
+def test_verify_suite_named_twice_exits_2(capsys):
+    code, out, err = run(
+        capsys, "verify", "--suite", "hall", "--suite", "hall", "--max-n", "3",
+        "--jobs", "1", "--format", "json",
+    )
+    assert (code, out, err) == (2, "", "error: suite 'hall' is named more than once\n")
+
+
 def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

@@ -14,7 +14,8 @@ from indstab.graphs import (
     vset,
     vset_members,
 )
-from indstab.families import cycle, kn_tight
+from indstab.families import circulant, cycle, kn_tight
+from indstab.mis import is_independent
 from indstab.canon import canonical
 
 from _oracles import random_graph
@@ -201,3 +202,37 @@ def test_vset_members_rejects_negative_masks():
         with pytest.raises(ValueError, match="non-negative"):
             vset_members(mask)
     assert vset_members((1 << 64) - 1) == tuple(range(64))
+
+
+def test_set_readers_at_the_top_label():
+    # the set readers on 64 vertices, where a set holding vertex 63 is a mask
+    # of 2^63 or more; the smaller tests stop at 12 vertices
+    rng = random.Random(64)
+    for g in (random_graph(64, 0.5, rng), circulant(64, {1, 31, 32})):
+        pairs = [(u, v) for u in range(64) for v in range(u + 1, 64) if g.has_edge(u, v)]
+        assert g.edges() == pairs
+        independent = 1 << 63
+        for v in rng.sample(range(63), 63):
+            if not g.adj[v] & independent:
+                independent |= 1 << v
+        assert is_independent(g, independent) and independent.bit_count() > 1
+        top_edge = 1 << 63 | 1 << vset_members(g.adj[63])[0]  # its one edge is at 63
+        sets = [independent, top_edge, 1 << 63, g.vertex_mask & ~1]
+        sets += [vset(rng.sample(range(63), rng.randint(1, 8))) | 1 << 63 for _ in range(10)]
+        for s in sets:
+            members = [v for v in range(64) if s >> v & 1]
+            outside = [u for u in range(64) if u not in members]
+            reached = [u for u in outside if any(g.has_edge(u, v) for v in members)]
+            assert neighborhood(g, s) == vset(reached)
+            edge_inside = any(g.has_edge(u, v) for u in members for v in members)
+            assert is_independent(g, s) == (not edge_inside)
+            for removed in (s, s & ~(1 << 63)):
+                keep = [v for v in range(64) if not removed >> v & 1]
+                h = remove_vertices(g, removed)
+                assert h.n == len(keep)
+                assert h.edges() == [
+                    (i, j) for i, u in enumerate(keep) for j, v in enumerate(keep)
+                    if i < j and g.has_edge(u, v)
+                ]
+    with pytest.raises(ValueError, match="^asymmetric adjacency between 63 and 0$"):
+        Graph(64, [1 << 63] + [0] * 63)

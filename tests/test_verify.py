@@ -116,6 +116,9 @@ def test_config_rejects_unknown_suite():
         VerifyConfig(max_n=9)
     with pytest.raises(ValueError, match="max_n must be in 1..8, got 0"):
         VerifyConfig(max_n=0, suites=("uniqueness",))
+    # a repeated suite would run once but be listed twice in the report
+    with pytest.raises(ValueError, match="^suite 'hall' is named more than once$"):
+        VerifyConfig(suites=("hall", "erdos_rogers", "hall"))
 
 
 def _small_config(**kw):
