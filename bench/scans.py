@@ -12,6 +12,8 @@ per call (the median of repeated calls, at least 3 and at least 0.5 s):
   (3, 0), stable4_circulant at m = 4 and 5 at (4, 0);
 - is_stable(circulant(20, {2, 5}), 3, 0), a regular graph whose scan is
   decided inside its first first-level subtree;
+- is_tight_stable(lift(kn_tight(20), 6), 7, 6), whose six isolated twins
+  the first removed vertex's stabilizer swaps;
 - search_tight_stable(8, 2, 0), canonical augmentation with removal scans
   of at most 8 vertices.
 
@@ -41,6 +43,7 @@ CASES = [
     ("is_stable", "stable4(4)", 4, 0),
     ("is_stable", "stable4(5)", 4, 0),
     ("is_stable", "circulant(20,{2,5})", 3, 0),
+    ("is_tight_stable", "lift(kn_tight(20),6)", 7, 6),
     ("tight", 8, 2, 0),
 ]
 MIN_SECONDS, MIN_CALLS = 0.5, 3
@@ -49,8 +52,8 @@ MIN_SECONDS, MIN_CALLS = 0.5, 3
 def _op(case: list):
     """The case's call, with its graph built."""
     from indstab.enumeration import search_tight_stable
-    from indstab.families import circulant, stable3_circulant, stable4_circulant
-    from indstab.stability import alpha_drop, is_stable
+    from indstab.families import circulant, kn_tight, lift, stable3_circulant, stable4_circulant
+    from indstab.stability import alpha_drop, is_stable, is_tight_stable
 
     kind, target, *params = case
     if kind == "tight":
@@ -63,9 +66,10 @@ def _op(case: list):
         "stable4(4)": lambda: stable4_circulant(4),
         "stable4(5)": lambda: stable4_circulant(5),
         "circulant(20,{2,5})": lambda: circulant(20, {2, 5}),
+        "lift(kn_tight(20),6)": lambda: lift(kn_tight(20), 6),
     }
     g = graphs[target]()
-    scan = is_stable if kind == "is_stable" else alpha_drop
+    scan = {"is_stable": is_stable, "is_tight_stable": is_tight_stable, "alpha_drop": alpha_drop}[kind]
     return lambda: scan(g, *params)
 
 

@@ -37,16 +37,22 @@ subtree of removal sets holding u ends below the cut-off, the scan bans u's
 whole orbit, not u alone.  This is exact because the banned set stays a union
 of orbits: an automorphism maps a k-set that holds a vertex of u's orbit and
 avoids the earlier orbits onto one that holds u, avoids them too and has the
-same drop.  A vertex-transitive graph, as the paper's circulants are, needs
-the root check and one subtree.  The group is searched once, after the first
-subtree ends undecided, and only for k >= 2 and graphs of at least
-_ORBIT_MIN_N vertices: a scan that stops early, or at k = 1 where each subtree
-is one witness test, would pay more for the search than it saves.
+same drop.  In the first root subtree, which starts with nothing banned, the
+second removed vertex ranges likewise over the orbits of u's stabilizer
+(orbital branching, Ostrowski et al., Math. Program. 126, 2011); another root
+subtree would need another stabilizer.  A vertex-transitive graph, as the
+paper's circulants are, needs the root check and one root subtree.  The group
+is searched once, when the first subtree below u ends undecided, from the
+root partition with u's cell first and u first in it, so the generators found
+below u generate u's stabilizer (McKay, Congressus Numerantium 30, 1981).
+It is searched only for k >= 2 and graphs of at least _ORBIT_MIN_N vertices:
+a scan that stops early, or at k = 1 where each subtree is one witness test,
+would pay more for the search than it saves.
 """
 
 from __future__ import annotations
 
-from indstab.canon import _orbit, _search
+from indstab.canon import _orbit, _refine_root, _search
 from indstab.graphs import Graph, vset
 from indstab.mis import _alpha_set, independent_set_at_least
 
@@ -77,6 +83,7 @@ class _RemovalScan:
         self.pool = pool  # independent sets of g; the scan appends its own
         self.by_orbit = k >= 2 and g.n >= _ORBIT_MIN_N
         self.gens: list[list[int]] | None = None  # automorphism generators, once searched
+        self.stab: list[list[int]] = []  # those that fix the first removed vertex
 
     def witness(self, removed: int, size: int) -> int | None:
         """An independent set of >= size vertices avoiding `removed`, or None."""
@@ -105,24 +112,34 @@ class _RemovalScan:
             return False
         free = self.full & ~(removed | banned)
         cand = w & free
+        # at the root and in the first root subtree, `removed` and `banned`
+        # are unions of orbits of the automorphisms fixing `removed`
+        by_orbit = self.by_orbit and (not depth or depth == 1 and not banned)
         # a k-set missing w is certified by w; the rest contain a vertex of w
         while cand and free.bit_count() >= left:
             bit = cand & -cand
             if self.scan(removed | bit, banned, depth + 1):
                 return True
-            if not depth and self.by_orbit:
+            if by_orbit:
                 # a k-set through the orbit maps onto one through `bit`
-                bit = self.orbit(bit)
+                bit = self.orbit(bit, removed)
             banned |= bit
             free &= ~bit
             cand &= ~bit
         return False
 
-    def orbit(self, bit: int) -> int:
-        """The automorphism orbit of the vertex `bit`, as a mask."""
+    def orbit(self, bit: int, fixed: int) -> int:
+        """The orbit of the vertex `bit` under the automorphisms fixing
+        `fixed`, no vertex or the first removed one, as a mask."""
         if self.gens is None:
-            self.gens = _search(self.n, self.adj)[2]
-        return vset(_orbit([bit.bit_length() - 1], self.gens))
+            root = _refine_root(self.n, self.adj)
+            u = fixed.bit_length() - 1
+            if fixed:  # u's cell first and u first in it
+                i = next(i for i, c in enumerate(root) if u in c)
+                root.insert(0, [u] + [v for v in root.pop(i) if v != u])
+            self.gens = _search(self.n, self.adj, root)[2]
+            self.stab = [s for s in self.gens if s[u] == u]
+        return vset(_orbit([bit.bit_length() - 1], self.stab if fixed else self.gens))
 
 
 def _worst_drop(g: Graph, k: int, a: int, stop: int, pool: list[int]) -> int:

@@ -15,12 +15,16 @@ alpha, and the stable-vertex check solves every one-vertex removal.  The
 Erdos-Rogers subset oracle scans vertex subsets from the largest size down.
 The labeling, orbit and generator views of one graph are thin wrappers over
 the package's canonical search, which the tests check against brute force.
+The stabilizer-orbit oracle asks networkx's VF2++ matcher whether a vertex
+maps onto each orbit found so far, with the fixed vertex in a colour of its
+own.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations
 
+import networkx as nx
 import numpy as np
 
 from indstab.canon import _orbit, _search
@@ -278,6 +282,31 @@ def vertex_orbits(g: Graph) -> list[list[int]]:
         if not any(v in o for o in orbits):
             orbits.append(sorted(_orbit([v], gens)))
     return orbits
+
+
+def stabilizer_orbits(g: Graph, u: int | None = None) -> set[frozenset[int]]:
+    """Orbits of the automorphisms of g that fix u (all of them when u is
+    None): w joins v's orbit when an isomorphism of g, with u coloured 1,
+    maps v coloured 2 onto w coloured 2."""
+    base = nx.Graph()
+    base.add_nodes_from(range(g.n), c=0)
+    base.add_edges_from(g.edges())
+
+    def coloured(v: int) -> nx.Graph:
+        h = base.copy()
+        nx.set_node_attributes(h, {u: 1, v: 2} if u is not None else {v: 2}, "c")
+        return h
+
+    orbits: list[list[int]] = []
+    for w in range(g.n):
+        h = coloured(w)
+        for orbit in orbits:
+            if nx.vf2pp_is_isomorphic(coloured(orbit[0]), h, node_label="c"):
+                orbit.append(w)
+                break
+        else:
+            orbits.append([w])
+    return {frozenset(o) for o in orbits}
 
 
 def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:

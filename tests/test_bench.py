@@ -95,7 +95,7 @@ def test_scans_bench_two_pairs(monkeypatch, tmp_path):
         assert set(entry[side]) == {"us_per_call", "result", "counters"}
         assert len(entry[side]["us_per_call"]["runs"]) == 2
         assert entry[side]["result"] is True
-        assert entry[side]["counters"] == {"solver_calls": 12, "searches": 1}
+        assert entry[side]["counters"] == {"solver_calls": 8, "searches": 1}
 
 
 def test_dfs_bench_two_pairs(monkeypatch, tmp_path):

@@ -18,8 +18,8 @@ from indstab.families import (
     wheel,
 )
 from indstab.graph6 import g6_encode
-from indstab.graphs import build, disjoint_union, remove_vertices, vset
-from indstab.mis import alpha, alpha_profile, subset_alphas
+from indstab.graphs import build, disjoint_union, remove_vertices, vset, vset_members
+from indstab.mis import _alpha_set, alpha, alpha_profile, subset_alphas
 from indstab.stability import (
     _ORBIT_MIN_N,
     _worst_drop,
@@ -30,7 +30,13 @@ from indstab.stability import (
     stable_vertex_count,
 )
 
-from _oracles import all_max_independent_sets, check_stable_vertex_bound, random_graph, relabeled
+from _oracles import (
+    all_max_independent_sets,
+    check_stable_vertex_bound,
+    random_graph,
+    relabeled,
+    stabilizer_orbits,
+)
 
 
 def complete(n):
@@ -209,22 +215,24 @@ def test_stable_vertex_count_computes_alpha_once(count_calls):
 
 
 def test_scan_solver_calls_pinned(count_calls):
-    # the five scans of the benchmark's `scans` workload, 110 solver calls in
-    # all (320 before the first removed vertex ranged over orbits), as with
-    # the plain branch-and-bound: equal witnesses give equal witness pools,
-    # so a drift here means the solver's search tree changed.  Each pool
-    # starts with the alpha solve's maximum set, which saves the scan's first
-    # call; each circulant is vertex-transitive, so its scan is the root check
-    # plus one first-level subtree, and one search of its group
+    # the five scans of the benchmark's `scans` workload, 74 solver calls in
+    # all (110 before the second removed vertex ranged over stabilizer
+    # orbits, 320 before the first ranged over orbits), as with the plain
+    # branch-and-bound: equal witnesses give equal witness pools, so a drift
+    # here means the solver's search tree changed.  Each pool starts with the
+    # alpha solve's maximum set, which saves the scan's first call; each
+    # circulant is vertex-transitive, so its scan is the root check plus one
+    # first-level subtree, one second-level subtree per stabilizer orbit the
+    # first witness meets, and one search of its group
     calls = count_calls(stability, "independent_set_at_least")
     searches = count_calls(stability, "_search")
     s3_3, s3_4, s4_3 = stable3_circulant(3), stable3_circulant(4), stable4_circulant(3)
     scans = (
-        (lambda: is_stable(s3_3, 3, 0), True, 12),
-        (lambda: is_stable(s3_4, 3, 0), True, 14),
-        (lambda: alpha_drop(s3_4, 3), 0, 14),
-        (lambda: is_stable(s4_3, 4, 0), True, 35),
-        (lambda: alpha_drop(s4_3, 4), 0, 35),
+        (lambda: is_stable(s3_3, 3, 0), True, 8),
+        (lambda: is_stable(s3_4, 3, 0), True, 10),
+        (lambda: alpha_drop(s3_4, 3), 0, 10),
+        (lambda: is_stable(s4_3, 4, 0), True, 23),
+        (lambda: alpha_drop(s4_3, 4), 0, 23),
     )
     for scan, answer, count in scans:
         calls.clear()
@@ -365,6 +373,11 @@ def _orbit_graphs():
         disjoint_union(cycle(7), circulant(8, {1, 3})),  # two orbits
         path(12),
         path(13),
+        lift(kn_tight(10), 3),  # stabilizers that swap twins
+        lift(cycle(11), 2),
+        # three edges and two 3-vertex paths, interleaved: the stabilizer of
+        # the first removed vertex, 0, moves 2, the next root subtree's vertex
+        build(12, [(0, 1), (2, 6), (3, 4), (5, 6), (7, 11), (8, 9), (10, 11)]),
     ]
     rng = random.Random(103)
     for g in list(graphs):
@@ -401,6 +414,29 @@ def test_orbit_scans_match_plain_scan(count_calls):
     # no search at k = 1; at k >= 2 some scans stop inside their first
     # subtree, and the others search once
     assert searched == {1: {0}, 2: {0, 1}, 3: {0, 1}}
+
+
+def test_scan_stabilizer_matches_networkx():
+    # the generators a scan keeps for its first removed vertex u have the
+    # orbits of every automorphism fixing u, and all its generators those of
+    # every automorphism.  u is the scan's own, the least vertex of the alpha
+    # solve's set, and the last vertex, which a search from the unordered
+    # root would individualize last, so its filtered generators fall short
+    circulants = [stable3_circulant(3), stable3_circulant(4), stable4_circulant(3)]
+    for g in _orbit_graphs() + circulants:
+        a, w = _alpha_set(g.adj, g.vertex_mask)
+        for u in ((w & -w).bit_length() - 1, g.n - 1):
+            scan = stability._RemovalScan(g, 2, a, 2, [w])
+            stab = {frozenset(vset_members(scan.orbit(1 << v, 1 << u))) for v in range(g.n)}
+            assert stab == stabilizer_orbits(g, u)
+        whole = {frozenset(vset_members(scan.orbit(1 << v, 0))) for v in range(g.n)}
+        assert whole == stabilizer_orbits(g)
+
+
+def test_lifted_kn_tight_is_tight_at_7_6():
+    # 26 vertices, six of them isolated twins: the stabilizer of the first
+    # removed vertex swaps them, which keeps this scan under a second
+    assert is_tight_stable(lift(kn_tight(20), 6), 7, 6)
 
 
 def test_orbit_searches_pinned(count_calls):
