@@ -124,7 +124,7 @@ def _check(case: tuple, entry: dict, doc: dict) -> None:
 
 def main() -> None:
     args = pairs.parse_args(__doc__, "BENCH_catalog_levels.json")
-    pairs.run(__file__, measure, args, "catalog_levels", [(c, args.pairs) for c in CASES], _check)
+    pairs.run(__file__, measure, args, [(c, args.pairs) for c in CASES], _check)
 
 
 if __name__ == "__main__":

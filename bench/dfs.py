@@ -100,7 +100,7 @@ def measure(case: list) -> dict:
 def main() -> None:
     args = pairs.parse_args(__doc__, "BENCH_dfs.json", long_pairs=1)
     plan = [(c, args.pairs) for c in CASES] + [(c, args.long_pairs) for c in LONG_CASES]
-    pairs.run(__file__, measure, args, "dfs", plan)
+    pairs.run(__file__, measure, args, plan)
 
 
 if __name__ == "__main__":

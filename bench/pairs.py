@@ -80,13 +80,13 @@ def _summary(runs: list[dict]) -> dict:
     return out
 
 
-def run(script: str, measure, args: argparse.Namespace, label: str, plan: list,
-        check=None) -> None:
+def run(script: str, measure, args: argparse.Namespace, plan: list, check=None) -> None:
     """Print measure(--one) here, or run each (case, pairs) of `plan` into args.out.
 
-    `check(case, entry, doc)`, if given, sees each case's entry after the
-    common gates, before the document is written, and may stop the run or
-    add to the document.
+    The document's label is the name of args.out without `BENCH_` and
+    `.json`.  `check(case, entry, doc)`, if given, sees each case's entry
+    after the common gates, before the document is written, and may stop the
+    run or add to the document.
     """
     if args.one:
         print(json.dumps(measure(json.loads(args.one))))
@@ -96,7 +96,7 @@ def run(script: str, measure, args: argparse.Namespace, label: str, plan: list,
     options = [f"--{k.replace('_', '-')} {v}" for k, v in vars(args).items()
                if k not in ("parent_src", "out", "one")]
     doc = {
-        "label": label,
+        "label": os.path.basename(args.out).removeprefix("BENCH_").removesuffix(".json"),
         "host": f"{os.cpu_count()} CPUs, Python {platform.python_version()}",
         "command": " ".join([f"python bench/{os.path.basename(script)} PARENT_SRC", *options]),
         "cases": {},

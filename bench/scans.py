@@ -1,6 +1,6 @@
-"""Orbit-pruned removal scan bench: writes BENCH_orbit_scans.json.
+"""Orbit-pruned removal scan bench: writes BENCH_generator_scans.json.
 
-    python bench/scans.py PARENT_SRC [--pairs 5] [--out BENCH_orbit_scans.json]
+    python bench/scans.py PARENT_SRC [--pairs 5] [--out BENCH_generator_scans.json]
 
 PARENT_SRC is the src/ directory of the commit to compare against; the
 pairs, gates and summaries are bench/pairs.py's.  Measured, in microseconds
@@ -18,9 +18,10 @@ per call (the median of repeated calls, at least 3 and at least 0.5 s):
   of at most 8 vertices.
 
 Counters, from the first call alone: `solver_calls`, the calls stability
-makes to mis.independent_set_at_least, and `searches`, its calls to
-canon._search.  The script stops if a case's change makes more solver
-calls than its parent.
+makes to mis.independent_set_at_least, and `group_searches`, its calls to
+canon._automorphisms (to canon._search in a tree whose stability module
+has no _automorphisms).  The script stops if a case's change makes more
+solver calls than its parent.
 One measurement alone, in this interpreter, prints its JSON line:
 
     PYTHONPATH=SRC python bench/scans.py --one '["is_stable", "stable4(5)", 4, 0]'
@@ -78,8 +79,9 @@ def measure(case: list) -> dict:
     from indstab import stability
 
     op = _op(case)
-    counts = {"solver_calls": 0, "searches": 0}
-    names = {"solver_calls": "independent_set_at_least", "searches": "_search"}
+    search = "_automorphisms" if hasattr(stability, "_automorphisms") else "_search"
+    counts = {"solver_calls": 0, "group_searches": 0}
+    names = {"solver_calls": "independent_set_at_least", "group_searches": search}
     real = {name: getattr(stability, name) for name in names.values()}
     for key, name in names.items():
         pairs.count_calls(counts, key, stability, name)
@@ -106,8 +108,8 @@ def _check(case: tuple, entry: dict, doc: dict) -> None:
 
 
 def main() -> None:
-    args = pairs.parse_args(__doc__, "BENCH_orbit_scans.json")
-    pairs.run(__file__, measure, args, "orbit_scans", [(c, args.pairs) for c in CASES], _check)
+    args = pairs.parse_args(__doc__, "BENCH_generator_scans.json")
+    pairs.run(__file__, measure, args, [(c, args.pairs) for c in CASES], _check)
 
 
 if __name__ == "__main__":

@@ -60,7 +60,7 @@ def _check(case: tuple, entry: dict, doc: dict) -> None:
 
 def main() -> None:
     args = pairs.parse_args(__doc__, "BENCH_stable_window.json")
-    pairs.run(__file__, measure, args, "stable_window", [(c, args.pairs) for c in CASES], _check)
+    pairs.run(__file__, measure, args, [(c, args.pairs) for c in CASES], _check)
 
 
 if __name__ == "__main__":

@@ -19,6 +19,14 @@ out an adjacency matrix, so equal codes decode to the same labeled graph, and
 invariance over relabelings holds because refinement commutes with
 isomorphisms.  This is cross-validated against all-permutation minimization
 in the test suite.
+
+A caller that needs only the group, not a code, calls _automorphisms, which
+searches the first path and, for each other vertex of a first-path node's
+target cell, one leaf equivalent to the first (as symmetry-only tools do:
+saucy, Darga et al., DAC 2004).  It prunes a node whose cell sizes differ
+from the first path's at its depth, and by the orbits of the generators
+found so far; the test suite checks its orbits against _search's and
+networkx's, and its group orders against brute force.
 """
 
 from __future__ import annotations
@@ -120,6 +128,13 @@ def _orbit(points: list[int], gens: list[list[int]]) -> set[int]:
     return orbit
 
 
+def _split(adj: tuple[int, ...], cells: list[list[int]], target: int, v: int) -> list[list[int]]:
+    """The refined partition after individualizing v, a vertex of cells[target]."""
+    cell = cells[target]
+    split = cells[:target] + [[v], [u for u in cell if u != v]] + cells[target + 1:]
+    return _refine(adj, split, [target])
+
+
 def _descend(n: int, adj: tuple[int, ...], cells: list[list[int]], fixed: list[int], leaves, gens,
              stab: list[list[int]]):
     """Search the refinement tree below `cells`, reached by individualizing `fixed`.
@@ -152,10 +167,9 @@ def _descend(n: int, adj: tuple[int, ...], cells: list[list[int]], fixed: list[i
     done: list[int] = []
     while cand:
         v = cand.pop(0)
-        split = cells[:target] + [[v], [u for u in cell if u != v]] + cells[target + 1:]
         below = [s for s in stab if s[v] == v] if stab else stab  # the child's stab
         seen = len(gens)
-        _descend(n, adj, _refine(adj, split, [target]), fixed + [v], leaves, gens, below)
+        _descend(n, adj, _split(adj, cells, target, v), fixed + [v], leaves, gens, below)
         done.append(v)
         if cand and len(gens) > seen:  # found below v: test against the whole prefix
             stab = stab + [s for s in gens[seen:] if all(s[p] == p for p in fixed)]
@@ -178,6 +192,87 @@ def _search(n: int, adj: tuple[int, ...], root: list[list[int]] | None = None):
     _descend(n, adj, root or _refine_root(n, adj), [], leaves, gens, [])
     code_int, perm = leaves[1]
     return CanonicalCode(_pack(code_int, n), n), perm, gens
+
+
+def _is_automorphism(adj: tuple[int, ...], sigma: list[int]) -> bool:
+    """Whether the vertex map `sigma` maps every row of `adj` onto its image's row."""
+    for v, row in enumerate(adj):
+        img = 0
+        while row:
+            low = row & -row
+            img |= 1 << sigma[low.bit_length() - 1]
+            row ^= low
+        if img != adj[sigma[v]]:
+            return False
+    return True
+
+
+def _equivalent_leaf(adj, cells, depth, sizes, first, stab) -> list[int] | None:
+    """An automorphism mapping the first leaf onto a leaf below `cells`, or None.
+
+    A node whose cell sizes differ from the first path's at its depth holds
+    no such leaf; nor does a candidate in the orbit, under `stab` (the
+    generators fixing the node's individualized vertices), of one tried.
+    """
+    if [len(c) for c in cells] != sizes[depth]:
+        return None
+    target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
+    if target is None:
+        sigma = [0] * len(first)
+        for a, c in zip(first, cells):
+            sigma[a] = c[0]
+        return sigma if _is_automorphism(adj, sigma) else None
+    tried: set[int] = set()
+    for v in cells[target]:
+        if v in tried:
+            continue
+        below = [s for s in stab if s[v] == v]
+        sigma = _equivalent_leaf(adj, _split(adj, cells, target, v), depth + 1, sizes, first, below)
+        if sigma:
+            return sigma
+        tried = _orbit([*tried, v], stab)
+    return None
+
+
+def _automorphisms(n: int, adj: tuple[int, ...],
+                   root: list[list[int]] | None = None) -> list[list[int]]:
+    """Generators of the automorphism group, as vertex maps, with no canonical code.
+
+    Walks the first path (always the first vertex of the first non-singleton
+    cell) from the refined partition `root`, or from the refined one-cell
+    partition.  Then, bottom-up, it looks below each other vertex w of a
+    path node's target cell for one leaf equivalent to the first, unless the
+    generators found so far map the path vertex onto w or w onto a vertex
+    tried in vain.  The generators found at depth d and below fix the path
+    vertices above d and generate the group fixing them (McKay, Congressus
+    Numerantium 30, 1981), so those found below depth 0 generate the
+    stabilizer of the first path vertex.
+    """
+    path: list[tuple[list[list[int]], int]] = []
+    sizes = []
+    cells = root or _refine_root(n, adj)
+    while True:
+        sizes.append([len(c) for c in cells])
+        target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
+        if target is None:
+            break
+        path.append((cells, target))
+        cells = _split(adj, cells, target, cells[target][0])
+    first = [c[0] for c in cells]
+    gens: list[list[int]] = []
+    for depth in range(len(path) - 1, -1, -1):
+        cells, target = path[depth]
+        known = {cells[target][0]}  # v's orbit and the vertices known off it
+        for w in cells[target]:
+            if w in known:
+                continue
+            stab = [s for s in gens if s[w] == w]
+            below = _split(adj, cells, target, w)
+            sigma = _equivalent_leaf(adj, below, depth + 1, sizes, first, stab)
+            if sigma:
+                gens.append(sigma)
+            known = _orbit([*known, w], gens)
+    return gens
 
 
 def _pack(code_int: int, n: int) -> bytes:

@@ -42,18 +42,26 @@ second removed vertex ranges likewise over the orbits of u's stabilizer
 (orbital branching, Ostrowski et al., Math. Program. 126, 2011); another root
 subtree would need another stabilizer.  A vertex-transitive graph, as the
 paper's circulants are, needs the root check and one root subtree.  The group
-is searched once, when the first subtree below u ends undecided, from the
-root partition with u's cell first and u first in it, so the generators found
+is searched once, when the first subtree below u ends undecided, by the
+generator-only canon._automorphisms (no canonical code), from the root
+partition with u's cell first and u first in it, so the generators found
 below u generate u's stabilizer (McKay, Congressus Numerantium 30, 1981).
 It is searched only for k >= 2 and graphs of at least _ORBIT_MIN_N vertices:
 a scan that stops early, or at k = 1 where each subtree is one witness test,
 would pay more for the search than it saves.
+
+Once the group is known, the pool uses it at every depth: an automorphism
+maps a witness onto an independent set of the same size, so each pooled set,
+and each witness the solver returns later, joins the pool with its images
+under the root generators, those that move u.  The stabilizer's generators
+are left out: they multiply the pool, whose linear lookup then costs more
+than the solver calls it saves.
 """
 
 from __future__ import annotations
 
-from indstab.canon import _orbit, _refine_root, _search
-from indstab.graphs import Graph, vset
+from indstab.canon import _automorphisms, _orbit, _refine_root
+from indstab.graphs import Graph, vset, vset_members
 from indstab.mis import _alpha_set, independent_set_at_least
 
 # Scans of graphs with fewer vertices never search the automorphism group.
@@ -84,6 +92,7 @@ class _RemovalScan:
         self.by_orbit = k >= 2 and g.n >= _ORBIT_MIN_N
         self.gens: list[list[int]] | None = None  # automorphism generators, once searched
         self.stab: list[list[int]] = []  # those that fix the first removed vertex
+        self.moves: list[list[int]] = []  # the others, the root generators
 
     def witness(self, removed: int, size: int) -> int | None:
         """An independent set of >= size vertices avoiding `removed`, or None."""
@@ -93,7 +102,14 @@ class _RemovalScan:
         w = independent_set_at_least(self.adj, self.full & ~removed, size)
         if w is not None:
             self.pool.append(w)
+            if self.moves:
+                self.pool += self.images([w])
         return w
+
+    def images(self, sets: list[int]) -> list[int]:
+        """The images of `sets` under each root generator: independent sets
+        of the same sizes."""
+        return [vset(s[v] for v in vset_members(w)) for s in self.moves for w in sets]
 
     def scan(self, removed: int, banned: int, depth: int) -> bool:
         """Scan the k-sets extending `removed` by vertices outside `banned`.
@@ -137,8 +153,10 @@ class _RemovalScan:
             if fixed:  # u's cell first and u first in it
                 i = next(i for i, c in enumerate(root) if u in c)
                 root.insert(0, [u] + [v for v in root.pop(i) if v != u])
-            self.gens = _search(self.n, self.adj, root)[2]
+            self.gens = _automorphisms(self.n, self.adj, root)
             self.stab = [s for s in self.gens if s[u] == u]
+            self.moves = [s for s in self.gens if s[u] != u]
+            self.pool += self.images(self.pool)
         return vset(_orbit([bit.bit_length() - 1], self.stab if fixed else self.gens))
 
 

@@ -15,6 +15,7 @@ alpha, and the stable-vertex check solves every one-vertex removal.  The
 Erdos-Rogers subset oracle scans vertex subsets from the largest size down.
 The labeling, orbit and generator views of one graph are thin wrappers over
 the package's canonical search, which the tests check against brute force.
+The group-order oracle closes the identity under the given generators.
 The stabilizer-orbit oracle asks networkx's VF2++ matcher whether a vertex
 maps onto each orbit found so far, with the fixed vertex in a colour of its
 own.
@@ -307,6 +308,21 @@ def stabilizer_orbits(g: Graph, u: int | None = None) -> set[frozenset[int]]:
         else:
             orbits.append([w])
     return {frozenset(o) for o in orbits}
+
+
+def group_order(gens: list[list[int]], n: int) -> int:
+    """Order of the permutation group on n points that `gens` generate, by
+    closing the identity under right multiplication by each generator."""
+    identity = tuple(range(n))
+    group, frontier = {identity}, [identity]
+    while frontier:
+        p = frontier.pop()
+        for s in gens:
+            q = tuple(s[v] for v in p)
+            if q not in group:
+                group.add(q)
+                frontier.append(q)
+    return len(group)
 
 
 def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:

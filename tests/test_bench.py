@@ -35,7 +35,7 @@ def _fake_run(pairs, tmp_path, kind):
     script.write_text(FAKE)
     args = argparse.Namespace(parent_src=str(tmp_path), pairs=2, out=str(tmp_path / "out.json"),
                               one=None)
-    pairs.run(str(script), None, args, "fake", [((kind,), 2)])
+    pairs.run(str(script), None, args, [((kind,), 2)])
 
 
 def test_pairs_stops_when_a_side_does_not_repeat(pairs, tmp_path):
@@ -55,12 +55,13 @@ def test_catalog_bench_two_pairs(monkeypatch, tmp_path):
     monkeypatch.syspath_prepend(os.path.join(ROOT, "bench"))
     import catalog
 
-    out = tmp_path / "catalog.json"
+    out = tmp_path / "BENCH_catalog_levels.json"
     monkeypatch.setattr(catalog, "CASES", [("count", 5)])
     monkeypatch.setattr(sys, "argv", ["catalog.py", SRC, "--pairs", "2", "--out", str(out)])
     catalog.main()
     doc = json.loads(out.read_text())
     assert list(doc) == ["label", "host", "command", "cases"]
+    assert doc["label"] == "catalog_levels"  # the --out name
     assert doc["command"] == "python bench/catalog.py PARENT_SRC --pairs 2"
     entry = doc["cases"]["count 5"]
     assert set(entry) == {"parent", "change", "change_faster_pairs"}
@@ -81,12 +82,13 @@ def test_scans_bench_two_pairs(monkeypatch, tmp_path):
     monkeypatch.syspath_prepend(os.path.join(ROOT, "bench"))
     import scans
 
-    out = tmp_path / "scans.json"
+    out = tmp_path / "BENCH_generator_scans.json"
     monkeypatch.setattr(scans, "CASES", [("is_stable", "stable3(3)", 3, 0)])
     monkeypatch.setattr(sys, "argv", ["scans.py", SRC, "--pairs", "2", "--out", str(out)])
     scans.main()
     doc = json.loads(out.read_text())
     assert list(doc) == ["label", "host", "command", "cases"]
+    assert doc["label"] == "generator_scans"  # the --out name
     assert doc["command"] == "python bench/scans.py PARENT_SRC --pairs 2"
     entry = doc["cases"]["is_stable stable3(3) 3 0"]
     assert set(entry) == {"parent", "change", "change_faster_pairs"}
@@ -95,7 +97,7 @@ def test_scans_bench_two_pairs(monkeypatch, tmp_path):
         assert set(entry[side]) == {"us_per_call", "result", "counters"}
         assert len(entry[side]["us_per_call"]["runs"]) == 2
         assert entry[side]["result"] is True
-        assert entry[side]["counters"] == {"solver_calls": 8, "searches": 1}
+        assert entry[side]["counters"] == {"solver_calls": 6, "group_searches": 1}
 
 
 def test_dfs_bench_two_pairs(monkeypatch, tmp_path):
@@ -104,13 +106,14 @@ def test_dfs_bench_two_pairs(monkeypatch, tmp_path):
     monkeypatch.syspath_prepend(os.path.join(ROOT, "bench"))
     import dfs
 
-    out = tmp_path / "dfs.json"
+    out = tmp_path / "BENCH_dfs.json"
     monkeypatch.setattr(dfs, "CASES", [("search", 6, 1, 2, 0)])
     argv = ["dfs.py", SRC, "--pairs", "2", "--long-pairs", "0", "--out", str(out)]
     monkeypatch.setattr(sys, "argv", argv)
     dfs.main()
     doc = json.loads(out.read_text())
     assert list(doc) == ["label", "host", "command", "cases"]
+    assert doc["label"] == "dfs"  # the --out name
     assert doc["command"] == "python bench/dfs.py PARENT_SRC --pairs 2 --long-pairs 0"
     assert list(doc["cases"]) == ["search 6 1 2 0"]
     entry = doc["cases"]["search 6 1 2 0"]
@@ -139,6 +142,7 @@ def test_stable_bench_two_pairs(monkeypatch, tmp_path):
     stable.main()
     doc = json.loads(out.read_text())
     assert list(doc) == ["label", "host", "command", "cases"]
+    assert doc["label"] == "stable"  # the --out name
     assert doc["command"] == "python bench/stable.py PARENT_SRC --pairs 2"
     entry = doc["cases"]["6 2 1"]
     assert set(entry) == {"parent", "change", "change_faster_pairs"}

@@ -1,13 +1,14 @@
 import random
 from itertools import permutations
 
-from indstab.canon import _refine, _refine_root, canonical
+from indstab.canon import _automorphisms, _orbit, _refine, _refine_root, _search, canonical
 from indstab.families import circulant, cycle, kn_tight, lift, path, stable3_circulant, wheel
-from indstab.graphs import build
+from indstab.graphs import build, disjoint_union
 
 from _oracles import (
     automorphism_generators,
     canonical_labeling,
+    group_order,
     min_code_all_perms,
     random_graph,
     refine_full,
@@ -122,6 +123,58 @@ def test_orbits_match_brute_force(catalog):
             if orb not in dedup:
                 dedup.append(orb)
         assert vertex_orbits(g) == dedup
+
+
+def _orbit_partition(n, gens):
+    return {frozenset(_orbit([v], gens)) for v in range(n)}
+
+
+def _u_first(n, adj, u):
+    """The refined root partition with u's cell first and u first in it."""
+    root = _refine_root(n, adj)
+    i = next(i for i, c in enumerate(root) if u in c)
+    return [[u] + [v for v in root[i] if v != u]] + root[:i] + root[i + 1:]
+
+
+def test_generator_search_orbits_match_full_search(catalog):
+    # on every class with n <= 7 the generator-only search gives the orbits
+    # of _search's generators, and, from a root with u first, the generators
+    # that fix u give the orbits of _search's that do, for every vertex u
+    for n in range(1, 8):
+        for _, g in catalog(n):
+            gens = _automorphisms(n, g.adj)
+            assert _orbit_partition(n, gens) == _orbit_partition(n, _search(n, g.adj)[2])
+            for u in range(n):
+                root = _u_first(n, g.adj, u)
+                ours = [s for s in _automorphisms(n, g.adj, root) if s[u] == u]
+                full = [s for s in _search(n, g.adj, root)[2] if s[u] == u]
+                assert _orbit_partition(n, ours) == _orbit_partition(n, full)
+
+
+def test_generator_search_group_order_matches_brute_force(catalog):
+    # the group the generators generate has as many elements as the graph
+    # has automorphisms, counted over all n! relabelings, on every class
+    # with n <= 6; each generator is an automorphism
+    for n in range(1, 7):
+        for _, g in catalog(n):
+            autos = sum(relabeled(g, list(p)) == g for p in permutations(range(n)))
+            gens = _automorphisms(n, g.adj)
+            assert all(relabeled(g, s) == g for s in gens)
+            assert group_order(gens, n) == autos
+
+
+def test_generator_search_backtracks_below_a_path_node():
+    # 2C3 + C6 is 2-regular, so refinement cannot tell the triangles from the
+    # hexagon: under some labelings the first vertex tried below a path node
+    # leads to no leaf equivalent to the first, and a later one must.  The
+    # group is (S3 wr S2) x D6, of order 72 * 12
+    g = disjoint_union(disjoint_union(cycle(3), cycle(3)), cycle(6))
+    rng = random.Random(47)
+    for _ in range(10):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        h = relabeled(g, perm)
+        assert group_order(_automorphisms(h.n, h.adj), h.n) == 864
 
 
 def test_generators_are_automorphisms():

@@ -1,6 +1,7 @@
 import random
 from itertools import combinations
 
+import networkx as nx
 import pytest
 
 from indstab import stability
@@ -19,9 +20,10 @@ from indstab.families import (
 )
 from indstab.graph6 import g6_encode
 from indstab.graphs import build, disjoint_union, remove_vertices, vset, vset_members
-from indstab.mis import _alpha_set, alpha, alpha_profile, subset_alphas
+from indstab.mis import _alpha_set, alpha, alpha_profile, is_independent, subset_alphas
 from indstab.stability import (
     _ORBIT_MIN_N,
+    _reach,
     _worst_drop,
     alpha_drop,
     is_stable,
@@ -86,7 +88,7 @@ def test_drop_without_scan_when_alpha_is_one(count_calls, capsys):
     # group search (K_40 at k = 5 used to scan and search its group, about
     # 9 s on 2 vCPUs)
     calls = count_calls(stability, "independent_set_at_least")
-    searches = count_calls(stability, "_search")
+    searches = count_calls(stability, "_automorphisms")
     assert alpha_drop(complete(40), 5) == 0
     assert alpha_drop(complete(20), 3) == 0
     assert calls == [] and searches == []
@@ -215,24 +217,25 @@ def test_stable_vertex_count_computes_alpha_once(count_calls):
 
 
 def test_scan_solver_calls_pinned(count_calls):
-    # the five scans of the benchmark's `scans` workload, 74 solver calls in
-    # all (110 before the second removed vertex ranged over stabilizer
-    # orbits, 320 before the first ranged over orbits), as with the plain
-    # branch-and-bound: equal witnesses give equal witness pools, so a drift
-    # here means the solver's search tree changed.  Each pool starts with the
-    # alpha solve's maximum set, which saves the scan's first call; each
-    # circulant is vertex-transitive, so its scan is the root check plus one
-    # first-level subtree, one second-level subtree per stabilizer orbit the
-    # first witness meets, and one search of its group
+    # the five scans of the benchmark's `scans` workload, 52 solver calls in
+    # all (74 before the pool took each witness's images under the root
+    # generators, 110 before the second removed vertex ranged over
+    # stabilizer orbits, 320 before the first ranged over orbits), as with
+    # the plain branch-and-bound: equal witnesses give equal witness pools,
+    # so a drift here means the solver's search tree changed.  Each pool
+    # starts with the alpha solve's maximum set, which saves the scan's first
+    # call; each circulant is vertex-transitive, so its scan is the root
+    # check plus one first-level subtree, one second-level subtree per
+    # stabilizer orbit the first witness meets, and one search of its group
     calls = count_calls(stability, "independent_set_at_least")
-    searches = count_calls(stability, "_search")
+    searches = count_calls(stability, "_automorphisms")
     s3_3, s3_4, s4_3 = stable3_circulant(3), stable3_circulant(4), stable4_circulant(3)
     scans = (
-        (lambda: is_stable(s3_3, 3, 0), True, 8),
-        (lambda: is_stable(s3_4, 3, 0), True, 10),
-        (lambda: alpha_drop(s3_4, 3), 0, 10),
-        (lambda: is_stable(s4_3, 4, 0), True, 23),
-        (lambda: alpha_drop(s4_3, 4), 0, 23),
+        (lambda: is_stable(s3_3, 3, 0), True, 6),
+        (lambda: is_stable(s3_4, 3, 0), True, 7),
+        (lambda: alpha_drop(s3_4, 3), 0, 7),
+        (lambda: is_stable(s4_3, 4, 0), True, 16),
+        (lambda: alpha_drop(s4_3, 4), 0, 16),
     )
     for scan, answer, count in scans:
         calls.clear()
@@ -391,7 +394,7 @@ def _orbit_graphs():
 def test_orbit_scans_match_plain_scan(count_calls):
     # the orbit path against the plain scan, for every k <= 3 and l < k, with
     # the pool started from the alpha solve's set and from every maximum set
-    searches = count_calls(stability, "_search")
+    searches = count_calls(stability, "_automorphisms")
     searched = {1: set(), 2: set(), 3: set()}  # per k: the searches a scan made
     for g in _orbit_graphs():
         a = alpha(g)
@@ -421,9 +424,17 @@ def test_scan_stabilizer_matches_networkx():
     # orbits of every automorphism fixing u, and all its generators those of
     # every automorphism.  u is the scan's own, the least vertex of the alpha
     # solve's set, and the last vertex, which a search from the unordered
-    # root would individualize last, so its filtered generators fall short
-    circulants = [stable3_circulant(3), stable3_circulant(4), stable4_circulant(3)]
-    for g in _orbit_graphs() + circulants:
+    # root would individualize last, so its filtered generators fall short.
+    # Besides the orbit gallery: the paper's circulants at m = 3 and 4, two
+    # lifted graphs, and networkx's Petersen, Chvatal, Tutte, 5-cube and
+    # Paley(13) and Paley(29) graphs
+    graphs = [stable3_circulant(3), stable3_circulant(4), stable4_circulant(3),
+              stable4_circulant(4), lift(kn_tight(20), 6), lift(stable3_circulant(3), 2)]
+    for h in (nx.petersen_graph(), nx.chvatal_graph(), nx.tutte_graph(), nx.hypercube_graph(5),
+              nx.paley_graph(13).to_undirected(), nx.paley_graph(29).to_undirected()):
+        h = nx.convert_node_labels_to_integers(h)
+        graphs.append(build(h.number_of_nodes(), h.edges()))
+    for g in _orbit_graphs() + graphs:
         a, w = _alpha_set(g.adj, g.vertex_mask)
         for u in ((w & -w).bit_length() - 1, g.n - 1):
             scan = stability._RemovalScan(g, 2, a, 2, [w])
@@ -431,6 +442,25 @@ def test_scan_stabilizer_matches_networkx():
             assert stab == stabilizer_orbits(g, u)
         whole = {frozenset(vset_members(scan.orbit(1 << v, 0))) for v in range(g.n)}
         assert whole == stabilizer_orbits(g)
+
+
+def test_pooled_images_are_independent(count_calls):
+    # after the scans of the paper's circulants and of the lifted graphs,
+    # every set in the pool is independent, the images under the root
+    # generators included, and the pool holds more sets than the alpha
+    # solve and the solver gave it
+    scans = [
+        (stable3_circulant(3), 3), (stable3_circulant(4), 3), (stable4_circulant(3), 4),
+        (stable4_circulant(4), 4), (lift(kn_tight(20), 6), 7), (lift(stable3_circulant(3), 2), 5),
+    ]
+    calls = count_calls(stability, "independent_set_at_least")
+    for g, k in scans:
+        calls.clear()
+        a, w = _alpha_set(g.adj, g.vertex_mask)
+        pool = [w]
+        _worst_drop(g, k, a, _reach(g.n, k, a), pool)
+        assert len(pool) > 1 + len(calls)
+        assert all(is_independent(g, s) for s in pool)
 
 
 def test_lifted_kn_tight_is_tight_at_7_6():
@@ -442,7 +472,7 @@ def test_lifted_kn_tight_is_tight_at_7_6():
 def test_orbit_searches_pinned(count_calls):
     # scans decided inside their first subtree, scans with k = 1 and scans
     # below _ORBIT_MIN_N never search the automorphism group
-    searches = count_calls(stability, "_search")
+    searches = count_calls(stability, "_automorphisms")
     early = circulant(20, {2, 5})
     assert not is_stable(early, 3, 0)
     assert not is_stable(circulant(20, {1, 3}), 2, 0)
