@@ -12,7 +12,8 @@ pairs, gates and summaries are bench/pairs.py's.  Measured:
 - tight (2, 0) at n = 10 and 11, (3, 1) at n = 10 and 9 and (3, 2) at
   n = 9, at jobs 1 and 2: the same, with the class count and digest
   (sha256 of the sorted codes) and, serially, the calls to
-  enumeration._expand and enumeration._search;
+  enumeration._expand, _automorphisms, _least and _search (a tree without
+  the first two makes its group searches through _search);
 - the first match of tight (2, 0) at n = 9 and (3, 1) at n = 10, serial:
   the _expand calls made before next() returns, and its seconds;
 - count_graphs(10) at jobs 2, over --long-pairs pairs only (about ten
@@ -62,7 +63,8 @@ def measure(case: list) -> dict:
         count_graphs, enumerate_graphs, parse_predicate, search_tight_stable,
     )
 
-    counts = {"_expand": 0, "_search": 0}
+    names = ("_expand", "_automorphisms", "_least", "_search")
+    counts = {name: 0 for name in names if hasattr(enumeration, name)}
     for name in counts:
         pairs.count_calls(counts, name, enumeration, name)
     kind, n, *rest = case

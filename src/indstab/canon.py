@@ -8,25 +8,20 @@ process recurses.  The degree partition is read from the rows' bit counts,
 with no masks.  Each later round counts neighbors only in the cells the
 previous round split (at first every degree cell, or the new singleton): a
 cell already has one count in each cell left whole, so the partitions are
-those of counting in every cell.  Discovered automorphisms
-prune branches that can only replay an explored subtree, which keeps highly
-symmetric graphs (complete, empty, circulant) tractable.  The discovered set
-generates the full automorphism group, so it is returned with the code and its
-labeling, and a vertex's orbit is its closure under those generators.
+those of counting in every cell.
+
+The search runs in two phases.  _automorphisms finds generators of the
+whole group with no code, by a first-path search as symmetry-only tools do
+(saucy, Darga et al., DAC 2004).  Then _least walks the tree for the least
+leaf, pruned by that group, which keeps highly symmetric graphs (complete,
+empty, circulant) tractable.
 
 Two graphs receive equal codes iff they are isomorphic: the code itself spells
 out an adjacency matrix, so equal codes decode to the same labeled graph, and
 invariance over relabelings holds because refinement commutes with
-isomorphisms.  This is cross-validated against all-permutation minimization
-in the test suite.
-
-A caller that needs only the group, not a code, calls _automorphisms, which
-searches the first path and, for each other vertex of a first-path node's
-target cell, one leaf equivalent to the first (as symmetry-only tools do:
-saucy, Darga et al., DAC 2004).  It prunes a node whose cell sizes differ
-from the first path's at its depth, and by the orbits of the generators
-found so far; the test suite checks its orbits against _search's and
-networkx's, and its group orders against brute force.
+isomorphisms.  The test suite checks the codes against all-permutation
+minimization, the least leaf against the unpruned walk, and the group
+against networkx, brute force and the count of labeled graphs.
 """
 
 from __future__ import annotations
@@ -135,65 +130,6 @@ def _split(adj: tuple[int, ...], cells: list[list[int]], target: int, v: int) ->
     return _refine(adj, split, [target])
 
 
-def _descend(n: int, adj: tuple[int, ...], cells: list[list[int]], fixed: list[int], leaves, gens,
-             stab: list[list[int]]):
-    """Search the refinement tree below `cells`, reached by individualizing `fixed`.
-
-    `leaves` holds the first and the least leaf found so far, each as
-    (code, perm); `gens` collects, as vertex maps, the automorphisms found
-    between leaves of equal code, and `stab` those found before this node
-    that fix every vertex of `fixed`.
-    """
-    target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
-    if target is None:
-        perm = [c[0] for c in cells]
-        code = _leaf_code(n, adj, perm)
-        if not leaves:
-            leaves += [(code, perm)] * 2
-            return
-        for ref_code, ref_perm in leaves:
-            if code == ref_code and perm != ref_perm:
-                sigma = [0] * n
-                for i in range(n):
-                    sigma[ref_perm[i]] = perm[i]
-                gens.append(sigma)
-                break
-        if code < leaves[1][0]:
-            leaves[1] = (code, perm)
-        return
-
-    cell = cells[target]
-    cand = list(cell)
-    done: list[int] = []
-    while cand:
-        v = cand.pop(0)
-        below = [s for s in stab if s[v] == v] if stab else stab  # the child's stab
-        seen = len(gens)
-        _descend(n, adj, _split(adj, cells, target, v), fixed + [v], leaves, gens, below)
-        done.append(v)
-        if cand and len(gens) > seen:  # found below v: test against the whole prefix
-            stab = stab + [s for s in gens[seen:] if all(s[p] == p for p in fixed)]
-        if cand and stab:
-            # a candidate that an automorphism fixing `fixed` maps into the
-            # processed ones can only replay an explored subtree
-            orbit = _orbit(done, stab)
-            cand = [u for u in cand if u not in orbit]
-
-
-def _search(n: int, adj: tuple[int, ...], root: list[list[int]] | None = None):
-    """Full refinement search, from the refined one-cell partition `root` if given.
-
-    Returns (code, canonical_perm, generators): the CanonicalCode, the leaf
-    labeling that spells it (positions to original vertices), and
-    automorphisms, as vertex maps, that generate the full group.
-    """
-    leaves: list[tuple[int, list[int]]] = []
-    gens: list[list[int]] = []
-    _descend(n, adj, root or _refine_root(n, adj), [], leaves, gens, [])
-    code_int, perm = leaves[1]
-    return CanonicalCode(_pack(code_int, n), n), perm, gens
-
-
 def _is_automorphism(adj: tuple[int, ...], sigma: list[int]) -> bool:
     """Whether the vertex map `sigma` maps every row of `adj` onto its image's row."""
     for v, row in enumerate(adj):
@@ -273,6 +209,41 @@ def _automorphisms(n: int, adj: tuple[int, ...],
                 gens.append(sigma)
             known = _orbit([*known, w], gens)
     return gens
+
+
+def _least(n: int, adj: tuple[int, ...], cells: list[list[int]], stab: list[list[int]], best=None):
+    """The least leaf below `cells` as (code, perm), or `best` if no leaf is less.
+
+    A candidate in the orbit of one already walked, under `stab` (the
+    automorphisms fixing the vertices individualized above `cells`), only
+    repeats its subtree, so it is skipped.  That never cuts the first least
+    leaf of the unpruned walk, the one kept of leaves of equal code.
+    """
+    target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
+    if target is None:
+        perm = [c[0] for c in cells]
+        code = _leaf_code(n, adj, perm)
+        return (code, perm) if best is None or code < best[0] else best
+    walked: set[int] = set()
+    for v in cells[target]:
+        if v in walked:
+            continue
+        best = _least(n, adj, _split(adj, cells, target, v), [s for s in stab if s[v] == v], best)
+        walked |= _orbit([v], stab)
+    return best
+
+
+def _search(n: int, adj: tuple[int, ...], root: list[list[int]] | None = None):
+    """Full refinement search, from the refined one-cell partition `root` if given.
+
+    Returns (code, canonical_perm, generators): the CanonicalCode, the leaf
+    labeling that spells it (positions to original vertices), and
+    automorphisms, as vertex maps, that generate the full group.
+    """
+    cells = root or _refine_root(n, adj)
+    gens = _automorphisms(n, adj, cells)
+    code_int, perm = _least(n, adj, cells, gens)
+    return CanonicalCode(_pack(code_int, n), n), perm, gens
 
 
 def _pack(code_int: int, n: int) -> bytes:

@@ -16,10 +16,13 @@ alone.  Otherwise the search's leaves keep the cell order of the refined root
 partition and automorphisms fix its cells, so a child whose new vertex lies
 outside its last minimum-degree root cell is rejected before the search,
 which then starts from that partition.  A child whose new vertex is that
-cell alone is accepted without a search; it is searched only for the
-generators its own children need, or when a caller asks for its code, which
-emits receive as a zero-argument callable.  So most classes of the top
-level, on which nothing is built, are never searched.
+cell alone is accepted without a search; another is accepted when its new
+vertex's orbit under its group is that cell, or else holds the last vertex
+of the cell on the least leaf.  A class's group is searched only for the
+generators its own children need, and its least leaf walked only when a
+caller asks for its code, which emits receive as a zero-argument callable.
+So most classes of the top level, on which nothing is built, are never
+searched.
 
 A search for one predicate prunes levels 1..n by the predicate's window: the
 alpha range of every induced subgraph on that many vertices of a matching
@@ -47,7 +50,7 @@ from functools import partial
 from itertools import combinations
 from typing import Any, Callable, Iterator
 
-from indstab.canon import CanonicalCode, _orbit, _refine_root, _search
+from indstab.canon import CanonicalCode, _automorphisms, _least, _orbit, _pack, _refine_root, _search
 from indstab.graphs import Graph
 from indstab.mis import _alpha_set, independent_set_at_least
 from indstab.stability import _reach, _within, _worst_drop, stability_bound
@@ -251,9 +254,11 @@ def _deletion_cell(cadj: tuple[int, ...], root: list[list[int]], d: int) -> list
 
 def _expand(n: int, adj: tuple[int, ...], gens: list[list[int]], window):
     """Accepted children of one parent inside `window` (None: all), as
-    (adj, root, found) triples: `root` is the child's refined root partition,
-    or None when the child was accepted on degree alone, and `found` its
-    _search result, or None when the child was accepted without a search.
+    (adj, root, gens) triples: `root` is the child's refined root partition,
+    or None when the child was accepted on degree alone, and `gens` the
+    generators of its group, or None when it was accepted without a search.
+    Only a child whose new vertex's orbit is not the whole deletion cell
+    walks its least leaf, under those generators.
 
     A child's removal scan starts from its own maximum independent set and
     from every set that its earlier siblings' scans found without the new
@@ -298,16 +303,22 @@ def _expand(n: int, adj: tuple[int, ...], gens: list[list[int]], window):
         if len(cell) == 1:  # the new vertex is the canonical deletion vertex
             out.append((cadj, root, None))
             continue
-        found = _search(n + 1, cadj, root)
-        f = next(v for v in reversed(found[1]) if cadj[v].bit_count() == k)
-        if n in _orbit([f], found[2]):
-            out.append((cadj, root, found))
+        cgens = _automorphisms(n + 1, cadj, root)
+        orbit = _orbit([n], cgens)
+        if not orbit.issuperset(cell):
+            perm = _least(n + 1, cadj, root, cgens)[1]
+            if next(v for v in reversed(perm) if cadj[v].bit_count() == k) not in orbit:
+                continue
+        out.append((cadj, root, cgens))
     return out
 
 
-def _code(n: int, adj: tuple[int, ...], root: list[list[int]] | None, found) -> CanonicalCode:
-    """The canonical code of an accepted child, searched for if `found` is None."""
-    return (found or _search(n, adj, root))[0]
+def _code(n: int, adj: tuple[int, ...], root: list[list[int]] | None, gens) -> CanonicalCode:
+    """The canonical code of an accepted child: its least leaf under `gens`,
+    or a full search when its group is not known."""
+    if gens is None:
+        return _search(n, adj, root)[0]
+    return CanonicalCode(_pack(_least(n, adj, root or _refine_root(n, adj), gens)[0], n), n)
 
 
 def _walk(size: int, adj: tuple[int, ...], gens: list[list[int]], windows, emit, n: int,
@@ -316,17 +327,17 @@ def _walk(size: int, adj: tuple[int, ...], gens: list[list[int]], windows, emit,
     one class on `size` vertices, up to level n, depth first; a child on
     `split` vertices is emitted, then yielded as (None, (split, adj, gens))."""
     m = size + 1
-    for cadj, root, found in _expand(size, adj, gens, windows[m]):
-        if m < n:
+    for cadj, root, cgens in _expand(size, adj, gens, windows[m]):
+        if m < n and cgens is None:
             # the child's own children are built from its generators
-            found = found or _search(m, cadj, root)
-        item = emit(Graph._wrap(m, cadj), partial(_code, m, cadj, root, found))
+            cgens = _automorphisms(m, cadj, root)
+        item = emit(Graph._wrap(m, cadj), partial(_code, m, cadj, root, cgens))
         if item is not None:
             yield m, item
         if m == split:
-            yield None, (m, cadj, found[2])
+            yield None, (m, cadj, cgens)
         elif m < n:
-            yield from _walk(m, cadj, found[2], windows, emit, n, split)
+            yield from _walk(m, cadj, cgens, windows, emit, n, split)
 
 
 def _subtrees(windows, emit, n: int, chunk) -> tuple[float, list[tuple[int, Any]]]:

@@ -15,10 +15,13 @@ alpha, and the stable-vertex check solves every one-vertex removal.  The
 Erdos-Rogers subset oracle scans vertex subsets from the largest size down.
 The labeling, orbit and generator views of one graph are thin wrappers over
 the package's canonical search, which the tests check against brute force.
-The group-order oracle closes the identity under the given generators.
-The stabilizer-orbit oracle asks networkx's VF2++ matcher whether a vertex
-maps onto each orbit found so far, with the fixed vertex in a colour of its
-own.
+The group oracle closes the identity under the given generators; the
+path group-order oracle multiplies orbit sizes along a first path it walks
+again with the package's refinement.
+The stabilizer-orbit oracle joins each vertex to its images under every
+automorphism networkx's VF2++ matcher lists with the fixed vertex in a
+colour of its own; for the whole group, and on graphs with twin vertices,
+it asks the matcher whether a vertex maps onto each orbit found so far.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from itertools import combinations, permutations
 import networkx as nx
 import numpy as np
 
-from indstab.canon import _orbit, _search
+from indstab.canon import _orbit, _refine_root, _search, _split
 from indstab.graphs import Graph, vset
 
 
@@ -287,22 +290,53 @@ def vertex_orbits(g: Graph) -> list[list[int]]:
 
 def stabilizer_orbits(g: Graph, u: int | None = None) -> set[frozenset[int]]:
     """Orbits of the automorphisms of g that fix u (all of them when u is
-    None): w joins v's orbit when an isomorphism of g, with u coloured 1,
-    maps v coloured 2 onto w coloured 2."""
-    base = nx.Graph()
-    base.add_nodes_from(range(g.n), c=0)
-    base.add_edges_from(g.edges())
+    None).
+
+    With u fixed, in a colour of its own, networkx's VF2++ matcher lists
+    every automorphism that fixes it, and a union-find joins each vertex to
+    its images.  The whole group, and the group of a graph with two vertices
+    of one neighbourhood (a lift's isolated vertices), can be far larger, so
+    there w joins v's orbit when an isomorphism maps v, coloured 2, onto w,
+    coloured 2: one matcher run per vertex and orbit found so far.
+    """
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n), c=0)
+    h.add_edges_from(g.edges())
+    if u is not None:
+        h.nodes[u]["c"] = 1
+    if u is None or len(set(g.adj)) < g.n:
+        return _orbits_pairwise(h)
+    root = list(range(g.n))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    for iso in nx.vf2pp_all_isomorphisms(h, h, node_label="c"):
+        for v, w in iso.items():
+            root[find(v)] = find(w)
+    orbits: dict[int, set[int]] = {}
+    for v in range(g.n):
+        orbits.setdefault(find(v), set()).add(v)
+    return {frozenset(o) for o in orbits.values()}
+
+
+def _orbits_pairwise(h: nx.Graph) -> set[frozenset[int]]:
+    """Orbits of the colour-preserving automorphisms of h, one matcher run
+    per vertex and orbit found so far."""
 
     def coloured(v: int) -> nx.Graph:
-        h = base.copy()
-        nx.set_node_attributes(h, {u: 1, v: 2} if u is not None else {v: 2}, "c")
-        return h
+        k = h.copy()
+        k.nodes[v]["c"] = 2
+        return k
 
     orbits: list[list[int]] = []
-    for w in range(g.n):
-        h = coloured(w)
+    for w in h:
+        k = coloured(w)
         for orbit in orbits:
-            if nx.vf2pp_is_isomorphic(coloured(orbit[0]), h, node_label="c"):
+            if nx.vf2pp_is_isomorphic(coloured(orbit[0]), k, node_label="c"):
                 orbit.append(w)
                 break
         else:
@@ -310,9 +344,9 @@ def stabilizer_orbits(g: Graph, u: int | None = None) -> set[frozenset[int]]:
     return {frozenset(o) for o in orbits}
 
 
-def group_order(gens: list[list[int]], n: int) -> int:
-    """Order of the permutation group on n points that `gens` generate, by
-    closing the identity under right multiplication by each generator."""
+def group_elements(gens: list[list[int]], n: int) -> set[tuple[int, ...]]:
+    """Every element of the permutation group on n points that `gens`
+    generate, by closing the identity under composition with each generator."""
     identity = tuple(range(n))
     group, frontier = {identity}, [identity]
     while frontier:
@@ -322,7 +356,29 @@ def group_order(gens: list[list[int]], n: int) -> int:
             if q not in group:
                 group.add(q)
                 frontier.append(q)
-    return len(group)
+    return group
+
+
+def group_order(gens: list[list[int]], n: int) -> int:
+    """Order of the permutation group on n points that `gens` generate."""
+    return len(group_elements(gens, n))
+
+
+def path_group_order(g: Graph, gens: list[list[int]]) -> int:
+    """|Aut g| from generators found by a first-path search such as
+    canon._automorphisms: the product, over the first path (always the first
+    vertex of the first non-singleton cell), of each path vertex's orbit
+    under the generators that fix every path vertex before it.  Those
+    generate the pointwise stabilizer of that prefix, so the product is the
+    group's order by orbit-stabilizer; a generator set short of the group
+    gives less."""
+    cells, order, stab = _refine_root(g.n, g.adj), 1, gens
+    while (target := next((i for i, c in enumerate(cells) if len(c) > 1), None)) is not None:
+        v = cells[target][0]
+        order *= len(_orbit([v], stab))
+        stab = [s for s in stab if s[v] == v]
+        cells = _split(g.adj, cells, target, v)
+    return order
 
 
 def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:

@@ -72,7 +72,7 @@ def test_catalog_bench_two_pairs(monkeypatch, tmp_path):
         assert len(entry[side]["seconds"]["runs"]) == len(entry[side]["rss_mib"]) == 2
         assert entry[side]["result"] == {"classes": 34}
         assert set(entry[side]["counters"]) == {
-            "expand_roots", "root_refinements", "refine_calls", "searches", "leaves",
+            "expand_roots", "root_refinements", "refine_calls", "searches", "least_walks", "leaves",
         }
 
 
@@ -126,7 +126,9 @@ def test_dfs_bench_two_pairs(monkeypatch, tmp_path):
         }
         assert len(entry[side]["seconds"]["runs"]) == 2
         assert entry[side]["result"]["classes"] == 15
-        assert entry[side]["counters"] == {"_expand": 21, "_search": 35}
+        assert entry[side]["counters"] == {
+            "_expand": 21, "_automorphisms": 32, "_least": 12, "_search": 3,
+        }
 
 
 def test_stable_bench_two_pairs(monkeypatch, tmp_path):

@@ -1,15 +1,20 @@
 import random
 from itertools import permutations
+from math import factorial
 
-from indstab.canon import _automorphisms, _orbit, _refine, _refine_root, _search, canonical
-from indstab.families import circulant, cycle, kn_tight, lift, path, stable3_circulant, wheel
-from indstab.graphs import build, disjoint_union
+from indstab.canon import _automorphisms, _least, _orbit, _refine, _refine_root, _search, canonical
+from indstab.families import (
+    circulant, cycle, kn_tight, lift, path, stable3_circulant, stable4_circulant, wheel,
+)
+from indstab.graphs import build, complement, disjoint_union
 
 from _oracles import (
     automorphism_generators,
     canonical_labeling,
+    group_elements,
     group_order,
     min_code_all_perms,
+    path_group_order,
     random_graph,
     refine_full,
     relabeled,
@@ -136,19 +141,18 @@ def _u_first(n, adj, u):
     return [[u] + [v for v in root[i] if v != u]] + root[:i] + root[i + 1:]
 
 
-def test_generator_search_orbits_match_full_search(catalog):
-    # on every class with n <= 7 the generator-only search gives the orbits
-    # of _search's generators, and, from a root with u first, the generators
-    # that fix u give the orbits of _search's that do, for every vertex u
+def test_generator_search_stabilizer_orbits_match_group(catalog):
+    # on every class with n <= 7, from a root with u first, the generators
+    # that fix u give the orbits of every automorphism that fixes u, for
+    # every vertex u.  The automorphisms are the closure of the generators
+    # from the plain root, the whole group by the group-order identity below
     for n in range(1, 8):
         for _, g in catalog(n):
-            gens = _automorphisms(n, g.adj)
-            assert _orbit_partition(n, gens) == _orbit_partition(n, _search(n, g.adj)[2])
+            group = group_elements(_automorphisms(n, g.adj), n)
             for u in range(n):
-                root = _u_first(n, g.adj, u)
-                ours = [s for s in _automorphisms(n, g.adj, root) if s[u] == u]
-                full = [s for s in _search(n, g.adj, root)[2] if s[u] == u]
-                assert _orbit_partition(n, ours) == _orbit_partition(n, full)
+                ours = [s for s in _automorphisms(n, g.adj, _u_first(n, g.adj, u)) if s[u] == u]
+                fixing = [p for p in group if p[u] == u]
+                assert _orbit_partition(n, ours) == _orbit_partition(n, fixing)
 
 
 def test_generator_search_group_order_matches_brute_force(catalog):
@@ -161,6 +165,18 @@ def test_generator_search_group_order_matches_brute_force(catalog):
             gens = _automorphisms(n, g.adj)
             assert all(relabeled(g, s) == g for s in gens)
             assert group_order(gens, n) == autos
+            assert path_group_order(g, gens) == autos
+
+
+def test_group_orders_sum_to_labeled_graph_count(catalog):
+    # orbit-stabilizer over whole catalogs: a class on n vertices stands for
+    # n!/|Aut G| labeled graphs, and the classes for all 2^(n(n-1)/2) of
+    # them.  A missing class, a repeated one or a group short of an
+    # automorphism each moves the sum; enumeration trusts _automorphisms for
+    # every class's whole group
+    for n in range(1, 9):
+        orders = [path_group_order(g, _automorphisms(n, g.adj)) for _, g in catalog(n)]
+        assert sum(factorial(n) // order for order in orders) == 2 ** (n * (n - 1) // 2), n
 
 
 def test_generator_search_backtracks_below_a_path_node():
@@ -175,6 +191,57 @@ def test_generator_search_backtracks_below_a_path_node():
         rng.shuffle(perm)
         h = relabeled(g, perm)
         assert group_order(_automorphisms(h.n, h.adj), h.n) == 864
+
+
+def _shrikhande():
+    """The Cayley graph of Z4 x Z4 on +-(1, 0), +-(0, 1) and +-(1, 1)."""
+    return build(16, [(4 * a + b, 4 * ((a + da) % 4) + (b + db) % 4)
+                      for a in range(4) for b in range(4) for da, db in ((1, 0), (0, 1), (1, 1))])
+
+
+def _relabelled_gallery(count, seed):
+    """`count` seeded relabellings of small graphs with groups to prune by,
+    taken from the gallery in turn."""
+    gallery = [_shrikhande(), cycle(12), wheel(9), path(11), circulant(12, {1, 5}),
+               circulant(13, {1, 5}), disjoint_union(cycle(4), cycle(4)), lift(cycle(6), 3),
+               disjoint_union(disjoint_union(cycle(3), cycle(3)), cycle(6)), kn_tight(8)]
+    rng = random.Random(seed)
+    for i in range(count):
+        g = gallery[i % len(gallery)]
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        yield relabeled(g, perm)
+
+
+def test_least_leaf_prune_keeps_the_unpruned_leaf(catalog):
+    # _least pruned by the group and the unpruned walk (no automorphism
+    # known) give the same code and labeling, on every class with n <= 7 and
+    # on seeded relabellings of graphs with larger groups.  In the Shrikhande
+    # graph refinement leaves cells that join orbits of a node's stabilizer,
+    # so a prune by generators that move the node's prefix cuts the first
+    # least leaf there
+    graphs = [g for n in range(1, 8) for _, g in catalog(n)]
+    for g in graphs + list(_relabelled_gallery(20, 67)):
+        root = _refine_root(g.n, g.adj)
+        assert _least(g.n, g.adj, root, _automorphisms(g.n, g.adj)) == _least(g.n, g.adj, root, [])
+
+
+def test_least_leaf_on_large_symmetric_graphs():
+    # where the unpruned walk is out of reach: the code is the same under
+    # three relabellings, and the labeling spells it
+    k20 = complement(build(20, []))
+    rng = random.Random(71)
+    for g in (complement(build(40, [])), complement(disjoint_union(k20, k20)),
+              stable3_circulant(5), stable4_circulant(5), lift(kn_tight(20), 6),
+              lift(stable3_circulant(3), 2)):
+        code, perm, _ = _search(g.n, g.adj)
+        bits = "".join(str(g.adj[perm[i]] >> perm[j] & 1)
+                       for i in range(g.n) for j in range(i + 1, g.n))
+        assert code.code[0] == g.n and int.from_bytes(code.code[1:], "big") == int(bits, 2)
+        for _ in range(3):
+            relabel = list(range(g.n))
+            rng.shuffle(relabel)
+            assert canonical(relabeled(g, relabel)) == code
 
 
 def test_generators_are_automorphisms():

@@ -113,34 +113,45 @@ def test_every_level_order_pinned():
 
 
 def test_canonical_search_work_bounded(count_calls):
-    # upper bounds on the canonical searches, refinements and leaves of the
-    # serial n = 7 catalog pass; more work than this is a regression.  Every
-    # refinement runs canon._refine, _expand's root refinements included,
-    # except a root with one degree class, which needs none.  The root
-    # partitions are _expand's and those its searches compute without a root
-    searches = count_calls(enumeration, "_search")
+    # upper bounds on the group searches, least-leaf walks, refinements and
+    # leaves of the serial n = 7 catalog pass; more work than this is a
+    # regression.  A leaf is a code read at a leaf of the least-leaf walk or
+    # an automorphism test at a leaf of the group search.  Every refinement
+    # runs canon._refine, _expand's root refinements included, except a root
+    # with one degree class, which needs none.  The root partitions are
+    # _expand's and those its group searches compute without a root.  The
+    # pass reads no code, so it starts no full _search
+    searches = count_calls(enumeration, "_automorphisms")
+    walks = count_calls(enumeration, "_least")
+    full = count_calls(enumeration, "_search")
     refines = count_calls(canon, "_refine")
     leaves = count_calls(canon, "_leaf_code")
+    count_calls(canon, "_is_automorphism", leaves)
     roots = []
     for module in (enumeration, canon):
         count_calls(module, "_refine_root", roots)
     assert count_graphs(7) == 1044
     assert len(searches) <= 542
-    assert len(refines) <= 5384
-    assert len(leaves) <= 2181
+    assert len(walks) <= 4
+    assert full == []
+    assert len(refines) <= 4757
+    assert len(leaves) <= 1273
     assert len(roots) <= 1120
 
 
 def test_catalog_pass_search_count_bounded(count_calls):
-    # the canonical searches of one serial catalog pass of the verify run
-    # without the uniqueness suite at max_n = 7 (levels 1..8); the pass reads
-    # no class's code, so each search is one the walk makes itself, to accept
-    # a class or to build its children
-    searches = count_calls(enumeration, "_search")
+    # the group searches and least-leaf walks of one serial catalog pass of
+    # the verify run without the uniqueness suite at max_n = 7 (levels
+    # 1..8); the pass reads no class's code, so each is one the walk makes
+    # itself, to accept a class or to build its children
+    searches = count_calls(enumeration, "_automorphisms")
+    walks = count_calls(enumeration, "_least")
+    count_calls(enumeration, "_search", walks)
     suites = tuple(s for s in SUITE_ORDER if s != "uniqueness")
     facts = catalog_facts(VerifyConfig(max_n=7, jobs=1, suites=suites))
     assert len(facts[8]) == 12346
     assert len(searches) <= 3695
+    assert len(walks) <= 49
 
 
 def test_catalog_pass_asks_for_no_code(count_calls):
@@ -351,26 +362,31 @@ def test_window_prune_is_exact_at_eight(catalog):
 
 
 def test_tight_search_work_pinned(count_calls):
-    # the calls _expand makes: upper bounds for tight (3, 1) at n = 8, which
-    # its removal floor prunes, and exact counts for tight (2, 0), the search
-    # of the tight8 benchmark workload.  "roots" counts the root partitions in
-    # all: _expand's, and those its searches compute for children accepted on
-    # degree alone
-    names = ("_search", "_refine_root", "independent_set_at_least", "_worst_drop")
+    # the calls enumeration makes: upper bounds for tight (3, 1) at n = 8,
+    # which its removal floor prunes, and exact counts for tight (2, 0), the
+    # search of the tight8 benchmark workload.  A group search is an
+    # _automorphisms call, or a _search for the code of a class whose group
+    # was not needed; a code from a known group is a _least walk.  "roots"
+    # counts the root partitions in all: _expand's, and those its searches
+    # compute for children accepted on degree alone
+    names = ("_automorphisms", "_least", "_search", "_refine_root", "independent_set_at_least",
+             "_worst_drop")
     calls = {name: count_calls(enumeration, name) for name in names}
     calls["roots"] = []
     for module in (enumeration, canon):
         count_calls(module, "_refine_root", calls["roots"])
     assert len(search_tight_stable(8, 3, 1)) == 100
-    assert len(calls["_search"]) <= 233
+    assert len(calls["_automorphisms"]) <= 192
+    assert len(calls["_least"]) <= 59
+    assert len(calls["_search"]) <= 41
     assert len(calls["_refine_root"]) <= 230
     assert len(calls["roots"]) <= 307
     for made in calls.values():
         made.clear()
     assert len(search_tight_stable(8, 2, 0)) == 75
     assert {name: len(made) for name, made in calls.items()} == {
-        "_search": 375, "_refine_root": 419, "independent_set_at_least": 3957, "_worst_drop": 1241,
-        "roots": 558,
+        "_automorphisms": 332, "_least": 39, "_search": 43, "_refine_root": 419,
+        "independent_set_at_least": 3957, "_worst_drop": 1241, "roots": 558,
     }
 
 

@@ -425,11 +425,11 @@ def test_scan_stabilizer_matches_networkx():
     # every automorphism.  u is the scan's own, the least vertex of the alpha
     # solve's set, and the last vertex, which a search from the unordered
     # root would individualize last, so its filtered generators fall short.
-    # Besides the orbit gallery: the paper's circulants at m = 3 and 4, two
-    # lifted graphs, and networkx's Petersen, Chvatal, Tutte, 5-cube and
+    # Besides the orbit gallery: the paper's circulants at m = 3, 4 and 5,
+    # two lifted graphs, and networkx's Petersen, Chvatal, Tutte, 5-cube and
     # Paley(13) and Paley(29) graphs
-    graphs = [stable3_circulant(3), stable3_circulant(4), stable4_circulant(3),
-              stable4_circulant(4), lift(kn_tight(20), 6), lift(stable3_circulant(3), 2)]
+    graphs = [stable3_circulant(m) for m in (3, 4, 5)] + [stable4_circulant(m) for m in (3, 4, 5)]
+    graphs += [lift(kn_tight(20), 6), lift(stable3_circulant(3), 2)]
     for h in (nx.petersen_graph(), nx.chvatal_graph(), nx.tutte_graph(), nx.hypercube_graph(5),
               nx.paley_graph(13).to_undirected(), nx.paley_graph(29).to_undirected()):
         h = nx.convert_node_labels_to_integers(h)
