@@ -17,11 +17,10 @@ work counters.  `expand_roots` counts the root partitions _expand computes
 itself, and `root_refinements` adds the group searches enumeration starts
 without a root, which compute their own.  `refine_calls` counts every run
 of canon._refine.  `searches` counts the group searches enumeration
-starts: its calls to _automorphisms and to _search (a tree without
-enumeration._automorphisms makes them all through _search).  `least_walks`
-counts its calls to _least, and `leaves` the calls to canon._leaf_code
-and canon._is_automorphism.  The sides must make as many searches, and
-the change no more leaves than the parent; the script stops otherwise.
+starts: its calls to _automorphisms and to _search.  `least_walks` counts
+its calls to _least, and `leaves` the calls to canon._leaf_code and
+canon._is_automorphism.  The sides must make as many searches, and the
+change no more leaves than the parent; the script stops otherwise.
 The serial count_graphs(10) time is projected from "count 9" by the class
 counts, 12,005,168 / 274,668; it is a projection, not a run.
 One measurement alone, in this interpreter, prints its JSON line:
@@ -80,12 +79,10 @@ def measure(case: list) -> dict:
     pairs.count_calls(counts, "root_refinements", enumeration, "_refine_root")
     pairs.count_calls(counts, "expand_roots", enumeration, "_refine_root")
     for name in ("_automorphisms", "_search"):
-        if hasattr(enumeration, name):
-            pairs.count_calls(counts, "root_refinements", enumeration, name,
-                              lambda args: len(args) < 3 or args[2] is None)
-            pairs.count_calls(counts, "searches", enumeration, name)
-    if hasattr(enumeration, "_least"):
-        pairs.count_calls(counts, "least_walks", enumeration, "_least")
+        pairs.count_calls(counts, "root_refinements", enumeration, name,
+                          lambda args: len(args) < 3 or args[2] is None)
+        pairs.count_calls(counts, "searches", enumeration, name)
+    pairs.count_calls(counts, "least_walks", enumeration, "_least")
     pairs.count_calls(counts, "refine_calls", canon, "_refine")
     for name in ("_leaf_code", "_is_automorphism"):
         pairs.count_calls(counts, "leaves", canon, name)

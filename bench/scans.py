@@ -19,8 +19,7 @@ per call (the median of repeated calls, at least 3 and at least 0.5 s):
 
 Counters, from the first call alone: `solver_calls`, the calls stability
 makes to mis.independent_set_at_least, and `group_searches`, its calls to
-canon._automorphisms (to canon._search in a tree whose stability module
-has no _automorphisms).  The script stops if a case's change makes more
+canon._automorphisms.  The script stops if a case's change makes more
 solver calls than its parent.
 One measurement alone, in this interpreter, prints its JSON line:
 
@@ -79,9 +78,8 @@ def measure(case: list) -> dict:
     from indstab import stability
 
     op = _op(case)
-    search = "_automorphisms" if hasattr(stability, "_automorphisms") else "_search"
     counts = {"solver_calls": 0, "group_searches": 0}
-    names = {"solver_calls": "independent_set_at_least", "group_searches": search}
+    names = {"solver_calls": "independent_set_at_least", "group_searches": "_automorphisms"}
     real = {name: getattr(stability, name) for name in names.values()}
     for key, name in names.items():
         pairs.count_calls(counts, key, stability, name)

@@ -10,11 +10,14 @@ previous round split (at first every degree cell, or the new singleton): a
 cell already has one count in each cell left whole, so the partitions are
 those of counting in every cell.
 
-The search runs in two phases.  _automorphisms finds generators of the
-whole group with no code, by a first-path search as symmetry-only tools do
-(saucy, Darga et al., DAC 2004).  Then _least walks the tree for the least
-leaf, pruned by that group, which keeps highly symmetric graphs (complete,
-empty, circulant) tractable.
+The search runs in two phases over one depth-first leaf walk, _leaves,
+which skips a candidate in the orbit of one already walked under the known
+automorphisms fixing the node's individualized vertices.  _automorphisms
+finds generators of the whole group with no code, by a first-path search as
+symmetry-only tools do (saucy, Darga et al., DAC 2004): below each candidate
+it takes the first leaf equivalent to the first path's.  Then _least takes
+the least leaf code over the walk pruned by that group, which keeps highly
+symmetric graphs (complete, empty, circulant) tractable.
 
 Two graphs receive equal codes iff they are isomorphic: the code itself spells
 out an adjacency matrix, so equal codes decode to the same labeled graph, and
@@ -26,7 +29,9 @@ against networkx, brute force and the count of labeled graphs.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from operator import itemgetter
 
 from indstab.graphs import Graph
 
@@ -143,31 +148,29 @@ def _is_automorphism(adj: tuple[int, ...], sigma: list[int]) -> bool:
     return True
 
 
-def _equivalent_leaf(adj, cells, depth, sizes, first, stab) -> list[int] | None:
-    """An automorphism mapping the first leaf onto a leaf below `cells`, or None.
+def _leaves(adj: tuple[int, ...], cells: list[list[int]], stab: list[list[int]],
+            sizes: list[list[int]] | None = None, depth: int = 0) -> Iterator[list[int]]:
+    """The leaf labelings below `cells`, at `depth` in the tree, depth first.
 
-    A node whose cell sizes differ from the first path's at its depth holds
-    no such leaf; nor does a candidate in the orbit, under `stab` (the
-    generators fixing the node's individualized vertices), of one tried.
+    A candidate in the orbit, under `stab` (automorphisms fixing the vertices
+    individualized above `cells`), of one already walked only repeats its
+    subtree, so it is skipped; a child gets those fixing its new vertex.
+    Given `sizes`, the first path's cell sizes by depth, a node whose sizes
+    differ holds no leaf equivalent to the first, so it is skipped too.
     """
-    if [len(c) for c in cells] != sizes[depth]:
-        return None
+    if sizes and [len(c) for c in cells] != sizes[depth]:
+        return
     target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
     if target is None:
-        sigma = [0] * len(first)
-        for a, c in zip(first, cells):
-            sigma[a] = c[0]
-        return sigma if _is_automorphism(adj, sigma) else None
-    tried: set[int] = set()
+        yield [c[0] for c in cells]
+        return
+    walked: set[int] = set()
     for v in cells[target]:
-        if v in tried:
+        if v in walked:
             continue
         below = [s for s in stab if s[v] == v]
-        sigma = _equivalent_leaf(adj, _split(adj, cells, target, v), depth + 1, sizes, first, below)
-        if sigma:
-            return sigma
-        tried = _orbit([*tried, v], stab)
-    return None
+        yield from _leaves(adj, _split(adj, cells, target, v), below, sizes, depth + 1)
+        walked |= _orbit([v], stab)
 
 
 def _automorphisms(n: int, adj: tuple[int, ...],
@@ -176,13 +179,13 @@ def _automorphisms(n: int, adj: tuple[int, ...],
 
     Walks the first path (always the first vertex of the first non-singleton
     cell) from the refined partition `root`, or from the refined one-cell
-    partition.  Then, bottom-up, it looks below each other vertex w of a
-    path node's target cell for one leaf equivalent to the first, unless the
-    generators found so far map the path vertex onto w or w onto a vertex
-    tried in vain.  The generators found at depth d and below fix the path
-    vertices above d and generate the group fixing them (McKay, Congressus
-    Numerantium 30, 1981), so those found below depth 0 generate the
-    stabilizer of the first path vertex.
+    partition.  Then, bottom-up, below each other vertex w of a path node's
+    target cell it takes the first leaf of _leaves whose map from the first
+    leaf is an automorphism, unless the generators found so far map the
+    path vertex onto w or w onto a vertex tried in vain.  The generators
+    found at depth d and below fix the path vertices above d and generate
+    the group fixing them (McKay, Congressus Numerantium 30, 1981), so those
+    found below depth 0 generate the stabilizer of the first path vertex.
     """
     path: list[tuple[list[list[int]], int]] = []
     sizes = []
@@ -203,34 +206,25 @@ def _automorphisms(n: int, adj: tuple[int, ...],
             if w in known:
                 continue
             stab = [s for s in gens if s[w] == w]
-            below = _split(adj, cells, target, w)
-            sigma = _equivalent_leaf(adj, below, depth + 1, sizes, first, stab)
-            if sigma:
-                gens.append(sigma)
+            for leaf in _leaves(adj, _split(adj, cells, target, w), stab, sizes, depth + 1):
+                sigma = [0] * n
+                for a, b in zip(first, leaf):
+                    sigma[a] = b
+                if _is_automorphism(adj, sigma):
+                    gens.append(sigma)
+                    break
             known = _orbit([*known, w], gens)
     return gens
 
 
-def _least(n: int, adj: tuple[int, ...], cells: list[list[int]], stab: list[list[int]], best=None):
-    """The least leaf below `cells` as (code, perm), or `best` if no leaf is less.
+def _least(n: int, adj: tuple[int, ...], cells: list[list[int]], stab: list[list[int]]):
+    """The least leaf below `cells` as (code, perm), over _leaves under `stab`.
 
-    A candidate in the orbit of one already walked, under `stab` (the
-    automorphisms fixing the vertices individualized above `cells`), only
-    repeats its subtree, so it is skipped.  That never cuts the first least
-    leaf of the unpruned walk, the one kept of leaves of equal code.
+    Its skipped subtrees repeat walked ones, so it never cuts the first
+    least leaf of the unpruned walk, the one `min` keeps of equal codes.
     """
-    target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
-    if target is None:
-        perm = [c[0] for c in cells]
-        code = _leaf_code(n, adj, perm)
-        return (code, perm) if best is None or code < best[0] else best
-    walked: set[int] = set()
-    for v in cells[target]:
-        if v in walked:
-            continue
-        best = _least(n, adj, _split(adj, cells, target, v), [s for s in stab if s[v] == v], best)
-        walked |= _orbit([v], stab)
-    return best
+    return min(((_leaf_code(n, adj, perm), perm) for perm in _leaves(adj, cells, stab)),
+               key=itemgetter(0))
 
 
 def _search(n: int, adj: tuple[int, ...], root: list[list[int]] | None = None):

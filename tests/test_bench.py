@@ -166,3 +166,18 @@ def test_stable_bench_stops_on_a_slower_change(monkeypatch):
     stable._check((8, 2, 1), entry(2.0, 2.0), {})
     with pytest.raises(SystemExit, match=r"^\(8, 2, 1\): change median 2.1 s is above"):
         stable._check((8, 2, 1), entry(2.0, 2.1), {})
+
+
+def test_mutants_name_live_text_and_tests(monkeypatch):
+    # bench/mutants.py's list stays current: each mutant's text occurs
+    # exactly once in its file, and each named test's file exists
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "bench"))
+    import mutants
+
+    assert mutants.MUTANTS
+    for name, (file, old, new, tests) in mutants.MUTANTS.items():
+        with open(os.path.join(ROOT, file)) as f:
+            assert f.read().count(old) == 1, name
+        assert old != new and tests, name
+        for test in tests:
+            assert os.path.isfile(os.path.join(ROOT, test.split("::")[0])), (name, test)

@@ -2,7 +2,9 @@ import random
 from itertools import permutations
 from math import factorial
 
-from indstab.canon import _automorphisms, _least, _orbit, _refine, _refine_root, _search, canonical
+from indstab.canon import (
+    _automorphisms, _leaf_code, _leaves, _least, _orbit, _refine, _refine_root, _search, canonical,
+)
 from indstab.families import (
     circulant, cycle, kn_tight, lift, path, stable3_circulant, stable4_circulant, wheel,
 )
@@ -216,14 +218,20 @@ def _relabelled_gallery(count, seed):
 def test_least_leaf_prune_keeps_the_unpruned_leaf(catalog):
     # _least pruned by the group and the unpruned walk (no automorphism
     # known) give the same code and labeling, on every class with n <= 7 and
-    # on seeded relabellings of graphs with larger groups.  In the Shrikhande
-    # graph refinement leaves cells that join orbits of a node's stabilizer,
-    # so a prune by generators that move the node's prefix cuts the first
-    # least leaf there
+    # on seeded relabellings of graphs with larger groups, and the pruned
+    # _leaves walk reaches every leaf code of the unpruned one.  In the
+    # Shrikhande graph refinement leaves cells that join orbits of a node's
+    # stabilizer, so a prune by generators that move the node's prefix cuts
+    # the first least leaf there.  The group search walks the same _leaves,
+    # so this guards its prune too
     graphs = [g for n in range(1, 8) for _, g in catalog(n)]
     for g in graphs + list(_relabelled_gallery(20, 67)):
         root = _refine_root(g.n, g.adj)
-        assert _least(g.n, g.adj, root, _automorphisms(g.n, g.adj)) == _least(g.n, g.adj, root, [])
+        gens = _automorphisms(g.n, g.adj)
+        assert _least(g.n, g.adj, root, gens) == _least(g.n, g.adj, root, [])
+        codes = [{_leaf_code(g.n, g.adj, perm) for perm in _leaves(g.adj, root, stab)}
+                 for stab in (gens, [])]
+        assert codes[0] == codes[1]
 
 
 def test_least_leaf_on_large_symmetric_graphs():
