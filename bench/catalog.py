@@ -14,13 +14,16 @@ pairs, gates and summaries are bench/pairs.py's.  Measured, all serial:
 
 For the first three: wall seconds, the peak RSS of the process, and the
 work counters.  `expand_roots` counts the root partitions _expand computes
-itself, and `root_refinements` adds the group searches enumeration starts
-without a root, which compute their own.  `refine_calls` counts every run
+itself, and `root_refinements` adds those canon computes for enumeration's
+calls without a root (canon._refine_root).  `refine_calls` counts every run
 of canon._refine.  `searches` counts the group searches enumeration
-starts: its calls to _automorphisms and to _search.  `least_walks` counts
-its calls to _least, and `leaves` the calls to canon._leaf_code and
-canon._is_automorphism.  The sides must make as many searches, and the
-change no more leaves than the parent; the script stops otherwise.
+starts: its calls to _automorphisms, and those canon._code makes for a
+class whose group the walk does not hold (canon._automorphisms).
+`least_walks` counts the least-leaf walks likewise: enumeration's calls to
+_least and canon's, one per _code call.  `leaves` counts the calls to
+canon._leaf_code and canon._is_automorphism.  The sides must make as many
+searches, and the change no more leaves than the parent; the script stops
+otherwise.
 The serial count_graphs(10) time is projected from "count 9" by the class
 counts, 12,005,168 / 274,668; it is a projection, not a run.
 One measurement alone, in this interpreter, prints its JSON line:
@@ -76,13 +79,11 @@ def measure(case: list) -> dict:
 
     keys = ("expand_roots", "root_refinements", "refine_calls", "searches", "least_walks", "leaves")
     counts = dict.fromkeys(keys, 0)
-    pairs.count_calls(counts, "root_refinements", enumeration, "_refine_root")
     pairs.count_calls(counts, "expand_roots", enumeration, "_refine_root")
-    for name in ("_automorphisms", "_search"):
-        pairs.count_calls(counts, "root_refinements", enumeration, name,
-                          lambda args: len(args) < 3 or args[2] is None)
-        pairs.count_calls(counts, "searches", enumeration, name)
-    pairs.count_calls(counts, "least_walks", enumeration, "_least")
+    for module in (enumeration, canon):
+        pairs.count_calls(counts, "root_refinements", module, "_refine_root")
+        pairs.count_calls(counts, "searches", module, "_automorphisms")
+        pairs.count_calls(counts, "least_walks", module, "_least")
     pairs.count_calls(counts, "refine_calls", canon, "_refine")
     for name in ("_leaf_code", "_is_automorphism"):
         pairs.count_calls(counts, "leaves", canon, name)

@@ -26,6 +26,8 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CANON = "src/indstab/canon.py"
+STABILITY = "src/indstab/stability.py"
+ENUMERATION = "src/indstab/enumeration.py"
 MUTANTS = {
     # a child of a _leaves node is pruned by generators that move its new vertex
     "leaves_unfiltered_stab": (
@@ -47,6 +49,105 @@ MUTANTS = {
         "            known = _orbit([*known, w], gens)\n",
         "            known.add(w)\n",
         ["tests/test_enumeration.py::test_canonical_search_work_bounded"],
+    ),
+    # the first subtree's orbits are taken under the whole group, not u's stabilizer
+    "orbit_under_whole_group": (
+        STABILITY,
+        "self.stab if fixed else self.gens))\n",
+        "self.gens))\n",
+        ["tests/test_stability.py::test_orbit_scans_match_plain_scan"],
+    ),
+    # the orbit ban reaches below the first root subtree
+    "orbit_ban_at_every_depth": (
+        STABILITY,
+        "        by_orbit = self.by_orbit and (not depth or depth == 1 and not banned)\n",
+        "        by_orbit = self.by_orbit\n",
+        ["tests/test_stability.py::test_orbit_scans_match_plain_scan"],
+    ),
+    # the stabilizer holds the root generators, those that move u
+    "stab_holds_every_generator": (
+        STABILITY,
+        "            self.stab = [s for s in self.gens if s[u] == u]\n",
+        "            self.stab = list(self.gens)\n",
+        ["tests/test_stability.py::test_orbit_scans_match_plain_scan"],
+    ),
+    # a subtree that ends below the cut-off bans its vertex alone
+    "no_orbit_ban": (
+        STABILITY,
+        "                bit = self.orbit(bit, removed)\n",
+        "                pass\n",
+        ["tests/test_stability.py::test_scan_solver_calls_pinned"],
+    ),
+    # the witnesses pooled before the group search gain no images
+    "pool_without_images": (
+        STABILITY,
+        "            self.pool += self.images(self.pool)\n",
+        "",
+        ["tests/test_stability.py::test_scan_solver_calls_pinned"],
+    ),
+    # a witness the solver returns joins the pool without its images
+    "witness_without_images": (
+        STABILITY,
+        "            if self.moves:\n                self.pool += self.images([w])\n",
+        "",
+        ["tests/test_stability.py::test_scan_solver_calls_pinned"],
+    ),
+    # a prefix is extended by every free vertex, not only the witness's
+    "no_witness_prefix_rule": (
+        STABILITY,
+        "        cand = w & free\n",
+        "        cand = free\n",
+        ["tests/test_stability.py::test_scan_solver_calls_pinned"],
+    ),
+    # k deletions are taken to reach alpha, emptying a graph with vertices left
+    "reach_takes_alpha": (
+        STABILITY,
+        "    return min(k, a - (k < n))\n",
+        "    return min(k, a)\n",
+        ["tests/test_stability.py::test_drop_without_scan_when_alpha_is_one"],
+    ),
+    # a new vertex of least degree is accepted though an old one ties it
+    "degree_only_acceptance_on_ties": (
+        ENUMERATION,
+        "        if k < d or k == d and t & low == low:\n",
+        "        if k <= d:\n",
+        ["tests/test_enumeration.py::test_counts_match_published_census"],
+    ),
+    # a child whose new vertex lies outside the deletion cell is searched on
+    "no_deletion_cell_pretest": (
+        ENUMERATION,
+        "        if n not in cell:\n            continue\n",
+        "",
+        ["tests/test_enumeration.py::test_counts_match_published_census"],
+    ),
+    # attachment sets are deduplicated by one generator step, not by orbits;
+    # the rest of its test file runs for minutes under it, this test for seconds
+    "attachments_without_orbit_closure": (
+        ENUMERATION,
+        "        for cur in orbit:\n",
+        "        for cur in [t]:\n",
+        ["tests/test_enumeration.py::test_attachments_match_oracle"],
+    ),
+    # a child's scan starts without its earlier siblings' witnesses
+    "no_sibling_witnesses": (
+        ENUMERATION,
+        "            shared += [w for w in pool[start:] if not w >> n & 1]\n",
+        "",
+        ["tests/test_enumeration.py::test_tight_search_scan_solver_calls_pinned"],
+    ),
+    # the window's alpha floor ignores the removal floor F
+    "window_lo_without_floor": (
+        ENUMERATION,
+        "        return max(L - (n - m), F - max(0, n - k - m)), H,",
+        "        return L - (n - m), H,",
+        ["tests/test_enumeration.py::test_tight_window_floor_is_its_lo"],
+    ),
+    # the removal floor is carried one level too far down
+    "window_floor_one_level_low": (
+        ENUMERATION,
+        "F - max(0, n - k - m)), H,",
+        "F - max(0, n - k - m - 1)), H,",
+        ["tests/test_enumeration.py::test_window_prune_is_exact"],
     ),
 }
 _KILLED, _PASSED = 1, 0  # pytest's exit codes for failed tests and for none

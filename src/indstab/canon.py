@@ -17,7 +17,9 @@ finds generators of the whole group with no code, by a first-path search as
 symmetry-only tools do (saucy, Darga et al., DAC 2004): below each candidate
 it takes the first leaf equivalent to the first path's.  Then _least takes
 the least leaf code over the walk pruned by that group, which keeps highly
-symmetric graphs (complete, empty, circulant) tractable.
+symmetric graphs (complete, empty, circulant) tractable.  _code, the one
+function that returns a code, runs both; it skips the first when its caller
+holds the group, as enumeration does for the classes it builds on.
 
 Two graphs receive equal codes iff they are isomorphic: the code itself spells
 out an adjacency matrix, so equal codes decode to the same labeled graph, and
@@ -227,24 +229,16 @@ def _least(n: int, adj: tuple[int, ...], cells: list[list[int]], stab: list[list
                key=itemgetter(0))
 
 
-def _search(n: int, adj: tuple[int, ...], root: list[list[int]] | None = None):
-    """Full refinement search, from the refined one-cell partition `root` if given.
-
-    Returns (code, canonical_perm, generators): the CanonicalCode, the leaf
-    labeling that spells it (positions to original vertices), and
-    automorphisms, as vertex maps, that generate the full group.
-    """
+def _code(n: int, adj: tuple[int, ...], root: list[list[int]] | None,
+          gens: list[list[int]] | None) -> CanonicalCode:
+    """The canonical code: the least leaf below the refined one-cell partition
+    `root` (computed when None) under the generators `gens` of the
+    automorphism group, searched first when None."""
     cells = root or _refine_root(n, adj)
-    gens = _automorphisms(n, adj, cells)
-    code_int, perm = _least(n, adj, cells, gens)
-    return CanonicalCode(_pack(code_int, n), n), perm, gens
-
-
-def _pack(code_int: int, n: int) -> bytes:
-    nbits = n * (n - 1) // 2
-    return bytes([n]) + code_int.to_bytes((nbits + 7) // 8, "big")
+    code = _least(n, adj, cells, _automorphisms(n, adj, cells) if gens is None else gens)[0]
+    return CanonicalCode(bytes([n]) + code.to_bytes((n * (n - 1) // 2 + 7) // 8, "big"), n)
 
 
 def canonical(g: Graph) -> CanonicalCode:
     """Canonical code of a graph; equal across all relabelings."""
-    return _search(g.n, g.adj)[0]
+    return _code(g.n, g.adj, None, None)

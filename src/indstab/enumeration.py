@@ -20,9 +20,9 @@ cell alone is accepted without a search; another is accepted when its new
 vertex's orbit under its group is that cell, or else holds the last vertex
 of the cell on the least leaf.  A class's group is searched only for the
 generators its own children need, and its least leaf walked only when a
-caller asks for its code, which emits receive as a zero-argument callable.
-So most classes of the top level, on which nothing is built, are never
-searched.
+caller asks for its code: emits receive canon._code bound to the class
+and to its root partition and group where the walk holds them.  So most
+classes of the top level, on which nothing is built, are never searched.
 
 A search for one predicate prunes levels 1..n by the predicate's window: the
 alpha range of every induced subgraph on that many vertices of a matching
@@ -50,7 +50,7 @@ from functools import partial
 from itertools import combinations
 from typing import Any, Callable, Iterator
 
-from indstab.canon import CanonicalCode, _automorphisms, _least, _orbit, _pack, _refine_root, _search
+from indstab.canon import CanonicalCode, _automorphisms, _code, _least, _orbit, _refine_root
 from indstab.graphs import Graph
 from indstab.mis import _alpha_set, independent_set_at_least
 from indstab.stability import _reach, _within, _worst_drop, stability_bound
@@ -311,14 +311,6 @@ def _expand(n: int, adj: tuple[int, ...], gens: list[list[int]], window):
                 continue
         out.append((cadj, root, cgens))
     return out
-
-
-def _code(n: int, adj: tuple[int, ...], root: list[list[int]] | None, gens) -> CanonicalCode:
-    """The canonical code of an accepted child: its least leaf under `gens`,
-    or a full search when its group is not known."""
-    if gens is None:
-        return _search(n, adj, root)[0]
-    return CanonicalCode(_pack(_least(n, adj, root or _refine_root(n, adj), gens)[0], n), n)
 
 
 def _walk(size: int, adj: tuple[int, ...], gens: list[list[int]], windows, emit, n: int,

@@ -145,14 +145,14 @@ class _RemovalScan:
         return False
 
     def orbit(self, bit: int, fixed: int) -> int:
-        """The orbit of the vertex `bit` under the automorphisms fixing
-        `fixed`, no vertex or the first removed one, as a mask."""
+        """The orbit of the vertex `bit` under the automorphisms fixing `fixed`,
+        no vertex or the first removed one u, as a mask; the first call, which
+        searches the group, comes from depth 1 of the first root subtree."""
         if self.gens is None:
             root = _refine_root(self.n, self.adj)
             u = fixed.bit_length() - 1
-            if fixed:  # u's cell first and u first in it
-                i = next(i for i, c in enumerate(root) if u in c)
-                root.insert(0, [u] + [v for v in root.pop(i) if v != u])
+            i = next(i for i, c in enumerate(root) if u in c)  # u's cell first, u first in it
+            root.insert(0, [u] + [v for v in root.pop(i) if v != u])
             self.gens = _automorphisms(self.n, self.adj, root)
             self.stab = [s for s in self.gens if s[u] == u]
             self.moves = [s for s in self.gens if s[u] != u]

@@ -31,7 +31,7 @@ from itertools import combinations, permutations
 import networkx as nx
 import numpy as np
 
-from indstab.canon import _orbit, _refine_root, _search, _split
+from indstab.canon import _automorphisms, _least, _orbit, _refine_root, _split
 from indstab.graphs import Graph, vset
 
 
@@ -275,12 +275,13 @@ def refine_full(n: int, adj: tuple[int, ...], cells: list[list[int]]) -> list[li
 
 def canonical_labeling(g: Graph) -> tuple[int, ...]:
     """A labeling achieving the canonical code: position -> original vertex."""
-    return tuple(_search(g.n, g.adj)[1])
+    root = _refine_root(g.n, g.adj)
+    return tuple(_least(g.n, g.adj, root, _automorphisms(g.n, g.adj, root))[1])
 
 
 def vertex_orbits(g: Graph) -> list[list[int]]:
     """Orbits of the automorphism group on vertices, each sorted, by least member."""
-    gens = _search(g.n, g.adj)[2]
+    gens = _automorphisms(g.n, g.adj)
     orbits: list[list[int]] = []
     for v in range(g.n):
         if not any(v in o for o in orbits):
@@ -383,7 +384,7 @@ def path_group_order(g: Graph, gens: list[list[int]]) -> int:
 
 def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
     """Vertex maps generating the automorphism group (possibly empty)."""
-    return [tuple(s) for s in _search(g.n, g.adj)[2]]
+    return [tuple(s) for s in _automorphisms(g.n, g.adj)]
 
 
 def attachment_sets_brute(g: Graph) -> list[int]:

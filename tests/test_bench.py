@@ -127,7 +127,7 @@ def test_dfs_bench_two_pairs(monkeypatch, tmp_path):
         assert len(entry[side]["seconds"]["runs"]) == 2
         assert entry[side]["result"]["classes"] == 15
         assert entry[side]["counters"] == {
-            "_expand": 21, "_automorphisms": 32, "_least": 12, "_search": 3,
+            "_expand": 21, "_automorphisms": 32, "_least": 0, "_code": 15,
         }
 
 

@@ -8,7 +8,7 @@ from itertools import combinations
 import pytest
 
 from indstab import canon, enumeration, stability
-from indstab.canon import _refine, _refine_root, _search, canonical
+from indstab.canon import _automorphisms, _least, _refine, _refine_root, canonical
 from indstab.enumeration import (
     And,
     AlphaEquals,
@@ -120,10 +120,10 @@ def test_canonical_search_work_bounded(count_calls):
     # runs canon._refine, _expand's root refinements included, except a root
     # with one degree class, which needs none.  The root partitions are
     # _expand's and those its group searches compute without a root.  The
-    # pass reads no code, so it starts no full _search
+    # pass reads no code, so it makes no _code call
     searches = count_calls(enumeration, "_automorphisms")
     walks = count_calls(enumeration, "_least")
-    full = count_calls(enumeration, "_search")
+    codes = count_calls(enumeration, "_code")
     refines = count_calls(canon, "_refine")
     leaves = count_calls(canon, "_leaf_code")
     count_calls(canon, "_is_automorphism", leaves)
@@ -133,7 +133,7 @@ def test_canonical_search_work_bounded(count_calls):
     assert count_graphs(7) == 1044
     assert len(searches) <= 542
     assert len(walks) <= 4
-    assert full == []
+    assert codes == []
     assert len(refines) <= 4757
     assert len(leaves) <= 1273
     assert len(roots) <= 1120
@@ -146,7 +146,7 @@ def test_catalog_pass_search_count_bounded(count_calls):
     # itself, to accept a class or to build its children
     searches = count_calls(enumeration, "_automorphisms")
     walks = count_calls(enumeration, "_least")
-    count_calls(enumeration, "_search", walks)
+    count_calls(enumeration, "_code", walks)
     suites = tuple(s for s in SUITE_ORDER if s != "uniqueness")
     facts = catalog_facts(VerifyConfig(max_n=7, jobs=1, suites=suites))
     assert len(facts[8]) == 12346
@@ -202,7 +202,8 @@ def test_deletion_cell_pretest_is_exact(catalog):
                 cadj += (t,)
                 root = _refine(cadj, [list(range(n + 1))], [0])
                 cell = _deletion_cell(cadj, root, t.bit_count())
-                _, perm, gens = _search(n + 1, cadj)
+                gens = _automorphisms(n + 1, cadj, root)
+                perm = _least(n + 1, cadj, root, gens)[1]
                 f = next(v for v in reversed(perm) if cadj[v].bit_count() == t.bit_count())
                 orbit = canon._orbit([f], gens)
                 assert orbit <= set(cell), code
@@ -365,28 +366,32 @@ def test_tight_search_work_pinned(count_calls):
     # the calls enumeration makes: upper bounds for tight (3, 1) at n = 8,
     # which its removal floor prunes, and exact counts for tight (2, 0), the
     # search of the tight8 benchmark workload.  A group search is an
-    # _automorphisms call, or a _search for the code of a class whose group
-    # was not needed; a code from a known group is a _least walk.  "roots"
-    # counts the root partitions in all: _expand's, and those its searches
-    # compute for children accepted on degree alone
-    names = ("_automorphisms", "_least", "_search", "_refine_root", "independent_set_at_least",
+    # _automorphisms call, or one inside canon._code ("canon._automorphisms")
+    # for the code of a class whose group was not needed; every _code call
+    # walks the least leaf once, and _expand's own walks are _least calls.
+    # "roots" counts the root partitions in all: _expand's, and those its
+    # searches compute for children accepted on degree alone
+    names = ("_automorphisms", "_least", "_code", "_refine_root", "independent_set_at_least",
              "_worst_drop")
     calls = {name: count_calls(enumeration, name) for name in names}
+    calls["canon._automorphisms"] = count_calls(canon, "_automorphisms")
     calls["roots"] = []
     for module in (enumeration, canon):
         count_calls(module, "_refine_root", calls["roots"])
     assert len(search_tight_stable(8, 3, 1)) == 100
     assert len(calls["_automorphisms"]) <= 192
-    assert len(calls["_least"]) <= 59
-    assert len(calls["_search"]) <= 41
+    assert len(calls["canon._automorphisms"]) <= 41
+    assert len(calls["_least"]) == 0
+    assert len(calls["_code"]) <= 100
     assert len(calls["_refine_root"]) <= 230
     assert len(calls["roots"]) <= 307
     for made in calls.values():
         made.clear()
     assert len(search_tight_stable(8, 2, 0)) == 75
     assert {name: len(made) for name, made in calls.items()} == {
-        "_automorphisms": 332, "_least": 39, "_search": 43, "_refine_root": 419,
-        "independent_set_at_least": 3957, "_worst_drop": 1241, "roots": 558,
+        "_automorphisms": 332, "_least": 7, "_code": 75, "_refine_root": 419,
+        "independent_set_at_least": 3957, "_worst_drop": 1241, "canon._automorphisms": 43,
+        "roots": 558,
     }
 
 
