@@ -28,6 +28,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CANON = "src/indstab/canon.py"
 STABILITY = "src/indstab/stability.py"
 ENUMERATION = "src/indstab/enumeration.py"
+MIS = "src/indstab/mis.py"
 MUTANTS = {
     # a child of a _leaves node is pruned by generators that move its new vertex
     "leaves_unfiltered_stab": (
@@ -148,6 +149,21 @@ MUTANTS = {
         "F - max(0, n - k - m)), H,",
         "F - max(0, n - k - m - 1)), H,",
         ["tests/test_enumeration.py::test_window_prune_is_exact"],
+    ),
+    # a cover of exactly room + 1 cliques passes without its forced vertices
+    "cover_without_propagation": (
+        MIS,
+        "_cover_exceeds(adj, sub & ~(forced | near), room - forced.bit_count())",
+        "True",
+        ["tests/test_mis.py::test_solver_nodes_pinned"],
+    ),
+    # the forced vertices' remainder is allowed one vertex too few
+    "cover_forced_room_plus_one": (
+        MIS,
+        "room - forced.bit_count())",
+        "room - forced.bit_count() + 1)",
+        ["tests/test_mis.py::test_cover_bound_is_sound",
+         "tests/test_mis.py::test_solver_matches_plain_branch_and_bound"],
     ),
 }
 _KILLED, _PASSED = 1, 0  # pytest's exit codes for failed tests and for none

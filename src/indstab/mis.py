@@ -8,12 +8,15 @@ incumbent and returns once the incumbent reaches a cut-off, so the maximum
 runs from a greedy incumbent with no cut-off and the threshold query ("an
 independent set of at least t vertices") from t - 1 with cut-off t.  The
 maximum's set is kept for the removal scans, which start from it.
-Each node tests the bound before it picks a branch vertex, and the cover
-stops counting as soon as it has more cliques than the node can still gain;
-only the nodes that survive pay for the degree pass.  The bound does not
-shape the witness: a prune drops only subtrees holding no set larger than the
-incumbent, and the branch vertex depends on the residual subgraph alone, so
-any valid bound reaches the same incumbents in the same order.
+Each node tests the bound before it picks a branch vertex; only the nodes
+that survive pay for the degree pass.  The cover stops at one clique more
+than the node can still gain.  When it has exactly that many, a set that
+gains enough takes one vertex from every clique, so it holds each one-vertex
+clique's vertex and none of their neighbors; the bound then asks the same of
+what remains without them.  The bound does not shape the witness: a prune
+drops only subtrees holding no set larger than the incumbent, and the branch
+vertex depends on the residual subgraph alone, so any valid bound reaches
+the same incumbents in the same order, and a tighter one visits fewer nodes.
 Low-level helpers operate directly on adjacency rows and a vertex mask, which
 lets the stability scans query induced subgraphs without rebuilding Graph
 values.  For the small catalog classes, subset_alphas instead sweeps all 2^n
@@ -47,28 +50,43 @@ class Matching:
 
 
 def _cover_exceeds(adj: tuple[int, ...], sub: int, room: int) -> bool:
-    """Whether the greedy clique cover of the subgraph on `sub` has more than
-    `room` cliques.
+    """Whether the subgraph on `sub` may hold an independent set of more than
+    `room` vertices; False proves it holds none.
 
-    Any independent set meets each clique at most once, so a cover of at most
-    `room` cliques bounds the independence number by `room`.  Each clique
-    grows from the lowest remaining label by its lowest common neighbor, so
-    the cover depends on `sub` alone.  Counting stops at clique room + 1.  On
-    an independent `sub` the cover has one clique per vertex.
+    Any independent set meets each clique of a cover at most once.  The
+    greedy cover grows each clique from the lowest remaining label by its
+    lowest common neighbor, so it depends on `sub` alone.  A cover of at
+    most `room` cliques answers False, and one that reaches room + 2 answers
+    True there.  A cover of exactly room + 1 cliques leaves only sets of
+    room + 1 vertices, one from every clique: each vertex that forms a clique
+    alone is forced, and its neighbors are barred.  If a forced vertex has a
+    neighbor in `sub`, the answer is the bound's on `sub` without the forced
+    set F and its neighbors, with room - |F|; otherwise it is True.  On an
+    independent `sub` every vertex is forced and none has a neighbor.
     """
+    forced = near = 0
+    left = room
     m = sub
     while m:
-        if room <= 0:
+        if left < 0:
             return True
         clique = m & -m
-        cand = adj[clique.bit_length() - 1] & m
+        row = adj[clique.bit_length() - 1]
+        cand = row & m
+        if not cand:
+            forced |= clique
+            near |= row
         while cand:
             low = cand & -cand
             clique |= low
             cand &= adj[low.bit_length() - 1]
         m ^= clique
-        room -= 1
-    return room < 0
+        left -= 1
+    if left >= 0:
+        return False
+    if not near & sub:
+        return True
+    return _cover_exceeds(adj, sub & ~(forced | near), room - forced.bit_count())
 
 
 def _grow(

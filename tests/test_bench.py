@@ -100,6 +100,31 @@ def test_scans_bench_two_pairs(monkeypatch, tmp_path):
         assert entry[side]["counters"] == {"solver_calls": 6, "group_searches": 1}
 
 
+def test_mis_bench_two_pairs(monkeypatch, tmp_path):
+    # bench/mis.py's own command line and gates, with this checkout as both
+    # sides, over the 32-vertex `queries` graphs
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "bench"))
+    import mis
+
+    out = tmp_path / "BENCH_mis_propagation.json"
+    monkeypatch.setattr(mis, "CASES", [("queries", 32, 32)])
+    monkeypatch.setattr(sys, "argv", ["mis.py", SRC, "--pairs", "2", "--out", str(out)])
+    mis.main()
+    doc = json.loads(out.read_text())
+    assert list(doc) == ["label", "host", "command", "cases"]
+    assert doc["label"] == "mis_propagation"  # the --out name
+    assert doc["command"] == "python bench/mis.py PARENT_SRC --pairs 2"
+    entry = doc["cases"]["queries 32 32"]
+    assert set(entry) == {"parent", "change", "change_faster_pairs"}
+    assert re.fullmatch(r"[0-2] of 2", entry["change_faster_pairs"])
+    assert entry["parent"]["result"] == entry["change"]["result"]
+    for side in ("parent", "change"):
+        assert set(entry[side]) == {"us_per_call", "result", "counters"}
+        assert len(entry[side]["us_per_call"]["runs"]) == 2
+        assert set(entry[side]["result"]) == {"sha256"}
+        assert entry[side]["counters"] == {"nodes": 5455}
+
+
 def test_dfs_bench_two_pairs(monkeypatch, tmp_path):
     # bench/dfs.py's own command line, with this checkout as both sides, over
     # one small serial search and no long case

@@ -1,10 +1,21 @@
 import random
+import sys
 
 import pytest
 
-from indstab.families import circulant, cycle, figure2, kn_tight, mn_matching
+from indstab import mis
+from indstab.families import (
+    circulant,
+    cycle,
+    figure2,
+    kn_tight,
+    mn_matching,
+    stable3_circulant,
+    stable4_circulant,
+)
 from indstab.graphs import build, complement, remove_vertices, vset, vset_members
 from indstab.mis import (
+    _cover_exceeds,
     alpha,
     alpha_mask,
     alpha_profile,
@@ -14,6 +25,7 @@ from indstab.mis import (
     saturating_matching,
     subset_alphas,
 )
+from indstab.stability import alpha_drop, is_stable
 
 from _oracles import (
     all_max_independent_sets,
@@ -136,6 +148,12 @@ def test_solver_matches_plain_branch_and_bound():
     for _ in range(300):
         g = random_graph(rng.randint(1, 40), rng.choice((0.1, 0.2, 0.3, 0.5, 0.8)), rng)
         cases += [(g, g.vertex_mask), (g, rng.getrandbits(g.n))]
+    # sparse graphs on 48 to 64 vertices, where the bound's forced vertices
+    # prune the most
+    sparse = random.Random(73)
+    for n, p in ((48, 0.1), (52, 0.15), (56, 0.1), (60, 0.15), (64, 0.1), (64, 0.15)):
+        g = random_graph(n, p, sparse)
+        cases += [(g, g.vertex_mask), (g, sparse.getrandbits(n))]
     for g, mask in cases:
         if mask == g.vertex_mask:
             r = max_independent_set(g)
@@ -145,6 +163,65 @@ def test_solver_matches_plain_branch_and_bound():
         for target in range(-1, a + 2):
             w = independent_set_at_least(g.adj, mask, target)
             assert w == plain_set_at_least(g.adj, mask, target)
+
+
+def test_cover_bound_is_sound(catalog):
+    # a False from the bound proves that `sub` holds no independent set of
+    # more than `room` vertices: over every mask of every class on at most 6
+    # vertices, with alphas from the 2^n table, and over random masks of
+    # sparse graphs on up to 24 vertices, with alphas from the plain solver,
+    # at every room from -1 to |sub|
+    cases = []
+    for n in range(1, 7):
+        for _, g in catalog(n):
+            table = subset_alphas(g.adj, n)
+            cases += [(g.adj, sub, table[sub]) for sub in range(1 << n)]
+    rng = random.Random(79)
+    for _ in range(100):
+        g = random_graph(rng.randint(8, 24), 0.1, rng)
+        for _ in range(5):
+            sub = rng.getrandbits(g.n)
+            cases.append((g.adj, sub, plain_alpha_mask(g.adj, sub)))
+    for adj, sub, a in cases:
+        for room in range(-1, sub.bit_count() + 1):
+            assert _cover_exceeds(adj, sub, room) or a <= room, (adj, sub, room)
+
+
+def test_solver_nodes_pinned(monkeypatch):
+    # the solver's nodes, the calls _grow makes to the bound (not the bound's
+    # own calls on what its forced vertices leave), on a sparse 64-vertex
+    # graph and in the `scans` workload: each circulant's alpha solve, then
+    # each whole scan.  The witnesses are the plain solver's, so a tighter
+    # bound may only lower these.  Before the forced vertices they were
+    # 1,805; 51, 277, 119; and 160, 791, 791, 337, 337
+    nodes = []
+    real = mis._cover_exceeds
+
+    def count(adj, sub, room):
+        if sys._getframe(1).f_code.co_name == "_grow":
+            nodes.append(sub)
+        return real(adj, sub, room)
+
+    monkeypatch.setattr(mis, "_cover_exceeds", count)
+    g = random_graph(64, 0.1, random.Random(64))
+    assert max_independent_set(g).alpha == 24
+    assert len(nodes) == 831
+    s3_3, s3_4, s4_3 = stable3_circulant(3), stable3_circulant(4), stable4_circulant(3)
+    for h, want in ((s3_3, 21), (s3_4, 77), (s4_3, 41)):
+        nodes.clear()
+        alpha_mask(h.adj, h.vertex_mask)
+        assert len(nodes) == want
+    scans = (
+        (lambda: is_stable(s3_3, 3, 0), 76),
+        (lambda: is_stable(s3_4, 3, 0), 271),
+        (lambda: alpha_drop(s3_4, 3), 271),
+        (lambda: is_stable(s4_3, 4, 0), 185),
+        (lambda: alpha_drop(s4_3, 4), 185),
+    )
+    for scan, want in scans:
+        nodes.clear()
+        scan()
+        assert len(nodes) == want
 
 
 def test_alpha_monotone_under_removal():
