@@ -3,12 +3,20 @@
 A bench script is a docstring, a case list and `measure(case) -> dict`, run
 from its `main` through `parse_args` and `run`.  `measure` runs in a fresh
 interpreter per measurement, `python SCRIPT --one CASE` with PYTHONPATH set
-to one side's src/, and returns the timed metric (`us_per_call` where the
-case reports it, else `seconds`), any other numeric fields, the `result`
-and, optionally, the `counters`.  The side that runs first alternates from
-pair to pair.  Each side's result and counters must repeat on every run, and
-the sides' results must agree; the run stops otherwise.  The document is
-rewritten after every case.
+to one side's src/, and returns the timed metric, any other numeric fields,
+the `result` and, optionally, the `counters`.  A per-call script hands its
+call to `per_call`, which counts the first call and reports `us_per_call`;
+the others time one call themselves, in `seconds`, with the counters on.
+Either way `count_calls` counts, and `per_call` puts the real functions
+back before it times.
+
+The side that runs first alternates from pair to pair.  Each side's result
+and counters must repeat on every run, and the sides' results must agree;
+the run stops otherwise.  Each case also records `change_faster_pairs` and
+`change_over_parent`, the quartiles of the pairs' change/parent ratios
+(none for a pair whose parent reads 0): a pair's two runs are back to back,
+so its ratio follows the host's speed swings less than the medians do.
+The document is rewritten after every case.
 """
 
 from __future__ import annotations
@@ -20,8 +28,10 @@ import platform
 import statistics
 import subprocess
 import sys
+import time
 
 SIDES = ("parent", "change")
+MIN_SECONDS, MIN_CALLS = 0.5, 3
 
 
 def count_calls(counts: dict, key: str, module, name: str, test=None) -> None:
@@ -34,6 +44,32 @@ def count_calls(counts: dict, key: str, module, name: str, test=None) -> None:
         return real(*args)
 
     setattr(module, name, call)
+
+
+def per_call(op, targets: list) -> dict:
+    """Count op's first call, then time op with the real functions back: the
+    median over at least MIN_CALLS calls and MIN_SECONDS.  Each of `targets`
+    is count_calls' (key, module, name[, test]).  Returns `us_per_call`, the
+    first call's `result` and the `counters`."""
+    counts = {key: 0 for key, *_ in targets}
+    real = [(module, name, getattr(module, name)) for _, module, name, *_ in targets]
+    for key, module, name, *test in targets:
+        count_calls(counts, key, module, name, *test)
+    try:
+        result = op()
+    finally:
+        for module, name, fn in real:
+            setattr(module, name, fn)
+    times: list[float] = []
+    while sum(times) < MIN_SECONDS or len(times) < MIN_CALLS:
+        t = time.perf_counter()
+        op()
+        times.append(time.perf_counter() - t)
+    return {
+        "us_per_call": round(statistics.median(times) * 1e6, 1),
+        "result": result,
+        "counters": counts,
+    }
 
 
 def parse_args(doc: str, out: str, **extra: int) -> argparse.Namespace:
@@ -63,6 +99,11 @@ def _metric(run: dict) -> str:
     return "us_per_call" if "us_per_call" in run else "seconds"
 
 
+def _quartiles(xs: list) -> dict:
+    q1, med, q3 = statistics.quantiles(xs, n=4) if len(xs) > 1 else (xs[0],) * 3
+    return {"median": round(med, 3), "q1": round(q1, 3), "q3": round(q3, 3)}
+
+
 def _summary(runs: list[dict]) -> dict:
     first = runs[0]
     for r in runs[1:]:
@@ -70,8 +111,7 @@ def _summary(runs: list[dict]) -> dict:
             raise SystemExit(f"runs disagree: {first} vs {r}")
     metric = _metric(first)
     xs = [r[metric] for r in runs]
-    q1, med, q3 = statistics.quantiles(xs, n=4) if len(xs) > 1 else (xs[0],) * 3
-    out = {metric: {"median": round(med, 3), "q1": round(q1, 3), "q3": round(q3, 3), "runs": xs}}
+    out = {metric: {**_quartiles(xs), "runs": xs}}
     for key, value in first.items():
         if key in ("result", "counters"):
             out[key] = value
@@ -105,17 +145,19 @@ def run(script: str, measure, args: argparse.Namespace, plan: list, check=None) 
         if not pairs:
             continue
         runs = {side: [] for side in SIDES}
-        wins = 0
+        readings = []  # (parent, change) per pair
         for i in range(pairs):
             for side in SIDES if i % 2 == 0 else SIDES[::-1]:
                 runs[side].append(_measure(script, src[side], case))
             last = {side: r[-1][_metric(r[-1])] for side, r in runs.items()}
-            wins += last["change"] < last["parent"]
+            readings.append((last["parent"], last["change"]))
             print(case, i, last, file=sys.stderr)
         entry = {side: _summary(r) for side, r in runs.items()}
         if entry["parent"]["result"] != entry["change"]["result"]:
             raise SystemExit(f"{case}: the sides disagree")
-        entry["change_faster_pairs"] = f"{wins} of {pairs}"
+        entry["change_faster_pairs"] = f"{sum(c < p for p, c in readings)} of {pairs}"
+        ratios = [c / p for p, c in readings if p]
+        entry["change_over_parent"] = _quartiles(ratios) if ratios else None
         if check:
             check(case, entry, doc)
         doc["cases"][" ".join(map(str, case))] = entry

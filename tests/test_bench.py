@@ -49,6 +49,14 @@ def test_pairs_stops_when_the_sides_disagree(pairs, tmp_path):
         _fake_run(pairs, tmp_path, "src")
 
 
+def test_pairs_gives_no_ratio_over_a_parent_that_reads_zero(pairs, tmp_path):
+    # the fake reads 0.0 s on both sides, as a tiny case can at 3 decimals
+    _fake_run(pairs, tmp_path, "same")
+    entry = json.loads((tmp_path / "out.json").read_text())["cases"]["same"]
+    assert entry["change_faster_pairs"] == "0 of 2"
+    assert entry["change_over_parent"] is None
+
+
 def test_catalog_bench_two_pairs(monkeypatch, tmp_path):
     # bench/catalog.py's own command line and gates, with this checkout as
     # both sides, over one small case
@@ -64,7 +72,7 @@ def test_catalog_bench_two_pairs(monkeypatch, tmp_path):
     assert doc["label"] == "catalog_levels"  # the --out name
     assert doc["command"] == "python bench/catalog.py PARENT_SRC --pairs 2"
     entry = doc["cases"]["count 5"]
-    assert set(entry) == {"parent", "change", "change_faster_pairs"}
+    assert set(entry) == {"parent", "change", "change_faster_pairs", "change_over_parent"}
     assert re.fullmatch(r"[0-2] of 2", entry["change_faster_pairs"])
     for side in ("parent", "change"):
         assert set(entry[side]) == {"seconds", "rss_mib", "result", "counters"}
@@ -76,53 +84,80 @@ def test_catalog_bench_two_pairs(monkeypatch, tmp_path):
         }
 
 
-def test_scans_bench_two_pairs(monkeypatch, tmp_path):
+def _scans_two_pairs(monkeypatch, tmp_path, case: tuple) -> dict:
     # bench/scans.py's own command line and gates, with this checkout as
-    # both sides, over one small case
+    # both sides, over one case; gives that case's entry
     monkeypatch.syspath_prepend(os.path.join(ROOT, "bench"))
     import scans
 
     out = tmp_path / "BENCH_generator_scans.json"
-    monkeypatch.setattr(scans, "CASES", [("is_stable", "stable3(3)", 3, 0)])
+    monkeypatch.setattr(scans, "CASES", [case])
     monkeypatch.setattr(sys, "argv", ["scans.py", SRC, "--pairs", "2", "--out", str(out)])
     scans.main()
     doc = json.loads(out.read_text())
     assert list(doc) == ["label", "host", "command", "cases"]
     assert doc["label"] == "generator_scans"  # the --out name
     assert doc["command"] == "python bench/scans.py PARENT_SRC --pairs 2"
-    entry = doc["cases"]["is_stable stable3(3) 3 0"]
-    assert set(entry) == {"parent", "change", "change_faster_pairs"}
+    assert list(doc["cases"]) == [" ".join(map(str, case))]
+    entry = doc["cases"][" ".join(map(str, case))]
+    assert set(entry) == {"parent", "change", "change_faster_pairs", "change_over_parent"}
     assert re.fullmatch(r"[0-2] of 2", entry["change_faster_pairs"])
-    for side in ("parent", "change"):
-        assert set(entry[side]) == {"us_per_call", "result", "counters"}
-        assert len(entry[side]["us_per_call"]["runs"]) == 2
-        assert entry[side]["result"] is True
-        assert entry[side]["counters"] == {"solver_calls": 6, "group_searches": 1}
-
-
-def test_mis_bench_two_pairs(monkeypatch, tmp_path):
-    # bench/mis.py's own command line and gates, with this checkout as both
-    # sides, over the 32-vertex `queries` graphs
-    monkeypatch.syspath_prepend(os.path.join(ROOT, "bench"))
-    import mis
-
-    out = tmp_path / "BENCH_mis_propagation.json"
-    monkeypatch.setattr(mis, "CASES", [("queries", 32, 32)])
-    monkeypatch.setattr(sys, "argv", ["mis.py", SRC, "--pairs", "2", "--out", str(out)])
-    mis.main()
-    doc = json.loads(out.read_text())
-    assert list(doc) == ["label", "host", "command", "cases"]
-    assert doc["label"] == "mis_propagation"  # the --out name
-    assert doc["command"] == "python bench/mis.py PARENT_SRC --pairs 2"
-    entry = doc["cases"]["queries 32 32"]
-    assert set(entry) == {"parent", "change", "change_faster_pairs"}
-    assert re.fullmatch(r"[0-2] of 2", entry["change_faster_pairs"])
+    assert set(entry["change_over_parent"]) == {"median", "q1", "q3"}
     assert entry["parent"]["result"] == entry["change"]["result"]
     for side in ("parent", "change"):
         assert set(entry[side]) == {"us_per_call", "result", "counters"}
         assert len(entry[side]["us_per_call"]["runs"]) == 2
-        assert set(entry[side]["result"]) == {"sha256"}
-        assert entry[side]["counters"] == {"nodes": 5455}
+    return entry
+
+
+# the nodes pins of the next two tests also check that pairs.per_call's
+# counting wrapper is the one frame that scans._from_grow looks past
+
+def test_scans_bench_two_pairs(monkeypatch, tmp_path):
+    scan = _scans_two_pairs(monkeypatch, tmp_path, ("is_stable", "stable3(3)", 3, 0))
+    for side in ("parent", "change"):
+        assert scan[side]["result"] is True
+        assert scan[side]["counters"] == {"solver_calls": 6, "group_searches": 1, "nodes": 76}
+
+
+def test_mis_bench_two_pairs(monkeypatch, tmp_path):
+    # the MIS solver's per-call case: bench/scans.py over the 32-vertex
+    # `queries` graphs
+    band = _scans_two_pairs(monkeypatch, tmp_path, ("queries", 32, 32))
+    for side in ("parent", "change"):
+        assert set(band[side]["result"]) == {"sha256"}
+        assert band[side]["counters"] == {"solver_calls": 51, "group_searches": 0, "nodes": 5455}
+
+
+def _counted(parent: dict, change: dict) -> dict:
+    return {"parent": {"counters": parent}, "change": {"counters": change}}
+
+
+def test_scans_bench_stops_on_more_solver_calls_or_nodes(monkeypatch):
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "bench"))
+    import scans
+
+    case = ("tight", 8, 2, 0)
+    same = {"solver_calls": 10, "nodes": 100}
+    scans._check(case, _counted(same, same), {})
+    with pytest.raises(SystemExit, match=r"^\('tight', 8, 2, 0\): solver_calls 10 -> 11$"):
+        scans._check(case, _counted(same, {"solver_calls": 11, "nodes": 100}), {})
+    with pytest.raises(SystemExit, match=r"^\('tight', 8, 2, 0\): nodes 100 -> 101$"):
+        scans._check(case, _counted(same, {"solver_calls": 10, "nodes": 101}), {})
+
+
+def test_catalog_bench_stops_on_other_searches_or_more_leaves(monkeypatch):
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "bench"))
+    import catalog
+
+    case = ("facts", 8)
+    same = {"searches": 10, "leaves": 100}
+    catalog._check(case, _counted(same, same), {})
+    catalog._check(case, _counted(same, {"searches": 10, "leaves": 99}), {})
+    for change in ({"searches": 9, "leaves": 100}, {"searches": 11, "leaves": 100},
+                   {"searches": 10, "leaves": 101}):
+        with pytest.raises(SystemExit, match=r"^\('facts', 8\): searches differ or leaves rose"):
+            catalog._check(case, _counted(same, change), {})
 
 
 def test_dfs_bench_two_pairs(monkeypatch, tmp_path):
@@ -142,7 +177,7 @@ def test_dfs_bench_two_pairs(monkeypatch, tmp_path):
     assert doc["command"] == "python bench/dfs.py PARENT_SRC --pairs 2 --long-pairs 0"
     assert list(doc["cases"]) == ["search 6 1 2 0"]
     entry = doc["cases"]["search 6 1 2 0"]
-    assert set(entry) == {"parent", "change", "change_faster_pairs"}
+    assert set(entry) == {"parent", "change", "change_faster_pairs", "change_over_parent"}
     assert re.fullmatch(r"[0-2] of 2", entry["change_faster_pairs"])
     assert entry["parent"]["result"] == entry["change"]["result"]
     for side in ("parent", "change"):
@@ -172,7 +207,7 @@ def test_stable_bench_two_pairs(monkeypatch, tmp_path):
     assert doc["label"] == "stable"  # the --out name
     assert doc["command"] == "python bench/stable.py PARENT_SRC --pairs 2"
     entry = doc["cases"]["6 2 1"]
-    assert set(entry) == {"parent", "change", "change_faster_pairs"}
+    assert set(entry) == {"parent", "change", "change_faster_pairs", "change_over_parent"}
     for side in ("parent", "change"):
         assert set(entry[side]) == {"seconds", "result", "counters"}
         assert len(entry[side]["seconds"]["runs"]) == 2
@@ -206,3 +241,12 @@ def test_mutants_name_live_text_and_tests(monkeypatch):
         assert old != new and tests, name
         for test in tests:
             assert os.path.isfile(os.path.join(ROOT, test.split("::")[0])), (name, test)
+
+
+def test_every_bench_script_has_a_two_pairs_test():
+    # a bench script lands with its smoke run: test_<script>_bench_two_pairs
+    # here; pairs.py is the harness and mutants.py is not a paired bench
+    scripts = {f[:-3] for f in os.listdir(os.path.join(ROOT, "bench")) if f.endswith(".py")}
+    assert {"catalog", "scans"} <= scripts
+    for script in sorted(scripts - {"pairs", "mutants"}):
+        assert f"test_{script}_bench_two_pairs" in globals(), script
