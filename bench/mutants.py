@@ -5,7 +5,7 @@
 MUTANTS maps a name to (file, old, new, test ids): one edit of a file of
 the checkout, whose `old` text occurs there exactly once, and the tests
 that must fail once it is made.  For each mutant the script copies src/,
-tests/ and pyproject.toml to a temporary directory, applies the edit there
+tests/, perfbench/ and pyproject.toml to a temporary directory, applies the edit there
 and runs `python -m pytest -x -q` on the named tests, with PYTHONPATH set
 to the copy's src/.  It prints one JSON line per mutant: its name, its
 outcome ("killed" when a test fails, "survived" when they all pass,
@@ -165,6 +165,14 @@ MUTANTS = {
         ["tests/test_mis.py::test_cover_bound_is_sound",
          "tests/test_mis.py::test_solver_matches_plain_branch_and_bound"],
     ),
+    # the maximum search starts with vertex 0 chosen, so every set it finds
+    # past the greedy one holds vertex 0
+    "alpha_set_chosen_one": (
+        MIS,
+        "_grow(adj, mask, 0, 0, best, best_set, mask.bit_count())",
+        "_grow(adj, mask, 1, 0, best, best_set, mask.bit_count())",
+        ["tests/test_mis.py::test_alpha_set_witness_is_independent_and_maximum"],
+    ),
 }
 _KILLED, _PASSED = 1, 0  # pytest's exit codes for failed tests and for none
 
@@ -172,9 +180,9 @@ _KILLED, _PASSED = 1, 0  # pytest's exit codes for failed tests and for none
 def run(name: str, file: str, old: str, new: str, tests: list[str]) -> dict:
     """The outcome of one mutant, tested in a temporary copy of the checkout."""
     with tempfile.TemporaryDirectory() as tmp:
-        for sub in ("src", "tests"):
+        for sub in ("src", "tests", "perfbench"):  # tests read perfbench's query graphs
             shutil.copytree(os.path.join(ROOT, sub), os.path.join(tmp, sub),
-                            ignore=shutil.ignore_patterns("__pycache__"))
+                            ignore=shutil.ignore_patterns("__pycache__", "results"))
         shutil.copy(os.path.join(ROOT, "pyproject.toml"), tmp)
         path = os.path.join(tmp, file)
         with open(path) as f:

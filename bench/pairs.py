@@ -100,7 +100,9 @@ def _metric(run: dict) -> str:
 
 
 def _quartiles(xs: list) -> dict:
-    q1, med, q3 = statistics.quantiles(xs, n=4) if len(xs) > 1 else (xs[0],) * 3
+    # the inclusive method keeps the quartiles within the values; the default
+    # extrapolates past two of them
+    q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive") if len(xs) > 1 else (xs[0],) * 3
     return {"median": round(med, 3), "q1": round(q1, 3), "q3": round(q3, 3)}
 
 

@@ -20,6 +20,9 @@ in microseconds per call:
   (32-40, 48-56 and 64 vertices): each call runs max_independent_set,
   alpha_mask and is_stable(g, 1, 0) on every graph of the band.
 
+Each call builds its graphs afresh, so no call reads the alpha solve that a
+Graph value keeps from an earlier call.
+
 Counters, from the first call alone: `solver_calls`, the calls stability
 makes to mis.independent_set_at_least; `group_searches`, its calls to
 canon._automorphisms; and `nodes`, the solver's nodes, the calls mis._grow
@@ -74,11 +77,12 @@ def _op(case: list):
         sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
         from perfbench.workloads import Queries
 
-        graphs = [build(n, edges) for n, edges in Queries.structures() if target <= n <= params[0]]
+        band_edges = [(n, edges) for n, edges in Queries.structures() if target <= n <= params[0]]
 
         def band():
             out = []
-            for g in graphs:
+            for n, edges in band_edges:
+                g = build(n, edges)
                 r = max_independent_set(g)
                 out.append((r.alpha, r.witness, alpha_mask(g.adj, g.vertex_mask), is_stable(g, 1, 0)))
             return out
@@ -86,10 +90,10 @@ def _op(case: list):
         return band
     # the graph is named by the families' functions, stable3 and stable4
     # standing for stable3_circulant and stable4_circulant
-    g = eval(target, {**vars(families), "stable3": families.stable3_circulant,
-                      "stable4": families.stable4_circulant})
+    make = eval("lambda: " + target, {**vars(families), "stable3": families.stable3_circulant,
+                                      "stable4": families.stable4_circulant})
     scan = {"is_stable": is_stable, "is_tight_stable": is_tight_stable, "alpha_drop": alpha_drop}[kind]
-    return lambda: scan(g, *params)
+    return lambda: scan(make(), *params)
 
 
 def _from_grow(args) -> bool:

@@ -5,7 +5,8 @@ the adjacency matrix and a vertex subset alike.  Vertex sets are plain ints
 throughout the package: bit v set means vertex v is in the set.  Graphs are
 values: no operation mutates its inputs, and assigning or deleting an
 attribute raises AttributeError, so instances are safe to share between
-worker processes.
+worker processes.  A value also carries a private cache, filled on first use
+by indstab.mis with its alpha solve; equality, hashing and pickling ignore it.
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ class Graph:
     """
 
     # slots declared by hand: with slots=True, Python 3.11 raises TypeError,
-    # not FrozenInstanceError, on assigning or deleting an unknown attribute
-    __slots__ = ("n", "adj")
+    # not FrozenInstanceError, on assigning or deleting an unknown attribute.
+    # `_mis`, not a field, is mis._alpha_set_of's cache, unset until filled
+    __slots__ = ("n", "adj", "_mis")
     n: int
     adj: tuple[int, ...]
 
@@ -58,7 +60,7 @@ class Graph:
         return g
 
     def __reduce__(self):
-        # the default would restore the slots through the frozen __setattr__
+        # the default restores slots through the frozen __setattr__; _mis is dropped
         return (self._wrap, (self.n, self.adj))
 
     @property

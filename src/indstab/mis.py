@@ -6,8 +6,9 @@ clique cover, and break every tie toward the lowest vertex label so witnesses
 are reproducible.  One search body serves every query: it improves an
 incumbent and returns once the incumbent reaches a cut-off, so the maximum
 runs from a greedy incumbent with no cut-off and the threshold query ("an
-independent set of at least t vertices") from t - 1 with cut-off t.  The
-maximum's set is kept for the removal scans, which start from it.
+independent set of at least t vertices") from t - 1 with cut-off t.  A
+Graph value keeps its maximum once solved (_alpha_set_of) for alpha,
+max_independent_set and the removal scans, whose pools start from its set.
 Each node tests the bound before it picks a branch vertex; only the nodes
 that survive pay for the degree pass.  The cover stops at one clique more
 than the node can still gain.  When it has exactly that many, a set that
@@ -223,9 +224,18 @@ def independent_set_at_least(
     return chosen if size >= target else None
 
 
+def _alpha_set_of(g: Graph) -> tuple[int, int]:
+    """_alpha_set of the whole graph, solved once per Graph value and kept in its `_mis` slot."""
+    out = getattr(g, "_mis", None)
+    if out is None:
+        out = _alpha_set(g.adj, g.vertex_mask)
+        object.__setattr__(g, "_mis", out)
+    return out
+
+
 def alpha(g: Graph) -> int:
     """The independence number."""
-    return alpha_mask(g.adj, g.vertex_mask)
+    return _alpha_set_of(g)[0]
 
 
 def max_independent_set(g: Graph) -> MisResult:
@@ -233,10 +243,13 @@ def max_independent_set(g: Graph) -> MisResult:
 
     The witness is the first optimum reached by the fixed branching order
     (include before exclude, lowest label on every tie), so repeated runs and
-    relabeling-free reruns return the same set.
+    relabeling-free reruns return the same set: the kept solve's, unless its
+    greedy start was optimal, when the search from alpha - 1 reaches it first.
     """
-    mask = g.vertex_mask
-    return MisResult(*_grow(g.adj, mask, 0, 0, 0, 0, mask.bit_count()))
+    a, w = _alpha_set_of(g)
+    if w == _greedy(g.adj, g.vertex_mask, a)[1]:
+        w = _grow(g.adj, g.vertex_mask, 0, 0, a - 1, 0, a)[1]
+    return MisResult(a, w)
 
 
 def is_independent(g: Graph, vertices: int) -> bool:

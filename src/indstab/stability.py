@@ -14,10 +14,11 @@ only when none is, and every witness it returns joins the pool.  A removal
 set that misses the witness certifying its prefix is certified too, so the
 scan extends a prefix only by vertices of that witness.  A pool may start
 with any independent sets of the graph: the entry points start it with the
-maximum independent set their alpha solve found, and enumeration's window
-test with the child's maximum set and those of its siblings' scans that the
-parent's graph holds.  The drop found is exact whatever the pool holds; the
-pool changes only how often the solver runs.
+maximum independent set of the graph's one alpha solve, which the Graph
+value keeps (mis._alpha_set_of), and enumeration's window test with the
+child's maximum set and those of its siblings' scans that the parent's graph
+holds.  The drop found is exact whatever the pool holds; the pool changes
+only how often the solver runs.
 
 Every scan searches for the worst drop.  A prefix that no witness of
 alpha - drop vertices avoids raises the drop found by one (supersets of the
@@ -62,7 +63,7 @@ from __future__ import annotations
 
 from indstab.canon import _automorphisms, _orbit, _refine_root
 from indstab.graphs import Graph, vset, vset_members
-from indstab.mis import _alpha_set, independent_set_at_least
+from indstab.mis import _alpha_set_of, independent_set_at_least
 
 # Scans of graphs with fewer vertices never search the automorphism group.
 # Canonical augmentation runs its many scans on at most 11 vertices, where a
@@ -176,13 +177,13 @@ def _reach(n: int, k: int, a: int) -> int:
 def alpha_drop(g: Graph, k: int) -> int:
     """Worst-case drop of the independence number over all k-vertex removals."""
     stability_bound(g.n, k, 0)
-    a, w = _alpha_set(g.adj, g.vertex_mask)
+    a, w = _alpha_set_of(g)
     return (reach := _reach(g.n, k, a)) and _worst_drop(g, k, a, reach, [w])
 
 
 def _within(g: Graph, L: int, H: int, k: int, F: int, r: int) -> bool:
     """Whether L <= alpha <= H and every k deletions leave alpha >= max(F, alpha - r)."""
-    a, w = _alpha_set(g.adj, g.vertex_mask)
+    a, w = _alpha_set_of(g)
     cut = min(a - F, r)
     return L <= a <= H and (_reach(g.n, k, a) <= cut or _worst_drop(g, k, a, cut + 1, [w]) <= cut)
 
@@ -203,6 +204,6 @@ def stable_vertex_count(g: Graph) -> int:
     """Number of vertices whose removal leaves the independence number unchanged."""
     if g.n < 2:
         raise ValueError("stable_vertex_count needs at least 2 vertices")
-    a, w = _alpha_set(g.adj, g.vertex_mask)
+    a, w = _alpha_set_of(g)
     s = _RemovalScan(g, 1, a, 1, [w])
     return sum(1 for v in range(g.n) if s.witness(1 << v, a) is not None)

@@ -15,7 +15,8 @@ from indstab.graphs import (
     vset_members,
 )
 from indstab.families import circulant, cycle, kn_tight
-from indstab.mis import is_independent
+from indstab.graph6 import g6_encode
+from indstab.mis import alpha, is_independent
 from indstab.canon import canonical
 
 from _oracles import random_graph
@@ -88,6 +89,26 @@ def test_graph_pickle_and_deepcopy_round_trip():
             assert type(h) is Graph
             assert h == g and hash(h) == hash(g) == hash((g.n, g.adj))
         assert g != (g.n, g.adj)
+
+
+def test_kept_alpha_solve_is_invisible():
+    # the solve a Graph keeps once alpha is asked changes no equality, hash,
+    # graph6 code or pickle, does not survive pickling, and leaves the value
+    # as immutable as a fresh one
+    for g in (build(1, []), cycle(5), kn_tight(6), circulant(24, {3, 4})):
+        bare = Graph._wrap(g.n, g.adj)
+        a = alpha(g)
+        assert g._mis[0] == a and not hasattr(bare, "_mis")
+        assert g == bare and hash(g) == hash(bare) and g6_encode(g) == g6_encode(bare)
+        assert pickle.dumps(g) == pickle.dumps(bare)
+        for h in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
+            assert h == g and not hasattr(h, "_mis")
+        for v in (g, bare):
+            with pytest.raises(AttributeError):
+                v._mis = (0, 0)
+            with pytest.raises(AttributeError):
+                del v._mis
+        assert g._mis[0] == a
 
 
 def test_remove_vertex_from_cycle_gives_path():

@@ -1,3 +1,4 @@
+import os
 import random
 import sys
 
@@ -13,9 +14,11 @@ from indstab.families import (
     stable3_circulant,
     stable4_circulant,
 )
-from indstab.graphs import build, complement, remove_vertices, vset, vset_members
+from indstab.graphs import Graph, build, complement, remove_vertices, vset, vset_members
 from indstab.mis import (
+    _alpha_set,
     _cover_exceeds,
+    _grow,
     alpha,
     alpha_mask,
     alpha_profile,
@@ -25,7 +28,12 @@ from indstab.mis import (
     saturating_matching,
     subset_alphas,
 )
-from indstab.stability import alpha_drop, is_stable
+from indstab.stability import (
+    alpha_drop,
+    is_stable,
+    is_tight_stable,
+    stable_vertex_count,
+)
 
 from _oracles import (
     all_max_independent_sets,
@@ -40,6 +48,16 @@ from _oracles import (
 
 def complete(n):
     return build(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+
+def queries_graphs():
+    """The 131 graphs of perfbench's `queries` workload, built afresh."""
+    sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    try:
+        from perfbench.workloads import Queries
+    finally:
+        sys.path.pop(0)
+    return [build(n, edges) for n, edges in Queries.structures()]
 
 
 def test_alpha_c5():
@@ -193,7 +211,11 @@ def test_solver_nodes_pinned(monkeypatch):
     # graph and in the `scans` workload: each circulant's alpha solve, then
     # each whole scan.  The witnesses are the plain solver's, so a tighter
     # bound may only lower these.  Before the forced vertices they were
-    # 1,805; 51, 277, 119; and 160, 791, 791, 337, 337
+    # 1,805; 51, 277, 119; and 160, 791, 791, 337, 337.  The 64-vertex
+    # graph's maximum set comes from the greedy-started solve (831 nodes
+    # when it searched from an empty incumbent), and an alpha_drop after an
+    # is_stable of the same Graph reads the alpha that is_stable solved (271
+    # and 185 when it solved again); alpha_mask keeps nothing
     nodes = []
     real = mis._cover_exceeds
 
@@ -205,7 +227,7 @@ def test_solver_nodes_pinned(monkeypatch):
     monkeypatch.setattr(mis, "_cover_exceeds", count)
     g = random_graph(64, 0.1, random.Random(64))
     assert max_independent_set(g).alpha == 24
-    assert len(nodes) == 831
+    assert len(nodes) == 677
     s3_3, s3_4, s4_3 = stable3_circulant(3), stable3_circulant(4), stable4_circulant(3)
     for h, want in ((s3_3, 21), (s3_4, 77), (s4_3, 41)):
         nodes.clear()
@@ -214,14 +236,58 @@ def test_solver_nodes_pinned(monkeypatch):
     scans = (
         (lambda: is_stable(s3_3, 3, 0), 76),
         (lambda: is_stable(s3_4, 3, 0), 271),
-        (lambda: alpha_drop(s3_4, 3), 271),
+        (lambda: alpha_drop(s3_4, 3), 194),
         (lambda: is_stable(s4_3, 4, 0), 185),
-        (lambda: alpha_drop(s4_3, 4), 185),
+        (lambda: alpha_drop(s4_3, 4), 144),
     )
     for scan, want in scans:
         nodes.clear()
         scan()
         assert len(nodes) == want
+
+
+def test_alpha_set_witness_is_independent_and_maximum(catalog):
+    # _alpha_set's set, which every Graph keeps and every removal scan's pool
+    # starts from, is independent and has alpha vertices: over the n <= 7
+    # catalog and the `queries` graphs
+    graphs = [g for n in range(1, 8) for _, g in catalog(n)] + queries_graphs()
+    for g in graphs:
+        a, w = _alpha_set(g.adj, g.vertex_mask)
+        assert a == plain_alpha_mask(g.adj, g.vertex_mask)
+        assert is_independent(g, w) and w.bit_count() == a
+
+
+def test_max_independent_set_from_the_kept_solve(catalog):
+    # the witness stays the first optimum of the search from an empty
+    # incumbent, whether max_independent_set is a Graph's first query or
+    # follows an is_stable that filled its kept solve: over the n <= 7
+    # catalog, the `queries` graphs and seeded random graphs, each queried
+    # through fresh values so that no earlier test's solve is kept
+    rng = random.Random(97)
+    graphs = [g for n in range(1, 8) for _, g in catalog(n)] + queries_graphs()
+    graphs += [random_graph(rng.randint(1, 29), rng.random(), rng) for _ in range(500)]
+    for g in graphs:
+        want = _grow(g.adj, g.vertex_mask, 0, 0, 0, 0, g.n)
+        first, after = Graph._wrap(g.n, g.adj), Graph._wrap(g.n, g.adj)
+        r = max_independent_set(first)
+        assert (r.alpha, r.witness) == want
+        if g.n > 1:
+            is_stable(after, 1, 0)
+        r = max_independent_set(after)
+        assert (r.alpha, r.witness) == want
+
+
+def test_one_alpha_solve_per_graph(count_calls):
+    # alpha, max_independent_set and the stability entry points of one Graph
+    # value share its one solve; an equal value solves again
+    solves = count_calls(mis, "_alpha_set")
+    g = stable3_circulant(3)
+    assert alpha(g) == 9 and max_independent_set(g).alpha == 9
+    assert is_stable(g, 3, 0) and alpha_drop(g, 3) == 0
+    assert not is_tight_stable(g, 3, 0) and stable_vertex_count(g) == g.n
+    assert len(solves) == 1
+    assert alpha(build(g.n, g.edges())) == 9
+    assert len(solves) == 2
 
 
 def test_alpha_monotone_under_removal():

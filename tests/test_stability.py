@@ -4,7 +4,7 @@ from itertools import combinations
 import networkx as nx
 import pytest
 
-from indstab import stability
+from indstab import mis, stability
 from indstab.cli import main
 from indstab.enumeration import search_tight_stable
 from indstab.families import (
@@ -130,7 +130,7 @@ def test_parameters_checked_before_any_solver_call(monkeypatch):
     def fail(*args):
         raise AssertionError("alpha computed before the parameters were checked")
 
-    monkeypatch.setattr(stability, "_alpha_set", fail)
+    monkeypatch.setattr(stability, "_alpha_set_of", fail)
     g = cycle(6)
     with pytest.raises(ValueError, match="n > k > l >= 0"):
         is_tight_stable(g, g.n, 0)
@@ -211,9 +211,10 @@ def test_corollary_on_samples():
 
 
 def test_stable_vertex_count_computes_alpha_once(count_calls):
-    calls = count_calls(stability, "_alpha_set")
+    calls = count_calls(stability, "_alpha_set_of")
+    solves = count_calls(mis, "_alpha_set")
     assert stable_vertex_count(cycle(9)) == 9
-    assert len(calls) == 1
+    assert len(calls) == len(solves) == 1
 
 
 def test_scan_solver_calls_pinned(count_calls):
