@@ -4,10 +4,12 @@
 
 MUTANTS maps a name to (file, old, new, test ids): one edit of a file of
 the checkout, whose `old` text occurs there exactly once, and the tests
-that must fail once it is made.  For each mutant the script copies src/,
-tests/, perfbench/ and pyproject.toml to a temporary directory, applies the edit there
-and runs `python -m pytest -x -q` on the named tests, with PYTHONPATH set
-to the copy's src/.  It prints one JSON line per mutant: its name, its
+that must fail once it is made.  The script copies src/, tests/,
+perfbench/ and pyproject.toml to a temporary directory, makes the edit
+there and runs `python -m pytest -x -q` on the named tests, with PYTHONPATH
+set to the copy's src/.  A control run first runs every named test on an
+unmutated copy; if it fails, the script prints one line with outcome
+"error" and exits 1.  Then it prints one JSON line per mutant: its name, its
 outcome ("killed" when a test fails, "survived" when they all pass,
 "error" when pytest could not run them) and the seconds the tests took.
 It exits 1 unless every mutant is killed.  It writes nothing in the
@@ -177,32 +179,45 @@ MUTANTS = {
 _KILLED, _PASSED = 1, 0  # pytest's exit codes for failed tests and for none
 
 
-def run(name: str, file: str, old: str, new: str, tests: list[str]) -> dict:
-    """The outcome of one mutant, tested in a temporary copy of the checkout."""
+def _pytest(tests: list[str], edit: tuple[str, str, str] | None = None) -> tuple[int, float]:
+    """pytest's exit code and seconds on `tests` in a temporary copy of the
+    checkout, with the edit (file, old, new) made there if one is given."""
     with tempfile.TemporaryDirectory() as tmp:
         for sub in ("src", "tests", "perfbench"):  # tests read perfbench's query graphs
             shutil.copytree(os.path.join(ROOT, sub), os.path.join(tmp, sub),
                             ignore=shutil.ignore_patterns("__pycache__", "results"))
         shutil.copy(os.path.join(ROOT, "pyproject.toml"), tmp)
-        path = os.path.join(tmp, file)
-        with open(path) as f:
-            text = f.read()
-        if text.count(old) != 1:
-            raise SystemExit(f"{name}: the text to replace occurs {text.count(old)} times in {file}")
-        with open(path, "w") as f:
-            f.write(text.replace(old, new))
+        if edit:
+            file, old, new = edit
+            path = os.path.join(tmp, file)
+            with open(path) as f:
+                text = f.read()
+            if text.count(old) != 1:
+                raise SystemExit(f"the text to replace occurs {text.count(old)} times in {file}")
+            with open(path, "w") as f:
+                f.write(text.replace(old, new))
         t = time.perf_counter()
         code = subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
             cwd=tmp, env=dict(os.environ, PYTHONPATH=os.path.join(tmp, "src")),
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         ).returncode
-        seconds = time.perf_counter() - t
+        return code, round(time.perf_counter() - t, 1)
+
+
+def run(name: str, file: str, old: str, new: str, tests: list[str]) -> dict:
+    """The outcome of one mutant, tested in a temporary copy of the checkout."""
+    code, seconds = _pytest(tests, (file, old, new))
     outcome = {_KILLED: "killed", _PASSED: "survived"}.get(code, "error")
-    return {"mutant": name, "outcome": outcome, "seconds": round(seconds, 1)}
+    return {"mutant": name, "outcome": outcome, "seconds": seconds}
 
 
 def main() -> None:
+    # the control run: a test that fails unmutated would "kill" its mutants
+    code, seconds = _pytest(sorted({t for *_, tests in MUTANTS.values() for t in tests}))
+    if code != _PASSED:
+        print(json.dumps({"mutant": None, "outcome": "error", "seconds": seconds}))
+        sys.exit(1)
     outcomes = []
     for name, mutant in MUTANTS.items():
         result = run(name, *mutant)

@@ -32,7 +32,7 @@ import networkx as nx
 import numpy as np
 
 from indstab.canon import _automorphisms, _least, _orbit, _refine_root, _split
-from indstab.graphs import Graph, vset
+from indstab.graphs import Graph, build, vset
 
 
 def alpha_brute(g: Graph) -> int:
@@ -431,6 +431,11 @@ def isomorphic_brute(g: Graph, h: Graph) -> bool:
     if g.n != h.n or g.edge_count() != h.edge_count():
         return False
     return min_code_all_perms(g) == min_code_all_perms(h)
+
+
+def complete(n: int) -> Graph:
+    """K_n."""
+    return build(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
 def random_graph(n: int, p: float, rng) -> Graph:

@@ -2,6 +2,7 @@ import argparse
 import json
 import os
 import re
+import subprocess
 import sys
 
 import pytest
@@ -69,29 +70,57 @@ def test_pairs_gives_no_ratio_over_a_parent_that_reads_zero(pairs, tmp_path):
 
 def test_catalog_bench_two_pairs(monkeypatch, tmp_path):
     # bench/catalog.py's own command line and gates, with this checkout as
-    # both sides, over one small case
+    # both sides, over a small count, a tight and a Stable search, and no
+    # long case
     monkeypatch.syspath_prepend(os.path.join(ROOT, "bench"))
     import catalog
 
+    cases = [("count", 5, 1), ("search", 6, 1, "tight-stable:2,0"), ("search", 6, 1, "stable:2,1")]
+    checked, check = [], catalog._check
+
+    def untimed(case, entry, doc):
+        # two pairs of a few-ms search read only noise, so the timing gate
+        # sees the parent's seconds on both sides; it is tried on its own below
+        checked.append(case)
+        check(case, {**entry, "change": {**entry["change"], "seconds": entry["parent"]["seconds"]}},
+              doc)
+
     out = tmp_path / "BENCH_catalog_levels.json"
-    monkeypatch.setattr(catalog, "CASES", [("count", 5)])
-    monkeypatch.setattr(sys, "argv", ["catalog.py", SRC, "--pairs", "2", "--out", str(out)])
+    monkeypatch.setattr(catalog, "CASES", cases)
+    monkeypatch.setattr(catalog, "_check", untimed)
+    argv = ["catalog.py", SRC, "--pairs", "2", "--long-pairs", "0", "--out", str(out)]
+    monkeypatch.setattr(sys, "argv", argv)
     catalog.main()
+    assert checked == cases
     doc = json.loads(out.read_text())
     assert list(doc) == ["label", "host", "command", "cases"]
     assert doc["label"] == "catalog_levels"  # the --out name
-    assert doc["command"] == "python bench/catalog.py PARENT_SRC --pairs 2"
-    entry = doc["cases"]["count 5"]
-    assert set(entry) == {"parent", "change", "change_faster_pairs", "change_over_parent"}
-    assert re.fullmatch(r"[0-2] of 2", entry["change_faster_pairs"])
-    for side in ("parent", "change"):
-        assert set(entry[side]) == {"seconds", "rss_mib", "result", "counters"}
-        assert set(entry[side]["seconds"]) == {"median", "q1", "q3", "runs"}
-        assert len(entry[side]["seconds"]["runs"]) == len(entry[side]["rss_mib"]) == 2
-        assert entry[side]["result"] == {"classes": 34}
-        assert set(entry[side]["counters"]) == {
-            "expand_roots", "root_refinements", "refine_calls", "searches", "least_walks", "leaves",
-        }
+    assert doc["command"] == "python bench/catalog.py PARENT_SRC --pairs 2 --long-pairs 0"
+    assert list(doc["cases"]) == [
+        "count 5 1", "search 6 1 tight-stable:2,0", "search 6 1 stable:2,1",
+    ]
+    for key, entry in doc["cases"].items():
+        assert set(entry) == {"parent", "change", "change_faster_pairs", "change_over_parent"}
+        assert re.fullmatch(r"[0-2] of 2", entry["change_faster_pairs"])
+        assert entry["parent"]["result"] == entry["change"]["result"]
+        for side in ("parent", "change"):
+            assert set(entry[side]) == {
+                "seconds", "cpu_self_s", "rss_self_mib", "rss_children_mib", "result", "counters",
+            }, key
+            assert set(entry[side]["seconds"]) == {"median", "q1", "q3", "runs"}
+            assert len(entry[side]["seconds"]["runs"]) == len(entry[side]["rss_self_mib"]) == 2
+            assert set(entry[side]["counters"]) == {
+                "expand", "expand_roots", "root_refinements", "refine_calls", "searches",
+                "least_walks", "leaves", "worst_drops",
+            }, key
+    classes = {key: entry["change"]["result"]["classes"] for key, entry in doc["cases"].items()}
+    assert classes == {
+        "count 5 1": 34, "search 6 1 tight-stable:2,0": 15, "search 6 1 stable:2,1": 107,
+    }
+    # canon._code starts 3 of the 35 group searches, for classes whose group
+    # the walk does not hold
+    tight = doc["cases"]["search 6 1 tight-stable:2,0"]["change"]["counters"]
+    assert (tight["expand"], tight["searches"], tight["least_walks"]) == (21, 35, 15)
 
 
 def _scans_two_pairs(monkeypatch, tmp_path, case: tuple) -> dict:
@@ -169,74 +198,25 @@ def test_catalog_bench_stops_on_other_searches_or_more_leaves(monkeypatch):
                    {"searches": 10, "leaves": 101}):
         with pytest.raises(SystemExit, match=r"^\('facts', 8\): searches differ or leaves rose"):
             catalog._check(case, _counted(same, change), {})
-
-
-def test_dfs_bench_two_pairs(monkeypatch, tmp_path):
-    # bench/dfs.py's own command line, with this checkout as both sides, over
-    # one small serial search and no long case
-    monkeypatch.syspath_prepend(os.path.join(ROOT, "bench"))
-    import dfs
-
-    out = tmp_path / "BENCH_dfs.json"
-    monkeypatch.setattr(dfs, "CASES", [("search", 6, 1, 2, 0)])
-    argv = ["dfs.py", SRC, "--pairs", "2", "--long-pairs", "0", "--out", str(out)]
-    monkeypatch.setattr(sys, "argv", argv)
-    dfs.main()
-    doc = json.loads(out.read_text())
-    assert list(doc) == ["label", "host", "command", "cases"]
-    assert doc["label"] == "dfs"  # the --out name
-    assert doc["command"] == "python bench/dfs.py PARENT_SRC --pairs 2 --long-pairs 0"
-    assert list(doc["cases"]) == ["search 6 1 2 0"]
-    entry = doc["cases"]["search 6 1 2 0"]
-    assert set(entry) == {"parent", "change", "change_faster_pairs", "change_over_parent"}
-    assert re.fullmatch(r"[0-2] of 2", entry["change_faster_pairs"])
-    assert entry["parent"]["result"] == entry["change"]["result"]
-    for side in ("parent", "change"):
-        assert set(entry[side]) == {
-            "seconds", "cpu_self_s", "rss_self_mib", "rss_children_mib", "result", "counters",
-        }
-        assert len(entry[side]["seconds"]["runs"]) == 2
-        assert entry[side]["result"]["classes"] == 15
-        assert entry[side]["counters"] == {
-            "_expand": 21, "_automorphisms": 32, "_least": 0, "_code": 15,
-        }
-
-
-def test_stable_bench_two_pairs(monkeypatch, tmp_path):
-    # bench/stable.py's own command line, with this checkout as both sides,
-    # over one small case; its timing gate is tried on its own below
-    monkeypatch.syspath_prepend(os.path.join(ROOT, "bench"))
-    import stable
-
-    out = tmp_path / "stable.json"
-    monkeypatch.setattr(stable, "CASES", [(6, 2, 1)])
-    monkeypatch.setattr(stable, "_check", lambda case, entry, doc: None)
-    monkeypatch.setattr(sys, "argv", ["stable.py", SRC, "--pairs", "2", "--out", str(out)])
-    stable.main()
-    doc = json.loads(out.read_text())
-    assert list(doc) == ["label", "host", "command", "cases"]
-    assert doc["label"] == "stable"  # the --out name
-    assert doc["command"] == "python bench/stable.py PARENT_SRC --pairs 2"
-    entry = doc["cases"]["6 2 1"]
-    assert set(entry) == {"parent", "change", "change_faster_pairs", "change_over_parent"}
-    for side in ("parent", "change"):
-        assert set(entry[side]) == {"seconds", "result", "counters"}
-        assert len(entry[side]["seconds"]["runs"]) == 2
-        assert entry[side]["result"]["classes"] == 107
-        assert set(entry[side]["counters"]) == {"_expand", "_worst_drop"}
+    # a jobs-2 entry counts nothing, and a "first" entry its _expand calls alone
+    catalog._check(("search", 9, 2, "tight-stable:3,1"), _counted({}, {}), {})
+    catalog._check(("first", 9, "tight-stable:2,0"), _counted({"expand": 59}, {"expand": 60}), {})
 
 
 def test_stable_bench_stops_on_a_slower_change(monkeypatch):
+    # bench/catalog.py's timing gate, on "stable:" searches alone
     monkeypatch.syspath_prepend(os.path.join(ROOT, "bench"))
-    import stable
+    import catalog
 
     def entry(parent_q3, change_median):
         return {"parent": {"seconds": {"q3": parent_q3}},
                 "change": {"seconds": {"median": change_median}}}
 
-    stable._check((8, 2, 1), entry(2.0, 2.0), {})
-    with pytest.raises(SystemExit, match=r"^\(8, 2, 1\): change median 2.1 s is above"):
-        stable._check((8, 2, 1), entry(2.0, 2.1), {})
+    case = ("search", 8, 1, "stable:2,1")
+    catalog._check(case, entry(2.0, 2.0), {})
+    with pytest.raises(SystemExit, match=r"^\('search', 8, 1, 'stable:2,1'\): change median 2.1 s"):
+        catalog._check(case, entry(2.0, 2.1), {})
+    catalog._check(("search", 8, 1, "tight-stable:2,0"), entry(2.0, 2.1), {})
 
 
 def test_mutants_name_live_text_and_tests(monkeypatch):
@@ -254,10 +234,34 @@ def test_mutants_name_live_text_and_tests(monkeypatch):
             assert os.path.isfile(os.path.join(ROOT, test.split("::")[0])), (name, test)
 
 
+def test_mutants_stop_when_the_control_run_fails(monkeypatch, capsys):
+    # bench/mutants.py runs every named test once unmutated before any
+    # mutant: a test that fails there would read as killing its mutants
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "bench"))
+    import mutants
+
+    runs = []
+
+    def failing(cmd, **kwargs):
+        runs.append(cmd)
+        return subprocess.CompletedProcess(cmd, mutants._KILLED)
+
+    monkeypatch.setattr(mutants.subprocess, "run", failing)
+    with pytest.raises(SystemExit) as stop:
+        mutants.main()
+    assert stop.value.code == 1
+    named = {t for *_, tests in mutants.MUTANTS.values() for t in tests}
+    assert len(runs) == 1 and set(runs[0][runs[0].index("no:cacheprovider") + 1:]) == named
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["outcome"] == "error"
+
+
 def test_every_bench_script_has_a_two_pairs_test():
     # a bench script lands with its smoke run: test_<script>_bench_two_pairs
-    # here; pairs.py is the harness and mutants.py is not a paired bench
+    # here; pairs.py is the harness and mutants.py is not a paired bench.
+    # A whole-run case goes in catalog.py and a per-call case in scans.py;
+    # a third paired script must say here why neither fits it
     scripts = {f[:-3] for f in os.listdir(os.path.join(ROOT, "bench")) if f.endswith(".py")}
-    assert {"catalog", "scans"} <= scripts
+    assert scripts == {"catalog", "scans", "pairs", "mutants"}
     for script in sorted(scripts - {"pairs", "mutants"}):
         assert f"test_{script}_bench_two_pairs" in globals(), script

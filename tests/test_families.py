@@ -15,13 +15,10 @@ from indstab.families import (
     stable4_circulant,
     wheel,
 )
-from indstab.graphs import build
 from indstab.mis import alpha
 from indstab.stability import is_stable, is_tight_stable
 
-
-def complete(n):
-    return build(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+from _oracles import complete
 
 
 def test_kn_tight_even():

@@ -38,16 +38,13 @@ from indstab.stability import (
 from _oracles import (
     all_max_independent_sets,
     alpha_brute,
+    complete,
     max_clique_brute,
     plain_alpha_mask,
     plain_max_independent_set,
     plain_set_at_least,
     random_graph,
 )
-
-
-def complete(n):
-    return build(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
 def queries_graphs():

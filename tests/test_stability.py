@@ -35,14 +35,11 @@ from indstab.stability import (
 from _oracles import (
     all_max_independent_sets,
     check_stable_vertex_bound,
+    complete,
     random_graph,
     relabeled,
     stabilizer_orbits,
 )
-
-
-def complete(n):
-    return build(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
 def alpha_drop_plain(g, k):
