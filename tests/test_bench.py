@@ -68,14 +68,13 @@ def test_pairs_gives_no_ratio_over_a_parent_that_reads_zero(pairs, tmp_path):
     assert entry["change_over_parent"] is None
 
 
-def test_catalog_bench_two_pairs(monkeypatch, tmp_path):
+def _catalog_two_pairs(monkeypatch, tmp_path, case: tuple) -> dict:
     # bench/catalog.py's own command line and gates, with this checkout as
-    # both sides, over a small count, a tight and a Stable search, and no
-    # long case
+    # both sides, over one case and no long case; gives that case's change
+    # side
     monkeypatch.syspath_prepend(os.path.join(ROOT, "bench"))
     import catalog
 
-    cases = [("count", 5, 1), ("search", 6, 1, "tight-stable:2,0"), ("search", 6, 1, "stable:2,1")]
     checked, check = [], catalog._check
 
     def untimed(case, entry, doc):
@@ -86,41 +85,54 @@ def test_catalog_bench_two_pairs(monkeypatch, tmp_path):
               doc)
 
     out = tmp_path / "BENCH_catalog_levels.json"
-    monkeypatch.setattr(catalog, "CASES", cases)
+    monkeypatch.setattr(catalog, "CASES", [case])
     monkeypatch.setattr(catalog, "_check", untimed)
     argv = ["catalog.py", SRC, "--pairs", "2", "--long-pairs", "0", "--out", str(out)]
     monkeypatch.setattr(sys, "argv", argv)
     catalog.main()
-    assert checked == cases
+    assert checked == [case]
     doc = json.loads(out.read_text())
     assert list(doc) == ["label", "host", "command", "cases"]
     assert doc["label"] == "catalog_levels"  # the --out name
     assert doc["command"] == "python bench/catalog.py PARENT_SRC --pairs 2 --long-pairs 0"
-    assert list(doc["cases"]) == [
-        "count 5 1", "search 6 1 tight-stable:2,0", "search 6 1 stable:2,1",
-    ]
-    for key, entry in doc["cases"].items():
-        assert set(entry) == {"parent", "change", "change_faster_pairs", "change_over_parent"}
-        assert re.fullmatch(r"[0-2] of 2", entry["change_faster_pairs"])
-        assert entry["parent"]["result"] == entry["change"]["result"]
-        for side in ("parent", "change"):
-            assert set(entry[side]) == {
-                "seconds", "cpu_self_s", "rss_self_mib", "rss_children_mib", "result", "counters",
-            }, key
-            assert set(entry[side]["seconds"]) == {"median", "q1", "q3", "runs"}
-            assert len(entry[side]["seconds"]["runs"]) == len(entry[side]["rss_self_mib"]) == 2
-            assert set(entry[side]["counters"]) == {
-                "expand", "expand_roots", "root_refinements", "refine_calls", "searches",
-                "least_walks", "leaves", "worst_drops",
-            }, key
-    classes = {key: entry["change"]["result"]["classes"] for key, entry in doc["cases"].items()}
-    assert classes == {
-        "count 5 1": 34, "search 6 1 tight-stable:2,0": 15, "search 6 1 stable:2,1": 107,
-    }
+    key = " ".join(map(str, case))
+    assert list(doc["cases"]) == [key]
+    entry = doc["cases"][key]
+    assert set(entry) == {"parent", "change", "change_faster_pairs", "change_over_parent"}
+    assert re.fullmatch(r"[0-2] of 2", entry["change_faster_pairs"])
+    assert entry["parent"]["result"] == entry["change"]["result"]
+    for side in ("parent", "change"):
+        assert set(entry[side]) == {
+            "seconds", "cpu_self_s", "rss_self_mib", "rss_children_mib", "result", "counters",
+        }
+        assert set(entry[side]["seconds"]) == {"median", "q1", "q3", "runs"}
+        assert len(entry[side]["seconds"]["runs"]) == len(entry[side]["rss_self_mib"]) == 2
+        assert set(entry[side]["counters"]) == {
+            "expand", "expand_roots", "root_refinements", "refine_calls", "searches",
+            "least_walks", "leaves", "worst_drops",
+        }
+    return entry["change"]
+
+
+def test_catalog_bench_two_pairs(monkeypatch, tmp_path):
+    count = _catalog_two_pairs(monkeypatch, tmp_path, ("count", 5, 1))
+    assert count["result"]["classes"] == 34
+
+
+def test_dfs_bench_two_pairs(monkeypatch, tmp_path):
+    # the serial tight search that bench/dfs.py timed, now a catalog.py case;
     # canon._code starts 3 of the 35 group searches, for classes whose group
     # the walk does not hold
-    tight = doc["cases"]["search 6 1 tight-stable:2,0"]["change"]["counters"]
-    assert (tight["expand"], tight["searches"], tight["least_walks"]) == (21, 35, 15)
+    tight = _catalog_two_pairs(monkeypatch, tmp_path, ("search", 6, 1, "tight-stable:2,0"))
+    assert tight["result"]["classes"] == 15
+    counters = tight["counters"]
+    assert (counters["expand"], counters["searches"], counters["least_walks"]) == (21, 35, 15)
+
+
+def test_stable_bench_two_pairs(monkeypatch, tmp_path):
+    # the Stable search that bench/stable.py timed, now a catalog.py case
+    stable = _catalog_two_pairs(monkeypatch, tmp_path, ("search", 6, 1, "stable:2,1"))
+    assert stable["result"]["classes"] == 107
 
 
 def _scans_two_pairs(monkeypatch, tmp_path, case: tuple) -> dict:
