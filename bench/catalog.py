@@ -29,10 +29,10 @@ the runs of canon._refine; `searches`, the group searches of enumeration's
 _automorphisms and of canon._code for a class whose group the walk does not
 hold; `least_walks`, the least-leaf walks likewise (_least, one per _code
 call); `leaves`, canon._leaf_code and canon._is_automorphism; and
-`worst_drops`, _worst_drop from enumeration (the windows' removal scans) and
-stability (the matches).  Each search counts all of them, so its seconds
-carry more counting overhead than in BENCH_dfs.json or
-BENCH_stable_window.json; both sides pay it alike.
+`worst_drops`, _worst_drop from stability (the matches' removal scans) and,
+on a tree whose windows still scan, from enumeration.  Each search counts
+all of them, so its seconds carry more counting overhead than in
+BENCH_dfs.json or BENCH_stable_window.json; both sides pay it alike.
 
 Gates: the sides must make as many searches, and the change no more leaves;
 a "stable:" search's median on the change may not exceed the parent's third
@@ -120,7 +120,8 @@ def measure(case: list) -> dict:
     for name in ("_leaf_code", "_is_automorphism"):
         pairs.count_calls(counts, "leaves", canon, name)
     for module in (enumeration, stability):
-        pairs.count_calls(counts, "worst_drops", module, "_worst_drop")
+        if hasattr(module, "_worst_drop"):  # enumeration's: a tree whose windows scan
+            pairs.count_calls(counts, "worst_drops", module, "_worst_drop")
     t, cpu = time.perf_counter(), time.process_time()
     if kind == "count":
         result = {"classes": count_graphs(n, jobs=rest[0])}

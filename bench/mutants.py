@@ -131,12 +131,12 @@ MUTANTS = {
         "        for cur in [t]:\n",
         ["tests/test_enumeration.py::test_attachments_match_oracle"],
     ),
-    # a child's scan starts without its earlier siblings' witnesses
-    "no_sibling_witnesses": (
+    # a child's alpha is read from the parent's own lane, not its lane without T
+    "child_alpha_from_full": (
         ENUMERATION,
-        "            shared += [w for w in pool[start:] if not w >> n & 1]\n",
-        "",
-        ["tests/test_enumeration.py::test_tight_search_scan_solver_calls_pinned"],
+        "            c = a + (alphas[full & ~t] == a)\n",
+        "            c = a + (alphas[full] == a)\n",
+        ["tests/test_enumeration.py::test_window_prune_is_exact"],
     ),
     # the window's alpha floor ignores the removal floor F
     "window_lo_without_floor": (
@@ -151,6 +151,13 @@ MUTANTS = {
         "F - max(0, n - k - m)), H,",
         "F - max(0, n - k - m - 1)), H,",
         ["tests/test_enumeration.py::test_window_prune_is_exact"],
+    ),
+    # the lane test asks for one more than its threshold
+    "lane_test_threshold_plus_one": (
+        MIS,
+        "(table + (0x80 - t) * _lanes(n)[0])",
+        "(table + (0x7F - t) * _lanes(n)[0])",
+        ["tests/test_mis.py::test_lane_test_matches_least_over_q_subsets"],
     ),
     # a cover of exactly room + 1 cliques passes without its forced vertices
     "cover_without_propagation": (

@@ -14,8 +14,10 @@ in microseconds per call:
   decided inside its first first-level subtree;
 - is_tight_stable(lift(kn_tight(20), 6), 7, 6), whose six isolated twins
   the first removed vertex's stabilizer swaps;
-- search_tight_stable(8, 2, 0), canonical augmentation whose alpha prune and
-  scans solve subgraphs of at most 8 vertices;
+- search_tight_stable(8, 2, 0), canonical augmentation whose windows read
+  subset-alpha tables: no solver call and no scan (a tree whose windows
+  probe alphas and scan deletions makes both on subgraphs of at most 8
+  vertices);
 - the 131 graphs of perfbench's `queries` workload, in three bands of n
   (32-40, 48-56 and 64 vertices): each call runs max_independent_set,
   alpha_mask and is_stable(g, 1, 0) on every graph of the band.

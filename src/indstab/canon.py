@@ -38,7 +38,7 @@ from operator import itemgetter
 from indstab.graphs import Graph
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class CanonicalCode:
     """Isomorphism-invariant identifier: equal codes iff isomorphic graphs."""
 

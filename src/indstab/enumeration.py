@@ -30,12 +30,18 @@ graph, and what its alpha keeps under deletions.  A predicate "L <= alpha <=
 H, and every k-vertex deletion leaves alpha >= max(F, alpha - r)" gives its
 `bounds` (L, H, k, F, r), from which one formula derives its window at every
 level, and its `matches`; at level n the window is the predicate, which is
-then never checked again.  A child of alpha c is scanned, to the cut-off
-min(c - floor, r) + 1, only when its deletions' _reach attains it.  Canonical
-parents are induced subgraphs, so every matching class still has its whole
-chain of ancestors, and since the window is isomorphism-invariant, a child is
-tested before its canonical search; its alpha is read from the parent's.  The
-vertex count is guarded at 10; n = 11 runs only behind the long-run flag.
+then never checked again.  Every window test reads subset-alpha tables
+(mis.subset_alphas, a byte lane per vertex mask), with no solver call and no
+removal scan.  A child joined to T has alpha a + 1 exactly when the parent's
+lane of its vertices outside T holds the parent's alpha a; its table is the
+parent's plus one lane step (mis._lane_step); and its ks deletions keep
+alpha >= max(floor, c - r) exactly when every lane of n + 1 - ks vertices
+does (mis._all_at_least).  The walk hands each accepted child's table down to
+its children, and a worker task rebuilds its roots' tables from adjacency.
+Canonical parents are induced subgraphs, so every matching class still has
+its whole chain of ancestors, and since the window is isomorphism-invariant,
+a child is tested before its canonical search.  The vertex count is guarded
+at 10; n = 11 runs only behind the long-run flag.
 """
 
 from __future__ import annotations
@@ -52,8 +58,8 @@ from typing import Any, Callable, Iterator
 
 from indstab.canon import CanonicalCode, _automorphisms, _code, _least, _orbit, _refine_root
 from indstab.graphs import Graph
-from indstab.mis import _alpha_set, independent_set_at_least
-from indstab.stability import _reach, _within, _worst_drop, stability_bound
+from indstab.mis import _all_at_least, _lane_step, subset_alphas
+from indstab.stability import _within, stability_bound
 
 HARD_GUARD = 10
 LONG_RUN_MAX = 11
@@ -252,56 +258,51 @@ def _deletion_cell(cadj: tuple[int, ...], root: list[list[int]], d: int) -> list
     return next(c for c in reversed(root) if cadj[c[0]].bit_count() == d)
 
 
-def _expand(n: int, adj: tuple[int, ...], gens: list[list[int]], window):
+def _expand(n: int, adj: tuple[int, ...], gens: list[list[int]], window, table: int | None):
     """Accepted children of one parent inside `window` (None: all), as
-    (adj, root, gens) triples: `root` is the child's refined root partition,
-    or None when the child was accepted on degree alone, and `gens` the
-    generators of its group, or None when it was accepted without a search.
-    Only a child whose new vertex's orbit is not the whole deletion cell
-    walks its least leaf, under those generators.
-
-    A child's removal scan starts from its own maximum independent set and
-    from every set that its earlier siblings' scans found without the new
-    vertex n: those lie in the parent's graph, so they are independent in
-    every child.
+    (adj, root, gens, table) quadruples: `root` is the child's refined root
+    partition, or None when the child was accepted on degree alone, `gens`
+    the generators of its group, or None when it was accepted without a
+    search, and `table` its subset-alpha table, or None when there is no
+    window.  Only a child whose new vertex's orbit is not the whole deletion
+    cell walks its least leaf, under those generators.  The window is read
+    from `table`, the parent's, which a walk's root lacks and rebuilds.
     """
     out = []
     full = (1 << n) - 1
     if window is not None:
         lo, hi, ks, floor, r = window
-        a, top = _alpha_set(adj, full)
-        shared: list[int] = []  # the siblings' witnesses without vertex n
+        if table is None:
+            table = int.from_bytes(subset_alphas(adj, n), "little")
+        alphas = table.to_bytes(1 << n, "little")
+        a = alphas[full]
     d, low, sets = _attachments(n, adj, gens)
     for t in sets:
-        # the child's alpha c is the parent's a, or a + 1 when an a-set avoids
-        # T; both lie in the window when lo <= a < hi, so c is probed only
-        # outside that or for the deletion test
-        if window is not None and (ks or not lo <= a < hi):
-            w = independent_set_at_least(adj, full & ~t, a)
-            c, seed = (a, top) if w is None else (a + 1, w | 1 << n)
+        ctable = None
+        if window is not None:
+            # the child's alpha is a + 1 exactly when the parent without T
+            # keeps alpha a, and its table is the parent's plus one vertex
+            c = a + (alphas[full & ~t] == a)
             if not lo <= c <= hi:
                 continue
-        cadj = tuple(row | (1 << n) if (t >> v) & 1 else row for v, row in enumerate(adj)) + (t,)
-        # ks deletions may lower alpha by the cut at most (c >= lo >= floor)
-        if window is not None and ks and _reach(n + 1, ks, c) > (cut := min(c - floor, r)):
-            pool = [seed, *shared]
-            start = len(pool)
-            drop = _worst_drop(Graph._wrap(n + 1, cadj), ks, c, cut + 1, pool)
-            shared += [w for w in pool[start:] if not w >> n & 1]
-            if drop > cut:
+            ctable = _lane_step(table, n, t)
+            # every ks deletions leave alpha >= max(floor, c - r): so does
+            # every induced subgraph on n + 1 - ks vertices
+            if ks and not _all_at_least(ctable, n + 1, n + 1 - ks, max(floor, c - r)):
                 continue
+        cadj = tuple(row | (1 << n) if (t >> v) & 1 else row for v, row in enumerate(adj)) + (t,)
         k = t.bit_count()  # the child's least degree
         # the new vertex alone has degree k when every old vertex ends above
         # it: k < d, or k = d and T gives every vertex of degree d an edge
         if k < d or k == d and t & low == low:
-            out.append((cadj, None, None))
+            out.append((cadj, None, None, ctable))
             continue
         root = _refine_root(n + 1, cadj)
         cell = _deletion_cell(cadj, root, k)
         if n not in cell:
             continue
         if len(cell) == 1:  # the new vertex is the canonical deletion vertex
-            out.append((cadj, root, None))
+            out.append((cadj, root, None, ctable))
             continue
         cgens = _automorphisms(n + 1, cadj, root)
         orbit = _orbit([n], cgens)
@@ -309,17 +310,18 @@ def _expand(n: int, adj: tuple[int, ...], gens: list[list[int]], window):
             perm = _least(n + 1, cadj, root, cgens)[1]
             if next(v for v in reversed(perm) if cadj[v].bit_count() == k) not in orbit:
                 continue
-        out.append((cadj, root, cgens))
+        out.append((cadj, root, cgens, ctable))
     return out
 
 
-def _walk(size: int, adj: tuple[int, ...], gens: list[list[int]], windows, emit, n: int,
-          split: int = 0) -> Iterator[tuple[int | None, Any]]:
+def _walk(size: int, adj: tuple[int, ...], gens: list[list[int]], table: int | None, windows,
+          emit, n: int, split: int = 0) -> Iterator[tuple[int | None, Any]]:
     """Yield (m, item) for the non-None emits on every accepted descendant of
     one class on `size` vertices, up to level n, depth first; a child on
-    `split` vertices is emitted, then yielded as (None, (split, adj, gens))."""
+    `split` vertices is emitted, then yielded as (None, (split, adj, gens)).
+    `table` is the class's subset-alpha table, or None."""
     m = size + 1
-    for cadj, root, cgens in _expand(size, adj, gens, windows[m]):
+    for cadj, root, cgens, ctable in _expand(size, adj, gens, windows[m], table):
         if m < n and cgens is None:
             # the child's own children are built from its generators
             cgens = _automorphisms(m, cadj, root)
@@ -329,13 +331,15 @@ def _walk(size: int, adj: tuple[int, ...], gens: list[list[int]], windows, emit,
         if m == split:
             yield None, (m, cadj, cgens)
         elif m < n:
-            yield from _walk(m, cadj, cgens, windows, emit, n, split)
+            yield from _walk(m, cadj, cgens, ctable, windows, emit, n, split)
 
 
 def _subtrees(windows, emit, n: int, chunk) -> tuple[float, list[tuple[int, Any]]]:
-    """Worker task: seconds per root, and each root's items, then its _walk."""
+    """Worker task: seconds per root, and each root's items, then its _walk,
+    which rebuilds the root's subset-alpha table from its adjacency."""
     start = time.perf_counter()
-    out = [x for *items, (_, root) in chunk for x in (*items, *_walk(*root, windows, emit, n))]
+    out = [x for *items, (_, root) in chunk
+           for x in (*items, *_walk(*root, None, windows, emit, n))]
     return (time.perf_counter() - start) / len(chunk), out
 
 
@@ -424,12 +428,12 @@ def enumerate_levels(
     # the walk hands out classes on n - 2 >= 2 vertices, so n <= 3 has no task
     with _pool(jobs if n > 3 else 1) as pool:
         if pool is None:
-            yield from _walk(1, (0,), [], windows, emit, n)
+            yield from _walk(1, (0,), [], None, windows, emit, n)
             return
         # a task costs the caller ~0.6 ms (2 vCPUs), so it takes ~50 ms of
         # roots at the last task's pace, one root more at most; 4 * jobs pend
         before, chunk, tasks, size = [], [], deque(), 1
-        for m, x in _walk(1, (0,), [], windows, emit, n, n - 2):
+        for m, x in _walk(1, (0,), [], None, windows, emit, n, n - 2):
             before.append((m, x))
             if m is None:
                 chunk.append(before)

@@ -22,9 +22,12 @@ Low-level helpers operate directly on adjacency rows and a vertex mask, which
 lets the stability scans query induced subgraphs without rebuilding Graph
 values.  For the small catalog classes, subset_alphas instead sweeps all 2^n
 vertex masks once and tabulates every induced subgraph's independence number,
-one byte lane per mask of a single int, handed back as bytes; alpha_profile
-reduces that table to a tuple, the least one per subgraph size.  A lane's
-value never exceeds n, so the lane arithmetic carries nothing across lanes.
+one byte lane per mask of a single int, handed back as bytes.  The sweep adds
+one vertex per step (_lane_step), the step a windowed search takes from a
+parent's table to a child's.  One lane test (_all_at_least) asks whether
+every subgraph of a given size has alpha at least t; alpha_profile, the
+least alpha per subgraph size, is one such test per size.  A lane's value
+never exceeds n, so the lane arithmetic carries nothing across lanes.
 """
 
 from __future__ import annotations
@@ -163,32 +166,58 @@ def _lanes(v: int) -> tuple[int, int, int, list[int]]:
     return ones, 0x7F * ones, ones << 7, lacks
 
 
+def _lane_step(table: int, v: int, below: int) -> int:
+    """The subset-alpha table of the masks below v + 1, from `table`, that of
+    the masks below v, for a vertex v whose neighbors below it are `below`.
+
+    The masks holding v take the value of the mask without v, plus one
+    exactly when the mask without v and its neighbors has the same value (a
+    subgraph's alpha is at most its supergraph's).  The projection copies,
+    for each neighbor j, the lanes without j onto those with j, and adding
+    0x7F to each lane of its xor with the table sets the lane's top bit
+    where the two differ.
+    """
+    ones, low7, high, lacks = _lanes(v)
+    proj = table  # becomes each mask's value without v's neighbors
+    while below:
+        j = (below & -below).bit_length() - 1
+        below &= below - 1
+        proj &= lacks[j]
+        proj |= proj << (8 << j)
+    differ = (((table ^ proj) + low7) & high) >> 7
+    return table | (table + ones - differ) << (8 << v)
+
+
 def subset_alphas(adj: tuple[int, ...], n: int) -> bytes:
     """The independence number of every induced subgraph, as bytes indexed by vertex mask.
 
-    Built one vertex at a time: the masks whose highest vertex is v extend
-    the table of the masks below v, each taking the value of the mask without
-    v, plus one exactly when the mask without v and its neighbors has the
-    same value (a subgraph's alpha is at most its supergraph's).  The table
-    is one int with a byte lane per mask.  The projection copies, for each
-    neighbor j of v below it, the lanes without j onto those with j, and
-    adding 0x7F to each lane of its xor with the table sets the lane's top
-    bit where the two differ.  A lane holds at most n <= 64 < 128, so no
-    carry or borrow crosses a lane.  Meant for n <= 8, the catalog range.
+    Built one vertex at a time by _lane_step, from the table of the empty
+    graph, whose one lane is 0.  The table is one int with a byte lane per
+    mask.  A lane holds at most n <= 64 < 128, so no carry or borrow crosses
+    a lane.  Meant for small n: the catalogs (n <= 8) and the windowed
+    searches' roots (n <= 9).
     """
     table = 0
     for v in range(n):
-        ones, low7, high, lacks = _lanes(v)
-        proj = table  # becomes each mask's value without v's neighbors
-        m = adj[v] & ((1 << v) - 1)  # the neighbors of v below it
-        while m:
-            j = (m & -m).bit_length() - 1
-            m &= m - 1
-            proj &= lacks[j]
-            proj |= proj << (8 << j)
-        differ = (((table ^ proj) + low7) & high) >> 7
-        table |= (table + ones - differ) << (8 << v)
+        table = _lane_step(table, v, adj[v] & ((1 << v) - 1))
     return table.to_bytes(1 << n, "little")
+
+
+@cache
+def _size_lanes(n: int, q: int) -> int:
+    """0x80 in the byte lanes of the 2^n masks that hold q vertices."""
+    return int.from_bytes(bytes(0x80 if m.bit_count() == q else 0 for m in range(1 << n)), "little")
+
+
+def _all_at_least(table: int, n: int, q: int, t: int) -> bool:
+    """Whether every q-vertex induced subgraph has alpha >= t, from an
+    n-vertex graph's subset-alpha table as an int.  Adding 0x80 - t to every
+    lane sets its top bit exactly where it holds t or more; a lane holds at
+    most n < 128, so the sum stays below 0x100 and carries nothing."""
+    if t <= 0:
+        return True
+    high = _size_lanes(n, q)
+    return (table + (0x80 - t) * _lanes(n)[0]) & high == high
 
 
 def alpha_profile(table: bytes) -> tuple[int, ...]:
@@ -197,14 +226,14 @@ def alpha_profile(table: bytes) -> tuple[int, ...]:
 
     p(0) = 0 and p(n) = alpha.  p never decreases and rises by at most one
     per step, since removing a vertex never raises alpha and lowers it by at
-    most one.
+    most one: p(q) is p(q - 1) + 1 exactly when every q-vertex subgraph has
+    alpha above p(q - 1), one _all_at_least test per q.
     """
     n = len(table).bit_length() - 1
-    least = [n] * (n + 1)
-    for mask, a in enumerate(table):
-        size = mask.bit_count()
-        if a < least[size]:
-            least[size] = a
+    lanes = int.from_bytes(table, "little")
+    least = [0]
+    for q in range(1, n + 1):
+        least.append(least[-1] + _all_at_least(lanes, n, q, least[-1] + 1))
     return tuple(least)
 
 

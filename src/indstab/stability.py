@@ -15,10 +15,9 @@ set that misses the witness certifying its prefix is certified too, so the
 scan extends a prefix only by vertices of that witness.  A pool may start
 with any independent sets of the graph: the entry points start it with the
 maximum independent set of the graph's one alpha solve, which the Graph
-value keeps (mis._alpha_set_of), and enumeration's window test with the
-child's maximum set and those of its siblings' scans that the parent's graph
-holds.  The drop found is exact whatever the pool holds; the pool changes
-only how often the solver runs.
+value keeps (mis._alpha_set_of).  The drop found is exact whatever the pool
+holds; the pool changes only how often the solver runs.  Enumeration's
+windows scan nothing: they read subset-alpha tables (mis._all_at_least).
 
 Every scan searches for the worst drop.  A prefix that no witness of
 alpha - drop vertices avoids raises the drop found by one (supersets of the
@@ -26,10 +25,10 @@ prefix only lower alpha further), and the scan stops once the drop reaches its
 cut-off: for alpha_drop the reach, the most k deletions can take (_reach),
 and min(alpha - F, r) + 1 in _within, the one test of "L <= alpha <= H, and
 every k deletions leave alpha >= max(F, alpha - r)" behind is_stable ((0, n,
-k, 0, l)), is_tight_stable ((b, b, k, b - l, n) for the bound b) and
-enumeration's predicates with bounds.  No scan runs when its cut-off is 0 or
-above the reach.  No other bound is tried: an optimistic completion asks for
-more vertices than the scan needs and mostly fails.
+k, 0, l)), is_tight_stable ((b, b, k, b - l, n) for the bound b) and the
+matches of enumeration's predicates with bounds.  No scan runs when its
+cut-off is 0 or above the reach.  No other bound is tried: an optimistic
+completion asks for more vertices than the scan needs and mostly fails.
 stable_vertex_count probes each vertex through a pool too.
 
 The first removed vertex ranges over automorphism orbits (as canonical
@@ -66,8 +65,8 @@ from indstab.graphs import Graph, vset, vset_members
 from indstab.mis import _alpha_set_of, independent_set_at_least
 
 # Scans of graphs with fewer vertices never search the automorphism group.
-# Canonical augmentation runs its many scans on at most 11 vertices, where a
-# search would cost more than it saves; the bound keeps them off this path.
+# On small graphs, such as the ones Predicate.matches checks (at most 11
+# vertices), a search would cost more than it saves.
 _ORBIT_MIN_N = 12
 
 

@@ -2,7 +2,9 @@
 
 Everything here deliberately avoids the package's own algorithms: the
 independence oracle scans every one of the 2^n vertex subsets with vectorized
-edge tests, the isomorphism oracle minimizes the adjacency code over all n!
+edge tests, and the subset-alpha oracle takes each mask's largest
+independent subset from that scan.  The profile oracle reads every lane of
+a table, the isomorphism oracle minimizes the adjacency code over all n!
 permutations, and the census oracle deduplicates every labeled graph.  The
 attachment oracle takes the automorphism group from the package's canonical
 search, but walks every one of the 2^n attachment sets.  The refinement
@@ -35,8 +37,8 @@ from indstab.canon import _automorphisms, _least, _orbit, _refine_root, _split
 from indstab.graphs import Graph, build, vset
 
 
-def alpha_brute(g: Graph) -> int:
-    """Independence number by scanning all 2^n subsets for independence."""
+def _independent_subsets(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """(independent, sizes) over all 2^n vertex subsets, indexed by mask."""
     n = g.n
     subsets = np.arange(1 << n, dtype=np.uint32)
     independent = np.ones(1 << n, dtype=bool)
@@ -48,7 +50,38 @@ def alpha_brute(g: Graph) -> int:
     sizes = np.zeros(1 << n, dtype=np.uint8)
     for v in range(n):
         sizes += ((subsets >> v) & 1).astype(np.uint8)
+    return independent, sizes
+
+
+def alpha_brute(g: Graph) -> int:
+    """Independence number by scanning all 2^n subsets for independence."""
+    independent, sizes = _independent_subsets(g)
     return int(sizes[independent].max())
+
+
+def subset_alphas_brute(g: Graph) -> bytes:
+    """Every induced subgraph's independence number, indexed by vertex mask:
+    the largest independent subset below each mask, taken over one bit at
+    a time from the independent subsets' sizes."""
+    independent, sizes = _independent_subsets(g)
+    best = np.where(independent, sizes, 0).astype(np.uint8)
+    masks = np.arange(1 << g.n)
+    for v in range(g.n):
+        above = masks[(masks >> v) & 1 == 1]
+        best[above] = np.maximum(best[above], best[above ^ (1 << v)])
+    return best.tobytes()
+
+
+def alpha_profile_plain(table: bytes) -> tuple[int, ...]:
+    """The least independence number per subgraph size, by one pass over
+    every lane of a subset_alphas table."""
+    n = len(table).bit_length() - 1
+    least = [n] * (n + 1)
+    for mask, a in enumerate(table):
+        size = mask.bit_count()
+        if a < least[size]:
+            least[size] = a
+    return tuple(least)
 
 
 def max_clique_brute(g: Graph) -> int:

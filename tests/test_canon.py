@@ -1,9 +1,14 @@
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 from itertools import permutations
 from math import factorial
 
+import pytest
+
 from indstab.canon import (
-    _automorphisms, _leaf_code, _leaves, _least, _orbit, _refine, _refine_root, canonical,
+    CanonicalCode, _automorphisms, _leaf_code, _leaves, _least, _orbit, _refine, _refine_root,
+    canonical,
 )
 from indstab.families import (
     circulant, cycle, kn_tight, lift, path, stable3_circulant, stable4_circulant, wheel,
@@ -31,6 +36,26 @@ def test_invariance_under_relabeling():
         perm = list(range(g.n))
         rng.shuffle(perm)
         assert canonical(g) == canonical(relabeled(g, perm))
+
+
+def test_canonical_code_pickles_hashes_and_orders():
+    # a slotted value: no per-instance dict and frozen fields, and it still
+    # crosses processes, keys sets and sorts by (code, n), as enumeration's
+    # workers and search_with need
+    codes = [canonical(g) for g in (cycle(5), wheel(6), path(4), cycle(5))]
+    assert not hasattr(codes[0], "__dict__")
+    with pytest.raises(FrozenInstanceError):
+        codes[0].code = b""
+    # slots=True rebuilds the class, so on Python 3.11 the frozen
+    # __setattr__ and __delattr__ fail with TypeError on a name that is not a field
+    with pytest.raises(TypeError):
+        codes[0].other = 1
+    with pytest.raises(TypeError):
+        del codes[0].other
+    assert pickle.loads(pickle.dumps(codes)) == codes
+    assert len(set(codes)) == 3 and hash(codes[0]) == hash(codes[3])
+    assert sorted(codes) == sorted(codes, key=lambda c: (c.code, c.n))
+    assert CanonicalCode(b"\x01", 2) < CanonicalCode(b"\x02", 1) < CanonicalCode(b"\x02", 2)
 
 
 def _refine_inputs(g):

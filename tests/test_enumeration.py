@@ -7,7 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from indstab import canon, enumeration, stability
+from indstab import canon, enumeration, mis, stability
 from indstab.canon import _automorphisms, _least, _refine, _refine_root, canonical
 from indstab.enumeration import (
     And,
@@ -31,11 +31,16 @@ from indstab.enumeration import (
 from indstab.erdos_rogers import er_f, er_table
 from indstab.families import cycle, figure2, kn_tight, wheel
 from indstab.graphs import build
-from indstab.mis import alpha, alpha_profile, is_independent, subset_alphas
+from indstab.mis import alpha, subset_alphas
 from indstab.stability import is_stable, is_tight_stable, stability_bound
 from indstab.verify import SUITE_ORDER, VerifyConfig, catalog_facts, run_all
 
-from _oracles import attachment_sets_brute, automorphism_generators, labeled_census
+from _oracles import (
+    alpha_profile_plain,
+    attachment_sets_brute,
+    automorphism_generators,
+    labeled_census,
+)
 
 NINE_3_0_SHA256 = "b319aaf948d4069a05b827579622abc6e15a7b1f93d53a2a28677bad6f831e0e"
 EIGHT_STREAM_SHA256 = "84870251016d774e5edb93ef9f0934efbb57bdb0a2b196b4f4c49f48cd8f6591"
@@ -225,7 +230,7 @@ def test_root_path_matches_refine_on_every_child(catalog):
                 cadj = tuple(row | (1 << n) if t >> v & 1 else row for v, row in enumerate(g.adj))
                 cadj += (t,)
                 assert _refine_root(n + 1, cadj) == _refine(cadj, [list(range(n + 1))], [0]), code
-            for cadj, root, _ in _expand(n, g.adj, gens, None):
+            for cadj, root, _, _ in _expand(n, g.adj, gens, None, None):
                 if root is None:
                     root = _refine(cadj, [list(range(n + 1))], [0])
                     assert _deletion_cell(cadj, root, cadj[n].bit_count()) == [n], code
@@ -285,7 +290,7 @@ def test_library_rejects_jobs_below_one(call, jobs):
 
 def _profiles(catalog, n):
     """(code, alpha profile) of every class on n vertices, in stream order."""
-    return [(code, alpha_profile(subset_alphas(g.adj, n))) for code, g in catalog(n)]
+    return [(code, alpha_profile_plain(subset_alphas(g.adj, n))) for code, g in catalog(n)]
 
 
 def _tight(profiles, n, k, l):
@@ -371,8 +376,7 @@ def test_tight_search_work_pinned(count_calls):
     # walks the least leaf once, and _expand's own walks are _least calls.
     # "roots" counts the root partitions in all: _expand's, and those its
     # searches compute for children accepted on degree alone
-    names = ("_automorphisms", "_least", "_code", "_refine_root", "independent_set_at_least",
-             "_worst_drop")
+    names = ("_automorphisms", "_least", "_code", "_refine_root")
     calls = {name: count_calls(enumeration, name) for name in names}
     calls["canon._automorphisms"] = count_calls(canon, "_automorphisms")
     calls["roots"] = []
@@ -390,8 +394,7 @@ def test_tight_search_work_pinned(count_calls):
     assert len(search_tight_stable(8, 2, 0)) == 75
     assert {name: len(made) for name, made in calls.items()} == {
         "_automorphisms": 332, "_least": 7, "_code": 75, "_refine_root": 419,
-        "independent_set_at_least": 3957, "_worst_drop": 1241, "canon._automorphisms": 43,
-        "roots": 558,
+        "canon._automorphisms": 43, "roots": 558,
     }
 
 
@@ -404,35 +407,16 @@ def test_stable_search_work_pinned(count_calls):
     assert len(expanded) <= 171
 
 
-def test_tight_search_scan_solver_calls_pinned(count_calls):
-    # the solver calls of every removal scan in tight (2, 0) at n = 8, all of
-    # them _expand's window tests, since the level-n window decides the
-    # predicate: each pool starts with the child's maximum set and its
-    # earlier siblings' sets
-    calls = count_calls(stability, "independent_set_at_least")
+def test_tight_search_makes_no_solver_call_or_scan(count_calls):
+    # tight (2, 0) at n = 8 reads every window from the subset-alpha tables,
+    # and its level-n window decides the predicate: no solver node, no
+    # greedy start and no removal scan (3,957 solver probes and 1,241 scans
+    # when _expand probed each child's alpha and scanned its deletions)
+    solver = count_calls(mis, "_cover_exceeds")
+    count_calls(mis, "_greedy", solver)
+    scans = count_calls(stability, "_worst_drop")
     assert len(search_tight_stable(8, 2, 0)) == 75
-    assert len(calls) == 2570
-
-
-def test_expand_scan_pools_hold_independent_sets(monkeypatch):
-    # every set _expand starts a child's scan from is independent in that
-    # child, and the scan finds the drop a scan from an empty pool finds
-    real = enumeration._worst_drop
-    seen = []
-
-    def checked(g, k, a, stop, pool):
-        assert pool and all(is_independent(g, w) for w in pool)
-        seen.append(len(pool))
-        drop = real(g, k, a, stop, pool)
-        assert drop == real(g, k, a, stop, [])
-        return drop
-
-    monkeypatch.setattr(enumeration, "_worst_drop", checked)
-    for n in range(2, 8):
-        for k in range(1, n):
-            for l in range(k):
-                search_tight_stable(n, k, l)
-    assert max(seen) > 1  # siblings' sets reached later children
+    assert solver == [] and scans == []
 
 
 def test_first_match_arrives_before_the_last_level_is_built(count_calls):
@@ -449,11 +433,11 @@ def test_first_match_arrives_before_the_last_level_is_built(count_calls):
 
 
 def test_tight_window_floor_is_its_lo():
-    # the contract _expand relies on: wherever a window asks for deletions
-    # its floor is at most its lo, for every predicate with bounds and every
-    # pairwise And, which keeps the largest lo, so a child inside the alpha
-    # range needs only the deletion test.  At level n the window of a
-    # predicate with bounds is the predicate itself
+    # the contract Predicate.window states: wherever a window asks for
+    # deletions its floor is at most its lo, for every predicate with bounds
+    # and every pairwise And, which keeps the largest lo, so the deletion
+    # test of a child inside the alpha range asks for at most its own alpha.
+    # At level n the window of a predicate with bounds is the predicate itself
     for n in range(2, 12):
         windowed = [TightStable(k, l) for k in range(1, n) for l in range(k)]
         windowed += [Stable(k, l) for k in range(1, n) for l in range(k)]
@@ -504,7 +488,7 @@ def test_bounds_window_is_exact(catalog):
     # cuts r < k run at n <= 5, where they keep the test's time.  The
     # derived matches agrees too
     for n in range(1, 7):
-        graphs = [(g, alpha_profile(subset_alphas(g.adj, n))) for _, g in catalog(n)]
+        graphs = [(g, alpha_profile_plain(subset_alphas(g.adj, n))) for _, g in catalog(n)]
         for L in range(n + 1):
             for H in range(L, n + 1):
                 for k in range(n + 1):
@@ -516,10 +500,10 @@ def test_bounds_window_is_exact(catalog):
 def test_erdos_rogers_windows_at_seven(catalog):
     # f(7; s, t) < v exactly when some class has alpha <= s + t - 1 and keeps
     # alpha >= s after any 7 - v deletions: the bounds (s, min(s + t - 1, 7),
-    # 7 - v, s, 7), whose windows drive _expand's reach test with large ks
+    # 7 - v, s, 7), whose windows drive _expand's lane test with large ks
     # and a floor.  Each cell's two existence queries, at v = 7 - t and
     # 7 - t + 1, against the profiles and the catalog's Erdos-Rogers grid
-    graphs = [(g, alpha_profile(subset_alphas(g.adj, 7))) for _, g in catalog(7)]
+    graphs = [(g, alpha_profile_plain(subset_alphas(g.adj, 7))) for _, g in catalog(7)]
     f = {(row.s, row.t): row.computed for row in er_table(7)}
     for s in range(1, 8):
         for t in range(1, 8):

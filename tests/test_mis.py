@@ -16,9 +16,11 @@ from indstab.families import (
 )
 from indstab.graphs import Graph, build, complement, remove_vertices, vset, vset_members
 from indstab.mis import (
+    _all_at_least,
     _alpha_set,
     _cover_exceeds,
     _grow,
+    _lane_step,
     alpha,
     alpha_mask,
     alpha_profile,
@@ -38,12 +40,14 @@ from indstab.stability import (
 from _oracles import (
     all_max_independent_sets,
     alpha_brute,
+    alpha_profile_plain,
     complete,
     max_clique_brute,
     plain_alpha_mask,
     plain_max_independent_set,
     plain_set_at_least,
     random_graph,
+    subset_alphas_brute,
 )
 
 
@@ -134,6 +138,47 @@ def test_alpha_profile_steps_by_zero_or_one(catalog):
             p = alpha_profile(subset_alphas(g.adj, n))
             assert len(p) == n + 1 and p[0] == 0 and p[n] == alpha(g)
             assert all(p[q - 1] <= p[q] <= p[q - 1] + 1 for q in range(1, n + 1))
+
+
+def test_lane_step_extends_the_parent_table(catalog):
+    # a child's table is its parent's plus one lane step for the new vertex,
+    # as a windowed search grows them: every class on n <= 7 vertices as the
+    # child of its first n - 1 vertices, and random graphs on up to 11,
+    # against subset_alphas, the brute-force table and alpha_brute
+    rng = random.Random(89)
+    graphs = [g for n in range(1, 8) for _, g in catalog(n)]
+    graphs += [random_graph(rng.randint(1, 11), rng.random(), rng) for _ in range(200)]
+    for g in graphs:
+        n = g.n - 1
+        parent = int.from_bytes(subset_alphas(g.adj, n), "little")
+        table = _lane_step(parent, n, g.adj[n]).to_bytes(1 << g.n, "little")
+        assert table == subset_alphas(g.adj, g.n) == subset_alphas_brute(g), g.adj
+        assert table[g.vertex_mask] == alpha_brute(g), g.adj
+
+
+def test_lane_test_matches_least_over_q_subsets(catalog):
+    # every q-vertex subgraph has alpha >= t exactly when the least lane of
+    # popcount q holds t or more, at every t from -1 to n + 1
+    rng = random.Random(97)
+    graphs = [g for n in range(1, 7) for _, g in catalog(n)]
+    graphs += [random_graph(rng.randint(1, 11), rng.random(), rng) for _ in range(100)]
+    for g in graphs:
+        table = subset_alphas(g.adj, g.n)
+        lanes = int.from_bytes(table, "little")
+        for q in range(g.n + 1):
+            least = min(a for mask, a in enumerate(table) if mask.bit_count() == q)
+            for t in range(-1, g.n + 2):
+                assert _all_at_least(lanes, g.n, q, t) == (least >= t), (g.adj, q, t)
+
+
+def test_alpha_profile_matches_plain_minimum(catalog):
+    # the lane tests' profile against a pass over every lane
+    rng = random.Random(101)
+    graphs = [g for n in range(1, 8) for _, g in catalog(n)]
+    graphs += [random_graph(rng.randint(1, 11), rng.random(), rng) for _ in range(300)]
+    for g in graphs:
+        table = subset_alphas(g.adj, g.n)
+        assert alpha_profile(table) == alpha_profile_plain(table), g.adj
 
 
 def test_independent_set_at_least_returns_a_witness_inside_the_mask():
